@@ -120,6 +120,8 @@ class TauGrid:
             raise ParameterError("grid-too-small", "tau grid needs at least 2 points")
         if v[0] != 0.0:
             raise ParameterError("grid-missing-zero", "tau grid must contain tau = 0")
+        if not np.all(np.isfinite(v)):
+            raise ParameterError("grid-not-finite", "tau grid values must be finite")
         if np.any(np.diff(v) <= 0):
             raise ParameterError("grid-not-increasing", "tau grid must be strictly increasing")
         if self.unit not in ("gamma", "ns"):

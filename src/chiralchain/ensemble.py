@@ -42,7 +42,7 @@ from .core import (
     TauGrid,
     validate_params,
 )
-from .transport import _chain, chain_g2, chain_transmission, od_per_atom
+from .transport import TRANSMISSION_FLOOR, _chain, _g2_curves, od_per_atom
 
 __all__ = [
     "OdBinSpec",
@@ -295,16 +295,14 @@ def averaged_g2(dist: NumberDistribution, params: PhysicalParams,
     ``params`` is ignored; the distribution supplies N.
     """
     validate_params(params)
+    curves = _g2_curves(params, dist.support.tolist(), grid, TRANSMISSION_FLOOR)
     wr = dist.weights * dist.rate_weights**2
-    norm = wr.sum()
     values = np.zeros(grid.values.size)
     trans = 0.0
-    for i, n in enumerate(dist.support):
-        p = PhysicalParams(params.beta, int(n), params.detuning,
-                           params.drive_photon_rate)
-        values += wr[i] * chain_g2(p, grid).values
-        trans += dist.weights[i] * chain_transmission(p)
-    return G2Curve(grid, values / norm, transmission=trans)
+    for w, wrate, curve in zip(dist.weights, wr, curves):
+        values += wrate * curve.values
+        trans += w * curve.transmission
+    return G2Curve(grid, values / wr.sum(), transmission=trans)
 
 
 def averaged_g2_zero(dist: NumberDistribution, beta: float,

@@ -19,18 +19,41 @@ whose amplitudes solve triangular linear systems (forward substitution):
                           + i sqrt(beta) alpha (e_j + e_k)
 
 The transmitted field operator is a_out = alpha + sqrt(beta) sum_j sigma_j.
-Its normalized coincidence amplitude follows from applying a_out to |psi>,
-evolving the resulting vacuum + one-excitation amplitudes under H_nh for the
-delay tau (the vacuum amplitude re-pumps the chain, so the conditional state
-relaxes back to the steady state), and applying a_out again:
+Applying it to |psi> leaves vacuum + one-excitation amplitudes f_j; the
+vacuum part re-pumps the chain, so over the delay tau the deviation
+df = f - t^N e from the re-pumped steady state evolves under the
+one-excitation generator
 
-    psi_N(tau) = t^2N + sqrt(beta) sum_j [f_j(tau) - t^N e_j],
-    f'(tau) = A f(tau) - sqrt(beta) t^N,   A = (i Delta - 1/2) 1 - beta (lower)
+    A = (i Delta - 1/2) 1 - beta L,   L the strictly lower all-ones matrix,
 
-with t = t(Delta) the single-pass transmission.  g2(tau) =
-|psi_N(tau)|^2 / |t|^4N, and everything is proportional to alpha^2, so the
-solver fixes alpha = 1.  For a single resonant emitter this reduces to the
-closed form psi(tau) = t^2 - (1-t)^2 exp(-tau/2).
+and a_out is applied again.  With S the shift matrix, L = S (1 - S)^-1, so A
+is lower-triangular Toeplitz and the Laguerre generating function gives the
+propagator in closed form (x = beta tau):
+
+    exp(A tau) = e^{(i Delta - 1/2) tau} sum_m L_m^(-1)(x) S^m.
+
+Summing its rows, the normalized coincidence amplitude of a chain of N is
+
+    psi_N(tau) = t^2N + sqrt(beta) e^{(i Delta - 1/2) tau}
+                        sum_k df_k C_{N-1-k}(tau),
+    C_k(tau)   = sum_{m<=k} L_m^(-1)(beta tau),
+
+with t = t(Delta) the single-pass transmission and df_k = (1 - t^N) e_k
++ sqrt(beta) sum_{j<N} d_kj (d_kj = d_jk).  This is the discrete form of the
+continuum theory of Mahmoodian et al., PRL 121, 143601 (2018).  One table
+of C on the delay grid serves every chain length up to its size.  It is
+filled by the differenced Laguerre recurrence
+
+    m L_m^(-1)(x) = (m - 1) L_{m-1}^(-1)(x) - x C_{m-1},   C_m = C_{m-1} + L_m^(-1),
+
+which follows from m l_m = (2m - 2 - x) l_{m-1} - (m - 2) l_{m-2} but keeps
+the small x apart from the integers, so it loses no digits at small delays
+(the undifferenced form cancels x against 2m and loses ~3 digits at
+N ~ 450).  g2(tau) = |psi_N(tau)|^2 / |t|^4N, and everything is
+proportional to alpha^2, so the solver fixes alpha = 1.  For a single
+resonant emitter this reduces to psi(tau) = t^2 - (1-t)^2 exp(-tau/2).  The
+table stores e^{-tau/2} C_k(tau), so no entry exceeds the propagator it
+stands for, although C_k alone grows like e^{x/2}.
 
 All results here are leading-order in drive power; the finite-drive physics
 lives in ``oracle``, which is kept algorithmically independent.
@@ -38,12 +61,11 @@ lives in ``oracle``, which is kept algorithmically independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     ComplexCurve,
@@ -69,6 +91,7 @@ __all__ = [
 ]
 
 TRANSMISSION_FLOOR = 1e-12
+_RESCALE = 2.0**300  # column size at which the propagator recurrence is rescaled
 
 
 def transmission_coefficient(beta: float, detuning: float = 0.0) -> complex:
@@ -198,22 +221,83 @@ def chain_steady_state(params: PhysicalParams) -> ChainState:
     return ChainState(1.0 + 0.0j, ch.e[:n].copy(), np.triu(ch.dmat[:n, :n], k=1))
 
 
+def _power_transmission(beta: float, detuning: float, n: int) -> float:
+    return float(abs(transmission_coefficient(beta, detuning)) ** (2 * n))
+
+
 def chain_transmission(params: PhysicalParams) -> float:
     """Weak-drive power transmission |t(Delta)|^(2N)."""
     validate_params(params)
-    t = transmission_coefficient(params.beta, params.detuning)
-    return float(abs(t) ** (2 * params.n_atoms))
+    return _power_transmission(params.beta, params.detuning, params.n_atoms)
 
 
-def _check_transmission(params: PhysicalParams, floor: float) -> float:
-    trans = chain_transmission(params)
+def _check_transmission(trans: float, floor: float) -> None:
     if trans < floor:
         raise NumericalError(
             "vanishing-transmission",
             f"power transmission {trans:.3e} below floor {floor:.1e}; g2 of the "
             "transmitted light is ill-conditioned",
         )
-    return trans
+
+
+def _check_grid(grid: TauGrid) -> None:
+    if grid.unit != "gamma":
+        raise ParameterError("grid-bad-unit", "model grids are in units of 1/Gamma")
+
+
+def _propagator_table(beta: float, taus: np.ndarray, n_max: int) -> np.ndarray:
+    """Damped sums e^{-tau/2} C_k(tau) at [k, i] for tau = taus[i], k < n_max.
+
+    C_k = sum_{m<=k} L_m^(-1)(beta tau).  The recurrence carries each column
+    divided by 2^s, with s raised whenever the column passes _RESCALE, so
+    neither the growth of C_k nor the damping alone leaves the
+    floating-point range.
+    """
+    x = beta * taus
+    table = np.empty((n_max, taus.size))
+    cum = np.ones(taus.size)  # C_{m-1}, scaled
+    coef = np.zeros(taus.size)  # L_{m-1}^(-1), scaled; the m = 0 term drops out below
+    log_scale = np.zeros(taus.size)
+    damp = np.exp(-0.5 * taus)
+    table[0] = damp
+    for m in range(1, n_max):
+        coef = ((m - 1) * coef - x * cum) / m
+        cum = cum + coef
+        size = np.maximum(np.abs(cum), np.abs(coef))
+        if size.max() > _RESCALE:
+            shift = np.frexp(np.maximum(size, 1.0))[1] - 1
+            cum = np.ldexp(cum, -shift)
+            coef = np.ldexp(coef, -shift)
+            log_scale += shift * math.log(2.0)
+            damp = np.exp(log_scale - 0.5 * taus)
+        table[m] = cum * damp
+    return table
+
+
+def _two_photon_amplitudes(beta: float, detuning: float, ns, taus: np.ndarray) -> np.ndarray:
+    """psi_N(taus) at alpha = 1, one row per chain length in ascending ns >= 1."""
+    ch = _chain(beta, detuning)
+    n_max = ns[-1]
+    ch.extend_to(n_max)
+    sq = math.sqrt(beta)
+
+    # row i holds df of chain ns[i] reversed, so that row @ table sums
+    # df_k C_{N-1-k}; the pair row sums sum_j d_kj grow column by column
+    weights = np.zeros((len(ns), n_max), dtype=complex)
+    carrier = np.empty(len(ns), dtype=complex)
+    rowsum = np.zeros(n_max, dtype=complex)
+    prev = 0
+    for i, n in enumerate(ns):
+        rowsum[:n] += ch.dmat[:n, prev:n].sum(axis=1)
+        rowsum[prev:n] += ch.dmat[prev:n, :prev].sum(axis=1)
+        prev = n
+        t_n = ch.t**n
+        weights[i, n - 1::-1] = (1.0 - t_n) * ch.e[:n] + sq * rowsum[:n]
+        carrier[i] = t_n**2
+
+    phase = np.exp(1j * detuning * taus)
+    table = _propagator_table(beta, taus, n_max)
+    return carrier[:, None] + sq * phase * (weights @ table)
 
 
 def chain_two_photon_amplitude(params: PhysicalParams, grid: TauGrid,
@@ -224,38 +308,37 @@ def chain_two_photon_amplitude(params: PhysicalParams, grid: TauGrid,
     zeros at finite tau are the quantum-beat anticorrelations.
     """
     validate_params(params)
-    if grid.unit != "gamma":
-        raise ParameterError("grid-bad-unit", "model grids are in units of 1/Gamma")
+    _check_grid(grid)
     n = params.n_atoms
     if n == 0:
         return ComplexCurve(grid, np.ones(grid.values.size, dtype=complex))
-    _check_transmission(params, floor)
+    _check_transmission(_power_transmission(params.beta, params.detuning, n), floor)
+    amp = _two_photon_amplitudes(params.beta, params.detuning, [n], grid.values)
+    return ComplexCurve(grid, amp[0])
 
-    ch = _chain(params.beta, params.detuning)
-    ch.extend_to(n)
-    sq = math.sqrt(params.beta)
-    t_n = ch.t**n
 
-    # conditional one-excitation amplitudes right after the first detection,
-    # relative to the re-pumped long-delay limit t^N e_j
-    f0 = ch.e[:n] + sq * ch.dmat[:n, :n].sum(axis=1)
-    df = f0 - t_n * ch.e[:n]
+def _g2_curves(params: PhysicalParams, ns: list[int], grid: TauGrid,
+               floor: float) -> list[G2Curve]:
+    """chain_g2 for each of the ascending chain lengths ns, from one table.
 
-    amp = np.empty(grid.values.size, dtype=complex)
-    amp[0] = t_n**2 + sq * df.sum()
-
-    a = np.tril(np.full((n, n), -params.beta, dtype=complex), k=-1)
-    a += (1j * params.detuning - 0.5) * np.eye(n)
-
-    taus = grid.values
-    props = {}
-    for i in range(1, taus.size):
-        dt = round(float(taus[i] - taus[i - 1]), 12)
-        if dt not in props:
-            props[dt] = scipy.linalg.expm(a * dt)
-        df = props[dt] @ df
-        amp[i] = t_n**2 + sq * df.sum()
-    return ComplexCurve(grid, amp)
+    Checks run per N in ascending order, as separate chain_g2 calls would.
+    """
+    trans = [_power_transmission(params.beta, params.detuning, n) for n in ns]
+    curves = []
+    amps = None
+    for i, (n, tr) in enumerate(zip(ns, trans)):
+        p = replace(params, n_atoms=n)
+        if n == 0:
+            curves.append(G2Curve(grid, np.ones(grid.values.size), transmission=1.0, params=p))
+            continue
+        _check_transmission(tr, floor)
+        if amps is None:
+            _check_grid(grid)
+            lit = [m for m, tr_m in zip(ns[i:], trans[i:]) if tr_m >= floor]
+            amps = iter(_two_photon_amplitudes(params.beta, params.detuning, lit, grid.values))
+        values = np.abs(next(amps)) ** 2 / tr**2
+        curves.append(G2Curve(grid, values, transmission=tr, params=p))
+    return curves
 
 
 def chain_g2(params: PhysicalParams, grid: TauGrid,
@@ -266,12 +349,7 @@ def chain_g2(params: PhysicalParams, grid: TauGrid,
     "vanishing-transmission" when |t|^2N drops below ``floor``.
     """
     validate_params(params)
-    if params.n_atoms == 0:
-        return G2Curve(grid, np.ones(grid.values.size), transmission=1.0, params=params)
-    trans = _check_transmission(params, floor)
-    amp = chain_two_photon_amplitude(params, grid, floor)
-    values = np.abs(amp.values) ** 2 / trans**2
-    return G2Curve(grid, values, transmission=trans, params=params)
+    return _g2_curves(params, [params.n_atoms], grid, floor)[0]
 
 
 def chain_g2_zero(params: PhysicalParams, floor: float = TRANSMISSION_FLOOR) -> float:
@@ -283,7 +361,7 @@ def chain_g2_zero(params: PhysicalParams, floor: float = TRANSMISSION_FLOOR) -> 
     validate_params(params)
     if params.n_atoms == 0:
         return 1.0
-    _check_transmission(params, floor)
+    _check_transmission(_power_transmission(params.beta, params.detuning, params.n_atoms), floor)
     ch = _chain(params.beta, params.detuning)
     ch.extend_to(params.n_atoms)
     return float(ch.g2_zero(params.n_atoms))

@@ -65,6 +65,10 @@ def test_tau_grid_validation():
         TauGrid(np.array([0.0, 2.0, 2.0]))
     with pytest.raises(ParameterError):
         TauGrid(np.array([0.0, 1.0]), unit="seconds")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError) as err:
+            TauGrid(np.array([0.0, 1.0, bad]))
+        assert err.value.code == "grid-not-finite"
 
 
 def test_tau_grid_mirroring():

@@ -6,6 +6,7 @@ import pytest
 from chiralchain import (
     DataError,
     NumberDistribution,
+    NumericalError,
     OdBinSpec,
     ParameterError,
     PhysicalParams,
@@ -142,7 +143,24 @@ def test_averaged_g2_matches_manual_rate_weighting():
     assert averaged_g2_zero(dist, BETA) == pytest.approx(manual, rel=1e-12)
     grid = TauGrid.linear(2.0, 5)
     params = PhysicalParams(beta=BETA, n_atoms=150)
-    assert averaged_g2(dist, params, grid).values[0] == pytest.approx(manual, rel=1e-10)
+    avg = averaged_g2(dist, params, grid)
+    assert avg.values[0] == pytest.approx(manual, rel=1e-10)
+    # the whole curve, not only tau = 0, against per-N chain_g2 weighting
+    grid = TauGrid.linear(8.0, 41)
+    manual_curve = sum(w * chain_g2(PhysicalParams(BETA, int(n)), grid).values
+                       for w, n in zip(wr, support)) / wr.sum()
+    np.testing.assert_allclose(averaged_g2(dist, params, grid).values, manual_curve,
+                               rtol=1e-12)
+
+
+def test_averaged_g2_raises_when_support_reaches_the_transmission_floor():
+    # at beta = 0.4 the power transmission 0.04^N drops below 1e-12 at N = 9
+    support = np.arange(1, 51)
+    dist = NumberDistribution(support, np.full(support.size, 1.0 / support.size),
+                              0.04 ** support.astype(float))
+    with pytest.raises(NumericalError) as err:
+        averaged_g2(dist, PhysicalParams(beta=0.4, n_atoms=1), TauGrid.linear(2.0, 5))
+    assert err.value.code == "vanishing-transmission"
 
 
 def test_sweep_rows():

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chiralchain import (
     NumericalError,
@@ -21,7 +22,7 @@ from chiralchain import (
     transmission_coefficient,
 )
 from chiralchain.core import ParameterError
-from chiralchain.transport import ChainState
+from chiralchain.transport import TRANSMISSION_FLOOR, ChainState, _g2_curves
 
 GRID = TauGrid.linear(12.0, 241)
 
@@ -101,6 +102,69 @@ def test_amplitude_relaxes_to_coherent_product():
     amp = chain_two_photon_amplitude(params, TauGrid.linear(40.0, 81))
     t_2n = transmission_coefficient(0.1) ** 6
     assert abs(amp.values[-1] - t_2n) < 1e-8 * abs(t_2n)
+
+
+def _expm_amplitude(beta, delta, n, taus):
+    """psi_N(tau) from the dense one-excitation propagator, one expm per tau."""
+    st = chain_steady_state(PhysicalParams(beta=beta, n_atoms=n, detuning=delta))
+    t_n = transmission_coefficient(beta, delta) ** n
+    pairs = st.double_exc + st.double_exc.T
+    df = (1.0 - t_n) * st.single_exc + math.sqrt(beta) * pairs.sum(axis=1)
+    gen = np.tril(np.full((n, n), -beta, dtype=complex), k=-1)
+    gen += (1j * delta - 0.5) * np.eye(n)
+    return np.array([t_n**2 + math.sqrt(beta) * (scipy.linalg.expm(gen * tau) @ df).sum()
+                     for tau in taus])
+
+
+@pytest.mark.parametrize("beta,delta,n,tau_max", [
+    (0.0081, 0.0, 454, 12.0), (0.0081, 0.5, 300, 60.0), (0.0081, -0.4, 200, 100.0),
+    (0.05, 0.0, 120, 100.0), (0.05, -0.4, 130, 100.0), (0.05, 0.5, 40, 100.0),
+    (0.3, 0.0, 15, 100.0), (0.3, 0.5, 30, 100.0), (0.3, -0.4, 20, 100.0),
+    (0.9, 0.0, 55, 100.0), (0.9, 0.5, 120, 100.0), (0.9, -0.4, 100, 100.0),
+])
+def test_propagator_matches_expm(beta, delta, n, tau_max):
+    # the Laguerre table against the dense matrix exponential, out to
+    # beta * tau = 90 where the Laguerre coefficients grow like e^{beta tau / 2}
+    grid = TauGrid.linear(tau_max, 9)
+    amp = chain_two_photon_amplitude(PhysicalParams(beta=beta, n_atoms=n, detuning=delta), grid)
+    ref = _expm_amplitude(beta, delta, n, grid.values)
+    assert np.max(np.abs(amp.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_non_uniform_grid_matches_expm_per_point():
+    # a fine segment joined to a coarse tail; every delay is propagated on
+    # its own, so the step pattern of the grid cannot matter
+    taus = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.5, 30.0, 8),
+                           [47.0, 61.5]])
+    grid = TauGrid(taus)
+    params = PhysicalParams(beta=0.0081, n_atoms=120, detuning=0.3)
+    ref = _expm_amplitude(0.0081, 0.3, 120, taus)
+    amp = chain_two_photon_amplitude(params, grid).values
+    assert np.max(np.abs(amp - ref)) <= 1e-12 * np.max(np.abs(ref))
+    trans = chain_transmission(params)
+    np.testing.assert_allclose(chain_g2(params, grid).values, np.abs(ref) ** 2 / trans**2,
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(ref) ** 2) / trans**2)
+
+
+def test_long_delays_match_expm():
+    # at beta = 1 nothing damps the Laguerre growth e^{beta tau / 2}, and
+    # e^{-tau/2} alone underflows past tau ~ 1490; the deviation from t^2N is
+    # still 1e-5 at tau = 1550, so neither may be lost
+    grid = TauGrid(np.array([0.0, 1000.0, 1550.0, 1600.0]))
+    amp = chain_two_photon_amplitude(PhysicalParams(beta=1.0, n_atoms=450, detuning=0.5), grid)
+    ref = _expm_amplitude(1.0, 0.5, 450, grid.values)
+    assert np.max(np.abs(amp.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_shared_table_matches_single_lengths():
+    params = PhysicalParams(beta=0.05, n_atoms=7, detuning=0.2)
+    lengths = [0, 1, 4, 9, 30]
+    curves = _g2_curves(params, lengths, GRID, TRANSMISSION_FLOOR)
+    for n, curve in zip(lengths, curves):
+        single = chain_g2(PhysicalParams(beta=0.05, n_atoms=n, detuning=0.2), GRID)
+        np.testing.assert_allclose(curve.values, single.values, rtol=1e-12, atol=1e-14)
+        assert curve.transmission == single.transmission
+        assert curve.params == single.params
 
 
 def test_curve_and_zero_paths_agree():
