@@ -25,6 +25,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 from scipy import optimize
@@ -148,45 +149,80 @@ def write_histogram_csv(path: str, hist: ps.CoincidenceHistogram):
             w.writerow([_fmt(t), int(c)])
 
 
-def read_histogram_csv(path: str) -> ps.CoincidenceHistogram:
-    tau, counts = [], []
+def _read_table(path: str, columns: list[str], code: str, dtype=np.float64):
+    """The two leading columns of a CSV file with the given header.
+
+    A file without the header raises DataError(code); a row that does not
+    hold two values of ``dtype`` raises DataError("malformed-value").
+    Blank rows are skipped and columns past the second are ignored.
+    """
     with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header[:2]] != ["tau_ns", "counts"]:
-            raise DataError("bad-histogram-file", f"{path}: expected header tau_ns,counts")
-        for row in r:
-            if not row:
-                continue
-            tau.append(float(row[0]))
-            counts.append(int(float(row[1])))
-    if len(tau) < 3:
+        header = next(csv.reader(fh), None)
+        if header is None or [h.strip() for h in header[:2]] != columns:
+            raise DataError(code, f"{path}: expected header {','.join(columns)}")
+        with warnings.catch_warnings():
+            # a header-only file is an empty table, left to the caller to judge
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                body = np.loadtxt(fh, delimiter=",", dtype=dtype, usecols=(0, 1),
+                                  ndmin=2, comments=None, quotechar='"')
+            except ValueError as exc:
+                raise DataError("malformed-value", f"{path}: {exc}") from None
+    return body[:, 0], body[:, 1]
+
+
+def read_histogram_csv(path: str) -> ps.CoincidenceHistogram:
+    tau, counts = _read_table(path, ["tau_ns", "counts"], "bad-histogram-file")
+    # counts are truncated toward zero, as int(float(x)) does
+    if not np.all(np.abs(counts) < 2.0**63):
+        raise DataError("malformed-value", f"{path}: counts must be finite and below 2**63")
+    if tau.size < 3:
         raise DataError("histogram-too-small", f"{path}: need at least 3 bins")
-    width = tau[1] - tau[0]
-    return ps.CoincidenceHistogram(np.array(tau), np.array(counts), bin_width_ns=width)
+    return ps.CoincidenceHistogram(tau, np.trunc(counts).astype(np.int64),
+                                   bin_width_ns=float(tau[1] - tau[0]))
+
+
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # a magnitude >= 10**k has > k digits
+
+
+def _tag_rows(ids: np.ndarray, mag: np.ndarray, ndig: int, neg: bool) -> np.ndarray:
+    """Rows "id,[-]digits" plus CRLF, all of one width, as one uint8 matrix."""
+    width = 2 + neg + ndig + 2
+    rows = np.empty((ids.size, width), dtype=np.uint8)
+    rows[:, 0] = ids + ord("0")
+    rows[:, 1] = ord(",")
+    if neg:
+        rows[:, 2] = ord("-")
+    for col in range(width - 3, width - 3 - ndig, -1):
+        mag, digit = np.divmod(mag, 10)
+        rows[:, col] = digit + ord("0")
+    rows[:, -2] = ord("\r")
+    rows[:, -1] = ord("\n")
+    return rows
 
 
 def write_timetags_csv(path: str, stream: ps.TimeTagStream):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["detector_id", "timestamp_ns"])
-        for d, t in zip(stream.detector_ids, stream.timestamps_ns):
-            w.writerow([int(d), int(t)])
+    """Header detector_id,timestamp_ns, then one CRLF row per tag.
+
+    The bytes are those of a csv.writer loop.  Timestamps are sorted, so
+    rows of one sign and digit count are contiguous; each such block is
+    formatted as one uint8 matrix and written at once.
+    """
+    ts = stream.timestamps_ns
+    neg = ts < 0
+    mag = np.abs(ts).astype(np.uint64)  # -2**63 wraps to its magnitude
+    ndig = np.searchsorted(_POW10, mag, side="right") + 1
+    starts = np.flatnonzero(np.diff(np.where(neg, -ndig, ndig), prepend=0))
+    with open(path, "wb") as fh:
+        fh.write(b"detector_id,timestamp_ns\r\n")
+        for a, b in zip(starts, np.append(starts[1:], ts.size)):
+            fh.write(_tag_rows(stream.detector_ids[a:b], mag[a:b], int(ndig[a]), bool(neg[a])))
 
 
 def read_timetags_csv(path: str) -> ps.TimeTagStream:
-    ids, ts = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header[:2]] != ["detector_id", "timestamp_ns"]:
-            raise DataError("bad-timetag-file", f"{path}: expected header detector_id,timestamp_ns")
-        for row in r:
-            if not row:
-                continue
-            ids.append(int(row[0]))
-            ts.append(int(row[1]))
-    return ps.TimeTagStream(np.array(ids, dtype=np.uint8), np.array(ts, dtype=np.int64))
+    ids, ts = _read_table(path, ["detector_id", "timestamp_ns"], "bad-timetag-file",
+                          dtype=np.int64)
+    return ps.TimeTagStream(ids, ts)
 
 
 def write_saturation_csv(path: str, data: ps.SaturationData):
@@ -198,18 +234,8 @@ def write_saturation_csv(path: str, data: ps.SaturationData):
 
 
 def read_saturation_csv(path: str) -> ps.SaturationData:
-    s0, tr = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header[:2]] != ["s0", "transmission"]:
-            raise DataError("bad-saturation-file", f"{path}: expected header s0,transmission")
-        for row in r:
-            if not row:
-                continue
-            s0.append(float(row[0]))
-            tr.append(float(row[1]))
-    return ps.SaturationData(np.array(s0), np.array(tr))
+    s0, tr = _read_table(path, ["s0", "transmission"], "bad-saturation-file")
+    return ps.SaturationData(s0, tr)
 
 
 def _write_json(path: str, doc: dict):
@@ -352,20 +378,10 @@ def cmd_sweep(values, prov) -> int:
 
 
 def _read_points_csv(path: str):
-    od, g2 = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header[:2]] != ["od", "g2_0"]:
-            raise DataError("bad-points-file", f"{path}: expected header od,g2_0")
-        for row in r:
-            if not row:
-                continue
-            od.append(float(row[0]))
-            g2.append(float(row[1]))
-    if len(od) < 2:
+    od, g2 = _read_table(path, ["od", "g2_0"], "bad-points-file")
+    if od.size < 2:
         raise DataError("too-few-points", f"{path}: need at least 2 points")
-    return np.asarray(od), np.asarray(g2)
+    return od, g2
 
 
 def _fit_beta_points(od_pts: np.ndarray, g2_pts: np.ndarray, detuning: float):

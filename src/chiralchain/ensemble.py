@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .core import (
     DataError,
@@ -227,6 +227,13 @@ def _campaign_prior(bins: OdBinSpec, beta: float, spread: float,
     return prior / prior.sum()
 
 
+def _poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
+    """P(count <= k) for Poisson(mu): scipy.stats.poisson.cdf without scipy.stats."""
+    if k < 0:
+        return np.zeros(np.shape(mu))
+    return special.pdtr(float(k), mu)
+
+
 def _assignment_prob(ns: np.ndarray, beta: float, bins: OdBinSpec,
                      bin_index: int) -> np.ndarray:
     """P(run with true N lands in the given OD bin) under Poisson counting."""
@@ -241,7 +248,7 @@ def _assignment_prob(ns: np.ndarray, beta: float, bins: OdBinSpec,
     c_lo = math.ceil(budget * math.exp(-hi))
     c_hi = math.ceil(budget * math.exp(-lo))  # exclusive
     if c_hi > c_lo:
-        prob = stats.poisson.cdf(c_hi - 1, mu) - stats.poisson.cdf(c_lo - 1, mu)
+        prob = _poisson_cdf(c_hi - 1, mu) - _poisson_cdf(c_lo - 1, mu)
     else:
         prob = np.zeros(ns.size)
     if bin_index == bins.zero_count_bin():

@@ -2,10 +2,21 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from chiralchain import (
+    DataError,
+    PhysicalParams,
+    TauGrid,
+    chain_g2,
+    chain_g2_zero,
+)
 from chiralchain.cli import main
 
 
@@ -187,6 +198,26 @@ def test_analyze_data_errors(tmp_path):
         for t in np.arange(-50, 51, 2.0):
             w.writerow([t, 100])
     assert run(tmp_path, "analyze", "--input", short) == 4  # no tail past 200 ns
+    for i, body in enumerate(["0,5\r\n1\r\n",  # one-field row
+                              "300,5\r\n", "-1,5\r\n",  # ids off the uint8 range
+                              "0,99999999999999999999\r\n"]):  # past int64
+        bad = tmp_path / f"tags{i}.csv"
+        bad.write_text("detector_id,timestamp_ns\r\n" + body, newline="")
+        assert run(tmp_path, "analyze", "--input", bad) == 4
+    rows = "".join(f"{t:g},100\n" for t in np.arange(-300, 301, 2.0))
+    for i, tail in enumerate(["5\n", "400,inf\n", "400,nan\n"]):
+        bad = tmp_path / f"hist{i}.csv"
+        bad.write_text("tau_ns,counts\n" + rows + tail)
+        assert run(tmp_path, "analyze", "--input", bad) == 4
+
+
+def test_header_only_timetag_file(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("detector_id,timestamp_ns\r\n", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "analyze", "--input", empty) == 4
+    assert "[tail-underpopulated]" in capsys.readouterr().err
 
 
 def test_fit_beta_command(tmp_path):
@@ -205,3 +236,112 @@ def test_fit_beta_command(tmp_path):
     few = tmp_path / "few.csv"
     few.write_text("s0,transmission\n1,0.5\n2,0.4\n3,0.3\n")
     assert run(tmp_path, "fit-beta", "--input", few, "--od0", 4.0) == 4
+    short_row = tmp_path / "short_row.csv"
+    short_row.write_text(sat.read_text() + "2000\n")
+    assert run(tmp_path, "fit-beta", "--input", short_row, "--od0", 4.0) == 4
+
+
+def test_fit_points_short_row(tmp_path):
+    pts = tmp_path / "points.csv"
+    pts.write_text("od,g2_0\n1.0,0.95\n2.0,0.9\n3.0\n")
+    assert run(tmp_path, "sweep", "--od-min", 1, "--od-max", 1, "--averaged", 0,
+               "--fit-points", pts, "--output", tmp_path / "s.csv") == 4
+
+
+def _csv_write_timetags(path, stream):
+    """Reference writer: one csv.writer row per tag."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["detector_id", "timestamp_ns"])
+        for d, t in zip(stream.detector_ids, stream.timestamps_ns):
+            w.writerow([int(d), int(t)])
+
+
+def _csv_columns(path):
+    """Reference reader: the two leading columns as floats, blank rows skipped."""
+    _, rows = _read_csv(path)
+    rows = [r for r in rows if r]
+    return (np.array([float(r[0]) for r in rows]),
+            np.array([float(r[1]) for r in rows]))
+
+
+def _digit_boundaries():
+    powers = [10**k for k in range(1, 19)]
+    pos = sorted({0, 1, 2**63 - 1} | {p + d for p in powers for d in (-1, 0)})
+    return np.array([-(2**63), *(-t for t in reversed(pos) if t), *pos], dtype=np.int64)
+
+
+def test_timetag_writer_matches_csv_writer(tmp_path):
+    from chiralchain import synth_timetags
+    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain.photonstats import TimeTagStream
+    curve = chain_g2(PhysicalParams(0.0081, 100), TauGrid.linear(12.0, 481))
+    streams = {
+        "synth": synth_timetags(curve, 3e4, 3e4, 1.0, 5),
+        "empty": TimeTagStream(np.zeros(0, np.uint8), np.zeros(0, np.int64)),
+        "one": TimeTagStream(np.array([1], np.uint8), np.array([12345], np.int64)),
+    }
+    ts = _digit_boundaries()
+    streams["boundaries"] = TimeTagStream(np.arange(ts.size) % 2, ts)
+    streams["negative"] = TimeTagStream(np.array([0, 1, 1, 0]),
+                                        np.array([-1000, -999, -5, 0]))
+    assert streams["synth"].n_tags > 10**4
+    for name, stream in streams.items():
+        new, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        write_timetags_csv(str(new), stream)
+        _csv_write_timetags(ref, stream)
+        assert new.read_bytes() == ref.read_bytes(), name
+        back = read_timetags_csv(str(new))
+        assert np.array_equal(back.detector_ids, stream.detector_ids), name
+        assert np.array_equal(back.timestamps_ns, stream.timestamps_ns), name
+
+
+def test_table_readers_match_csv_module(tmp_path):
+    from chiralchain import synth_histogram, synth_saturation_data
+    from chiralchain.cli import (_read_points_csv, read_histogram_csv,
+                                 read_saturation_csv, write_histogram_csv,
+                                 write_saturation_csv)
+    curve = chain_g2(PhysicalParams(0.0081, 100), TauGrid.linear(12.0, 481))
+    hist_path = tmp_path / "h.csv"
+    write_histogram_csv(str(hist_path), synth_histogram(curve, 4e4, 4e4, 30.0, 3))
+    hist = read_histogram_csv(str(hist_path))
+    tau, counts = _csv_columns(hist_path)
+    assert np.array_equal(hist.tau_ns, tau)
+    assert np.array_equal(hist.counts, counts.astype(np.int64))
+    assert hist.bin_width_ns == tau[1] - tau[0]
+
+    sat_path = tmp_path / "sat.csv"
+    write_saturation_csv(str(sat_path), synth_saturation_data(
+        0.0083, 4.0, np.geomspace(10.0, 1000.0, 12), rel_noise=0.02, seed=42))
+    sat = read_saturation_csv(str(sat_path))
+    s0, tr = _csv_columns(sat_path)
+    assert np.array_equal(sat.s0, s0) and np.array_equal(sat.transmission, tr)
+
+    pts_path = tmp_path / "points.csv"
+    with open(pts_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["od", "g2_0"])
+        for od in np.arange(0.5, 5.01, 0.5):
+            w.writerow([od, chain_g2_zero(PhysicalParams(0.0081, int(od * 90)))])
+    od, g2 = _read_points_csv(str(pts_path))
+    od_ref, g2_ref = _csv_columns(pts_path)
+    assert np.array_equal(od, od_ref) and np.array_equal(g2, g2_ref)
+
+    # int(float(x)) truncation of histogram counts, blank rows skipped
+    trunc = tmp_path / "trunc.csv"
+    trunc.write_text("tau_ns,counts\n-2,3.9\n\n0,-0.5\n2,7\n")
+    assert read_histogram_csv(str(trunc)).counts.tolist() == [3, 0, 7]
+    for body in ("-2,1\n0,1\n", "-2,1\n0,1\n2\n"):
+        few = tmp_path / "few.csv"
+        few.write_text("tau_ns,counts\n" + body)
+        with pytest.raises(DataError):
+            read_histogram_csv(str(few))
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    import chiralchain
+    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    code = "import sys, chiralchain.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -198,3 +198,28 @@ def test_averaging_washes_out_the_deep_dip():
     avg = averaged_g2_zero(dist, BETA)
     ideal = chain_g2_zero(PhysicalParams(BETA, int(round(od_to_atoms(5.88, BETA)))))
     assert avg > 5 * ideal
+
+
+def test_assignment_prob_matches_scipy_stats_poisson(monkeypatch):
+    import math
+
+    from scipy import stats
+
+    from chiralchain import ensemble
+
+    ns = np.arange(0, 1300)
+
+    def probs(bins):
+        return [ensemble._assignment_prob(ns, BETA, bins, i) for i in range(bins.n_bins)]
+
+    default = OdBinSpec.default()
+    # a budget this small underflows budget * exp(-hi) to 0, so c_lo = 0
+    tiny = OdBinSpec.default(photon_budget=1e-322)
+    assert math.ceil(tiny.photon_budget * math.exp(-tiny.edges[-1])) == 0
+    fast = [probs(default), probs(tiny)]
+    monkeypatch.setattr(ensemble, "_poisson_cdf", stats.poisson.cdf)
+    reference = [probs(default), probs(tiny)]
+    for got, want in zip(fast, reference):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert not np.any(np.isnan(np.concatenate(fast[1])))
