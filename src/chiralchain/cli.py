@@ -519,7 +519,7 @@ _ANALYZE = [
 
 def _sniff_format(path: str) -> str:
     with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
+        header = next(csv.reader(fh), [])
     head = [h.strip() for h in header[:2]]
     if head == ["tau_ns", "counts"]:
         return "histogram"

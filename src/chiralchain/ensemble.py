@@ -315,10 +315,8 @@ def averaged_g2(dist: NumberDistribution, params: PhysicalParams,
 def averaged_g2_zero(dist: NumberDistribution, beta: float,
                      detuning: float = 0.0) -> float:
     """Equal-time version of averaged_g2, cheap enough for OD sweeps."""
-    ch = _chain(beta, detuning)
-    ch.extend_to(int(dist.support[-1]))
     wr = dist.weights * dist.rate_weights**2
-    g = np.array([ch.g2_zero(int(n)) for n in dist.support])
+    g = _chain(beta, detuning).g2_zero(dist.support)
     return float((wr * g).sum() / wr.sum())
 
 
@@ -350,32 +348,36 @@ def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
     if bins is None:
         bins = OdBinSpec.default()
 
-    ch = _chain(beta, detuning)
-    rows = []
+    # the distributions come first, so that the chain is extended once, to
+    # the longest chain any row reads
+    n_rounds = [int(round(od_to_atoms(float(od), beta))) for od in od_grid]
+    dists: list[NumberDistribution | None] = []
     dist_cache: dict[int, NumberDistribution | None] = {}
     for od in od_grid:
-        n_ideal = od_to_atoms(float(od), beta)
-        n_round = int(round(n_ideal))
-        ch.extend_to(n_round)
-        g2_ideal = float(ch.g2_zero(n_round)) if n_round else 1.0
+        if not averaged or od == 0.0:
+            dists.append(None)
+            continue
+        idx = bins.bin_index(float(od))
+        if idx not in dist_cache:
+            try:
+                dist_cache[idx] = build_number_distribution(
+                    bins, idx, beta, preparation_spread, loading_gain, loading_max_od)
+            except DataError:
+                dist_cache[idx] = None
+        dists.append(dist_cache[idx])
+    ch = _chain(beta, detuning)
+    ch.extend_to(max(n_rounds + [int(d.support[-1]) for d in dists if d is not None]))
+
+    rows = []
+    for od, n_round, dist in zip(od_grid, n_rounds, dists):
+        g2_ideal = float(ch.g2_zero(n_round))
         g2_avg = None
-        n_mean = n_ideal
-        if averaged:
-            if od == 0.0:
-                g2_avg = 1.0
-                n_mean = 0.0
-            else:
-                idx = bins.bin_index(float(od))
-                if idx not in dist_cache:
-                    try:
-                        dist_cache[idx] = build_number_distribution(
-                            bins, idx, beta, preparation_spread,
-                            loading_gain, loading_max_od)
-                    except DataError:
-                        dist_cache[idx] = None
-                dist = dist_cache[idx]
-                if dist is not None:
-                    g2_avg = averaged_g2_zero(dist, beta, detuning)
-                    n_mean = dist.mean
+        n_mean = od_to_atoms(float(od), beta)
+        if averaged and od == 0.0:
+            g2_avg = 1.0
+            n_mean = 0.0
+        elif dist is not None:
+            g2_avg = averaged_g2_zero(dist, beta, detuning)
+            n_mean = dist.mean
         rows.append(SweepRow(float(od), n_mean, g2_ideal, g2_avg))
     return rows

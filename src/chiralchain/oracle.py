@@ -18,6 +18,12 @@ True weak-drive quantities are obtained from two finite drives with
 amplitude ratio 1 : 1/2 by two-point Richardson extrapolation in drive
 power, which cancels the O(|alpha|^2) saturation correction.
 
+Each drive builds its Liouvillian L once.  Its steady state gives both the
+output rate (hence the transmission) and the start of the regression, and
+the correlation is stepped along the delay grid with the exact propagator
+expm(L dtau), computed once per distinct step: the Liouvillian is at most
+256 x 256, so there is no integrator step to choose.
+
 This module is the independent check on the perturbative chain solver in
 ``transport``; the two share no solver code on purpose.
 """
@@ -29,6 +35,7 @@ import math
 import warnings
 
 import numpy as np
+from scipy.linalg import expm
 
 from .core import (
     G2Curve,
@@ -66,14 +73,15 @@ class OracleConfig:
                         saturation correction to g2 is amplified by the
                         inverse chain transmission, so strongly coupled
                         chains need very weak probes.
-    rk4_step            fixed integrator step, units of 1/Gamma
     max_atoms           soft cap on N (full density matrix is 4^N numbers)
     extrapolation_tol   allowed change of the extrapolation when the finest
                         drive is dropped, relative to the curve's maximum
+
+    There is no time step to set: delays are propagated exactly, with one
+    expm(L dtau) per distinct grid step.
     """
 
     drive_saturations: tuple = (0.004, 0.001, 0.00025)
-    rk4_step: float = 0.005
     max_atoms: int = 4
     extrapolation_tol: float = 0.1
 
@@ -90,8 +98,6 @@ class OracleConfig:
         for lo, hi in zip(srt, srt[1:]):
             if not math.isclose(hi / lo, 4.0, rel_tol=1e-9):
                 raise ParameterError("oracle-drives", "consecutive drives must have power ratio 4:1")
-        if not 0.0 < self.rk4_step <= 0.01:
-            raise ParameterError("oracle-step", "rk4_step must be in (0, 0.01]/Gamma")
 
 
 @dataclass(frozen=True)
@@ -166,66 +172,71 @@ def build_cascaded_generator(params: PhysicalParams, drive_amplitude: float) -> 
     return CascadedGenerator(params, drive_amplitude)
 
 
-def oracle_steady_state(gen: CascadedGenerator) -> DensityOperator:
+def _steady_state(lv: np.ndarray, dim: int) -> np.ndarray:
     """Steady state from the Liouvillian null space plus the trace condition."""
-    d = gen.dim
-    lv = gen.liouvillian()
-    trace_row = np.eye(d, dtype=complex).reshape(1, d * d)
+    trace_row = np.eye(dim, dtype=complex).reshape(1, dim * dim)
     aug = np.vstack([lv, trace_row])
-    rhs = np.zeros(d * d + 1, dtype=complex)
+    rhs = np.zeros(dim * dim + 1, dtype=complex)
     rhs[-1] = 1.0
     vec, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
     resid = np.linalg.norm(lv @ vec)
     if resid > 1e-8:
         raise NumericalError("steady-state", f"null-space residual {resid:.2e}")
-    rho = vec.reshape(d, d)
+    rho = vec.reshape(dim, dim)
     DensityOperator(rho)  # validates the raw solution against the physicality bounds
-    return DensityOperator((rho + rho.conj().T) / 2)
+    return (rho + rho.conj().T) / 2
 
 
-def _rk4(lv: np.ndarray, vec: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    for _ in range(n_steps):
-        k1 = lv @ vec
-        k2 = lv @ (vec + 0.5 * dt * k1)
-        k3 = lv @ (vec + 0.5 * dt * k2)
-        k4 = lv @ (vec + dt * k3)
-        vec = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return vec
+def oracle_steady_state(gen: CascadedGenerator) -> DensityOperator:
+    """Steady state from the Liouvillian null space plus the trace condition."""
+    return DensityOperator(_steady_state(gen.liouvillian(), gen.dim))
 
 
-def oracle_propagate(gen: CascadedGenerator, rho: np.ndarray, t: float,
-                     step: float = 0.005) -> np.ndarray:
-    """Evolve an operator under the master equation for time t (fixed-step RK4)."""
+def oracle_propagate(gen: CascadedGenerator, rho: np.ndarray, t: float) -> np.ndarray:
+    """Evolve an operator under the master equation for time t, by expm(L t)."""
     if t < 0:
         raise ParameterError("negative-time", "propagation time must be >= 0")
     if t == 0.0:
         return np.array(rho, dtype=complex)
-    lv = gen.liouvillian()
-    n_steps = max(1, int(math.ceil(t / step)))
-    return _rk4(lv, np.asarray(rho, dtype=complex).reshape(-1), t / n_steps, n_steps).reshape(rho.shape)
+    vec = np.asarray(rho, dtype=complex).reshape(-1)
+    return (expm(gen.liouvillian() * t) @ vec).reshape(rho.shape)
 
 
-def _finite_drive_g2(gen: CascadedGenerator, grid: TauGrid, step: float) -> np.ndarray:
-    """g2(tau) of the transmitted field at one finite drive, by quantum regression."""
-    rho = oracle_steady_state(gen).matrix
+def _output_rate(gen: CascadedGenerator, rho: np.ndarray) -> float:
+    """Transmitted photon rate Tr[a_out^dag a_out rho]."""
     a = gen.output_op
-    ada = a.conj().T @ a
-    n_out = np.trace(ada @ rho).real
+    return float(np.trace(a.conj().T @ a @ rho).real)
+
+
+# delay steps closer than this (relative) share one propagator; the ulp-level
+# jitter of a linspace grid stays far below the regression's own accuracy
+_SAME_STEP = 1e-12
+
+
+def _finite_drive_g2(gen: CascadedGenerator, grid: TauGrid) -> tuple[np.ndarray, float]:
+    """g2(tau) of the transmitted field at one finite drive, by quantum
+    regression, and the steady output rate it is normalized by."""
+    lv = gen.liouvillian()
+    rho = _steady_state(lv, gen.dim)
+    n_out = _output_rate(gen, rho)
     if n_out <= 0:
         raise NumericalError("no-output", "steady output photon rate vanished")
+    a = gen.output_op
+    ada = a.conj().T @ a
     chi = (a @ rho @ a.conj().T).reshape(-1)
-    lv = gen.liouvillian()
     ada_vec = ada.T.reshape(-1)  # Tr[ada @ X] = ada_vec . vec(X), row-major
 
     taus = grid.values
     out = np.empty(taus.size)
-    out[0] = float(np.real(ada_vec @ chi)) / n_out**2
+    out[0] = float(np.real(ada_vec @ chi))
+    step, prop = 0.0, None
     for i in range(1, taus.size):
         dt = taus[i] - taus[i - 1]
-        n_steps = max(1, int(math.ceil(dt / step)))
-        chi = _rk4(lv, chi, dt / n_steps, n_steps)
-        out[i] = float(np.real(ada_vec @ chi)) / n_out**2
-    return out
+        if abs(dt - step) > _SAME_STEP * step:
+            step, prop = dt, expm(lv * dt)
+        chi = prop @ chi
+        out[i] = float(np.real(ada_vec @ chi))
+    return out / n_out**2, n_out
 
 
 def _richardson(curves: list) -> tuple:
@@ -282,10 +293,9 @@ def oracle_g2(params: PhysicalParams, grid: TauGrid, config: OracleConfig = Orac
     _check_atoms(params, config)
     if grid.unit != "gamma":
         raise ParameterError("grid-bad-unit", "oracle grids are in units of 1/Gamma")
-    curves = [
-        _finite_drive_g2(build_cascaded_generator(params, amp), grid, config.rk4_step)
-        for amp in _drive_amplitudes(params, config)
-    ]
+    amps = _drive_amplitudes(params, config)
+    curves, rates = zip(*(_finite_drive_g2(build_cascaded_generator(params, amp), grid)
+                          for amp in amps))
     g0, g_without_finest = _richardson(curves)
     gap = float(np.max(np.abs(g0 - g_without_finest)) / max(float(np.max(g0)), 1.0))
     if gap > config.extrapolation_tol:
@@ -298,8 +308,7 @@ def oracle_g2(params: PhysicalParams, grid: TauGrid, config: OracleConfig = Orac
     if np.min(g0) < -1e-4 * max(float(np.max(g0)), 1.0):
         raise NumericalError("not-converged", f"extrapolated g2 reached {np.min(g0):.2e} < 0")
     g0 = np.clip(g0, 0.0, None)
-    t_weak = oracle_transmission(params, config)
-    curve = G2Curve(grid, g0, transmission=t_weak, params=params)
+    curve = G2Curve(grid, g0, transmission=_weak_transmission(rates, amps), params=params)
     return OracleG2Result(curve, tuple(sorted(config.drive_saturations)), gap)
 
 
@@ -307,11 +316,13 @@ def oracle_transmission(params: PhysicalParams, config: OracleConfig = OracleCon
     """Weak-drive power transmission Tr[a_out^dag a_out rho_ss] / |alpha|^2."""
     validate_params(params)
     _check_atoms(params, config)
-    vals = []
-    for amp in _drive_amplitudes(params, config):
-        gen = build_cascaded_generator(params, amp)
-        rho = oracle_steady_state(gen).matrix
-        a = gen.output_op
-        vals.append(np.trace(a.conj().T @ a @ rho).real)
-    trans, _ = _richardson([v / a**2 for v, a in zip(vals, _drive_amplitudes(params, config))])
+    amps = _drive_amplitudes(params, config)
+    gens = [build_cascaded_generator(params, amp) for amp in amps]
+    rates = [_output_rate(gen, oracle_steady_state(gen).matrix) for gen in gens]
+    return _weak_transmission(rates, amps)
+
+
+def _weak_transmission(rates, amps) -> float:
+    """Richardson-extrapolated rate / |alpha|^2 over the drives."""
+    trans, _ = _richardson([r / a**2 for r, a in zip(rates, amps)])
     return float(trans)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import math
+import os
 import warnings
 
 import numpy as np
@@ -327,6 +328,14 @@ def synth_histogram(curve: G2Curve, rate1: float, rate2: float, acquisition_s: f
                                 transmission=curve.transmission)
 
 
+def _physical_memory_bytes() -> float:
+    """Installed memory, or inf where the platform does not report it."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
 def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float,
                    seed: int, *, gamma_mhz: float = DEFAULT_GAMMA_MHZ) -> TimeTagStream:
     """Time-tag stream whose cross-correlation follows a model g2.
@@ -336,6 +345,8 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     rate2 * (1 + sum_j (g2(t - t_j) - 1)) over the detector-0 tags t_j,
     sampled by thinning.  Only the cross-correlation between the detectors is
     faithful; autocorrelations of the individual channels are Poissonian.
+    Raises "thinning-overflow" before any draw when the expected number of
+    thinning candidates, as float64, would not fit in the installed memory.
     """
     if rate1 <= 0 or rate2 <= 0 or duration_s <= 0:
         raise ParameterError("rates-not-positive", "rates and duration must be > 0")
@@ -346,6 +357,13 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     # cap covers two simultaneously contributing neighbor tags; more within one
     # correlation window is vanishingly rare at the intended sparse rates
     lam_cap = rate2 * (1.0 + 2.0 * (g2max - 1.0))
+    n_expected = lam_cap * duration_s
+    if not (math.isfinite(n_expected) and 8.0 * n_expected <= _physical_memory_bytes()):
+        raise NumericalError(
+            "thinning-overflow",
+            f"thinning needs ~{n_expected:.3g} candidate tags (g2 peaks at {g2max:.3g}), "
+            "more than fit in memory; shorten the duration or lower the rates",
+        )
     rng = np.random.default_rng(seed)
 
     n0 = rng.poisson(rate1 * duration_s)

@@ -18,6 +18,11 @@ whose amplitudes solve triangular linear systems (forward substitution):
     (-2 Delta - i) d_jk = i beta [ sum_{a<k, a!=j} d_{ja} + sum_{a<j} d_ak ]
                           + i sqrt(beta) alpha (e_j + e_k)
 
+Every pair on the right has a smaller index sum j + k, so the pairs are
+solved one anti-diagonal j + k = s at a time: the bracket is then the sum
+of the pairs of emitters j and k already solved, two running row sums, and
+no emitter appears twice on one anti-diagonal, so each is one vector step.
+
 The transmitted field operator is a_out = alpha + sqrt(beta) sum_j sigma_j.
 Applying it to |psi> leaves vacuum + one-excitation amplitudes f_j; the
 vacuum part re-pumps the chain, so over the delay tau the deviation
@@ -144,6 +149,18 @@ class _SteadyChain:
 
     Extending the chain by one emitter never changes the upstream amplitudes
     (the coupling is purely downstream), so scans over N share one build.
+
+    The pair amplitudes are filled by anti-diagonal s = j + k (see the
+    module docstring).  With rowsum[i] the running sum of the filled pairs
+    of emitter i,
+
+        d_jk = c2 (rowsum[j] + rowsum[k]) + i sqrt(beta) (e_j + e_k) / den2,
+
+    after which rowsum[j] and rowsum[k] grow by d_jk.  On one anti-diagonal
+    j < s/2 < k, so the whole diagonal is one vector step, and each row sum
+    still adds its pairs in partner order, as a column-by-column fill would.
+    One extension costs O(n) vector steps however few emitters it adds, so
+    callers extend once, to the largest N they need.
     """
 
     def __init__(self, beta: float, detuning: float):
@@ -153,7 +170,7 @@ class _SteadyChain:
         self.e = np.zeros(0, dtype=complex)
         self.dmat = np.zeros((0, 0), dtype=complex)  # symmetric storage, zero diagonal
         self.rowsum = np.zeros(0, dtype=complex)  # rowsum[j] = sum_k dmat[j, k]
-        self.sum_d = [0.0 + 0.0j]  # sum over pairs, per chain length
+        self.sum_d = np.zeros(1, dtype=complex)  # sum over pairs, per chain length
 
     def extend_to(self, n: int):
         cur = self.e.size
@@ -167,37 +184,36 @@ class _SteadyChain:
 
         e = np.empty(n, dtype=complex)
         e[:cur] = self.e
+        for k in range(cur, n):
+            e[k] = c1 * e[:k].sum() + 1j * sq / den1
         dmat = np.zeros((n, n), dtype=complex)
         dmat[:cur, :cur] = self.dmat
         rowsum = np.zeros(n, dtype=complex)
         rowsum[:cur] = self.rowsum
+        colsum = np.zeros(n, dtype=complex)  # colsum[k] = sum_{j<k} d_jk
 
-        for k in range(cur, n):
-            e[k] = c1 * e[:k].sum() + 1j * sq / den1
-            # pair amplitudes d_{jk} for j < k; column prefix sum is sequential
-            col_acc = 0.0 + 0.0j
-            col = np.empty(k, dtype=complex)
-            for j in range(k):
-                d = c2 * (rowsum[j] + col_acc) + 1j * sq * (e[j] + e[k]) / den2
-                col[j] = d
-                col_acc += d
-            dmat[:k, k] = col
-            dmat[k, :k] = col
-            rowsum[:k] += col
-            rowsum[k] = col_acc
-            self.sum_d.append(self.sum_d[-1] + col_acc)
+        # new pairs are those with k >= cur; on anti-diagonal s their
+        # downstream emitter runs over max(cur, s // 2 + 1) <= k <= min(n - 1, s)
+        for s in range(cur, 2 * n - 2):
+            k = np.arange(max(cur, s // 2 + 1), min(n - 1, s) + 1)
+            j = s - k
+            d = c2 * (rowsum[j] + rowsum[k]) + 1j * sq * (e[j] + e[k]) / den2
+            dmat[j, k] = d
+            dmat[k, j] = d
+            rowsum[j] += d
+            rowsum[k] += d
+            colsum[k] += d
 
+        acc = np.concatenate(([self.sum_d[-1]], colsum[cur:]))
+        self.sum_d = np.concatenate((self.sum_d[:-1], np.cumsum(acc)))
         self.e, self.dmat, self.rowsum = e, dmat, rowsum
 
-    def psi_zero(self, n: int) -> complex:
-        """Two-photon detection amplitude at tau = 0 for chain length n."""
-        self.extend_to(n)
-        return 2.0 * self.t**n - 1.0 + 2.0 * self.beta * self.sum_d[n]
-
-    def g2_zero(self, n: int) -> float:
-        if n == 0:
-            return 1.0
-        return abs(self.psi_zero(n)) ** 2 / abs(self.t) ** (4 * n)
+    def g2_zero(self, ns: np.ndarray) -> np.ndarray:
+        """Equal-time g2 for each chain length in ns (1 at N = 0)."""
+        ns = np.asarray(ns)
+        self.extend_to(int(ns.max(initial=0)))
+        psi = 2.0 * self.t**ns - 1.0 + 2.0 * self.beta * self.sum_d[ns]
+        return np.where(ns == 0, 1.0, np.abs(psi) ** 2 / abs(self.t) ** (4 * ns))
 
 
 _CHAINS: dict = {}
@@ -362,9 +378,7 @@ def chain_g2_zero(params: PhysicalParams, floor: float = TRANSMISSION_FLOOR) -> 
     if params.n_atoms == 0:
         return 1.0
     _check_transmission(_power_transmission(params.beta, params.detuning, params.n_atoms), floor)
-    ch = _chain(params.beta, params.detuning)
-    ch.extend_to(params.n_atoms)
-    return float(ch.g2_zero(params.n_atoms))
+    return float(_chain(params.beta, params.detuning).g2_zero(params.n_atoms))
 
 
 def single_atom_g2(beta: float, grid: TauGrid, detuning: float = 0.0) -> G2Curve:
@@ -419,15 +433,10 @@ def find_perfect_antibunching(beta: float, detuning: float = 0.0, n_max: int = 4
     if n_max < 2:
         raise ParameterError("n-max", "n_max must be >= 2")
     ch = _chain(beta, detuning)
-    g2z = np.empty(n_max + 1)
-    g2z[0] = 1.0
-    last = n_max
-    for n in range(1, n_max + 1):
-        if abs(ch.t) ** (2 * n) < TRANSMISSION_FLOOR:
-            last = n - 1
-            break
-        g2z[n] = ch.g2_zero(n)
-    g2z = g2z[: last + 1]
+    ns = np.arange(n_max + 1)
+    dark = np.flatnonzero(abs(ch.t) ** (2 * ns) < TRANSMISSION_FLOOR)
+    last = int(dark[0]) - 1 if dark.size else n_max
+    g2z = ch.g2_zero(ns[: last + 1])
     n_star = int(np.argmin(g2z))
     if g2z[n_star] >= 0.5 or n_star == 0 or n_star >= last:
         raise NumericalError(

@@ -182,6 +182,53 @@ def test_analyze_timetag_input(tmp_path):
     assert 0.0 < fit["g2_zero"] < 1.0
 
 
+def test_analyze_auto_format_reads_quoted_header(tmp_path):
+    tags = tmp_path / "tags.csv"
+    assert run(tmp_path, "synth", "--od", 3.0, "--kind", "timetags",
+               "--duration", 20, "--seed", 4, "--output", tags) == 0
+    quoted = tmp_path / "quoted.csv"
+    body = tags.read_text().split("\n", 1)[1]
+    quoted.write_text('"detector_id","timestamp_ns"\n' + body)
+    for src in (tags, quoted):
+        assert run(tmp_path, "analyze", "--format", "auto", "--input", src,
+                   "--output", src.with_suffix(".json")) == 0
+    assert quoted.with_suffix(".json").read_text() == tags.with_suffix(".json").read_text()
+
+
+def test_synth_thinning_overflow_exits_3(tmp_path):
+    # at N = 600 (OD 19.6) g2 peaks near 1e11, so thinning would need ~1e16
+    # candidate tags in one second: more than any machine holds
+    import chiralchain
+    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    out = tmp_path / "tags.csv"
+    proc = subprocess.run([sys.executable, "-m", "chiralchain.cli", "synth", "--kind", "timetags",
+                           "--n-atoms", "600", "--duration", "1", "--output", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "thinning-overflow" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_synth_thinning_overflow_draws_nothing(tmp_path, monkeypatch):
+    # ~2.4e7 candidates (190 MB) against 64 MiB of memory: refused before
+    # any array of tags is drawn
+    import tracemalloc
+    from chiralchain import photonstats
+    monkeypatch.setattr(photonstats, "_physical_memory_bytes", lambda: 64.0 * 2**20)
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "synth", "--kind", "timetags", "--n-atoms", 300,
+                   "--duration", 0.5, "--output", tmp_path / "tags.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 16 * 2**20
+
+
 def test_analyze_data_errors(tmp_path):
     assert run(tmp_path, "analyze", "--input", tmp_path / "missing.csv") == 4
     garbled = tmp_path / "garbled.csv"

@@ -1,12 +1,15 @@
 """Brute-force master-equation reference: physicality and convergence checks.
 
 The full chain-vs-oracle equivalence sweep lives in test_acceptance; here the
-oracle is validated on its own terms (decay law, trace preservation, step
-convergence, drive extrapolation) so a disagreement there can be attributed.
+oracle is validated on its own terms (decay law, trace preservation, stepped
+propagation, drive extrapolation) so a disagreement there can be attributed.
 """
+
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chiralchain import (
     NumericalError,
@@ -20,7 +23,7 @@ from chiralchain import (
     oracle_steady_state,
     oracle_transmission,
 )
-from chiralchain.oracle import DensityOperator, oracle_propagate
+from chiralchain.oracle import DensityOperator, _finite_drive_g2, oracle_propagate
 
 
 def _excited(n):
@@ -36,8 +39,8 @@ def test_config_validation():
         OracleConfig(drive_saturations=(0.01, 0.005))  # power ratio must be 4
     with pytest.raises(ParameterError):
         OracleConfig(drive_saturations=(0.4, 0.1))
-    with pytest.raises(ParameterError):
-        OracleConfig(rk4_step=0.05)
+    with pytest.raises(TypeError):  # delays are propagated exactly; there is no step
+        OracleConfig(rk4_step=0.005)
 
 
 def test_density_operator_validation():
@@ -74,12 +77,24 @@ def test_steady_state_is_stationary():
     assert np.max(np.abs(later - rho)) < 1e-9
 
 
-def test_rk4_step_halving_is_converged():
-    params = PhysicalParams(beta=0.2, n_atoms=2)
-    grid = TauGrid.linear(5.0, 26)
-    coarse = oracle_g2(params, grid, OracleConfig(rk4_step=0.01)).curve.values
-    fine = oracle_g2(params, grid, OracleConfig(rk4_step=0.005)).curve.values
-    assert np.max(np.abs(coarse - fine)) < 1e-7
+def test_stepped_regression_matches_expm_per_point():
+    # a fine segment, a coarse one and a lone far step: the stepped
+    # regression reuses one propagator per distinct step, the reference
+    # propagates every delay from tau = 0 on its own
+    taus = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.5, 30.0, 8), [47.0]])
+    params = PhysicalParams(beta=0.3, n_atoms=2, detuning=0.4)
+    gen = build_cascaded_generator(params, math.sqrt(0.004 / (8.0 * params.beta)))
+    values, n_out = _finite_drive_g2(gen, TauGrid(taus))
+
+    lv = gen.liouvillian()
+    rho = oracle_steady_state(gen).matrix
+    a = gen.output_op
+    ada = a.conj().T @ a
+    chi = (a @ rho @ a.conj().T).reshape(-1)
+    assert n_out == np.trace(ada @ rho).real
+    ref = np.array([np.trace(ada @ (scipy.linalg.expm(lv * tau) @ chi).reshape(rho.shape)).real
+                    for tau in taus]) / n_out**2
+    np.testing.assert_allclose(values, ref, rtol=1e-10)
 
 
 def test_extrapolation_order_in_drive_power():

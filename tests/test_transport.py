@@ -22,7 +22,7 @@ from chiralchain import (
     transmission_coefficient,
 )
 from chiralchain.core import ParameterError
-from chiralchain.transport import TRANSMISSION_FLOOR, ChainState, _g2_curves
+from chiralchain.transport import TRANSMISSION_FLOOR, ChainState, _g2_curves, _SteadyChain
 
 GRID = TauGrid.linear(12.0, 241)
 
@@ -88,6 +88,87 @@ def test_steady_state_pair_amplitude_is_upper_triangular():
     st = chain_steady_state(PhysicalParams(beta=0.1, n_atoms=4))
     assert np.max(np.abs(np.tril(st.double_exc))) == 0.0
     assert np.max(np.abs(np.triu(st.double_exc, k=1))) > 0.0
+
+
+def _dense_steady_state(beta, delta, n):
+    """e_j and d_jk from one dense solve each of the docstring equations (alpha = 1)."""
+    sq = math.sqrt(beta)
+    lower = np.tril(np.ones((n, n)), k=-1)
+    e = np.linalg.solve((-delta - 0.5j) * np.eye(n) - 1j * beta * lower,
+                        np.full(n, 1j * sq))
+    pairs = [(j, k) for k in range(n) for j in range(k)]
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def pair(a, b):
+        return index[(min(a, b), max(a, b))]
+
+    mat = (-2.0 * delta - 1.0j) * np.eye(len(pairs), dtype=complex)
+    rhs = np.empty(len(pairs), dtype=complex)
+    for i, (j, k) in enumerate(pairs):
+        for a in range(k):
+            if a != j:
+                mat[i, pair(j, a)] -= 1j * beta
+        for a in range(j):
+            mat[i, pair(a, k)] -= 1j * beta
+        rhs[i] = 1j * sq * (e[j] + e[k])
+    d = np.zeros((n, n), dtype=complex)
+    d[tuple(np.array(pairs).T)] = np.linalg.solve(mat, rhs)
+    return e, d
+
+
+@pytest.mark.parametrize("beta", [0.0081, 0.3, 1.0])
+@pytest.mark.parametrize("delta", [0.0, 0.5, -0.4])
+def test_pair_amplitudes_match_dense_solve(beta, delta):
+    # the anti-diagonal fill against a direct solve of the whole linear system
+    for n in (2, 7, 40):
+        e, d = _dense_steady_state(beta, delta, n)
+        st = chain_steady_state(PhysicalParams(beta=beta, n_atoms=n, detuning=delta))
+        assert np.max(np.abs(st.single_exc - e)) <= 1e-12 * np.max(np.abs(e))
+        assert np.max(np.abs(st.double_exc - d)) <= 1e-12 * np.max(np.abs(d))
+
+
+def _column_fill(beta, delta, n):
+    """Pair amplitudes and per-length pair sums filled one column k at a time,
+    each column by a sequential prefix sum over j < k."""
+    sq = math.sqrt(beta)
+    den1, den2 = -delta - 0.5j, -2.0 * delta - 1.0j
+    e = np.empty(n, dtype=complex)
+    d = np.zeros((n, n), dtype=complex)
+    rowsum = np.zeros(n, dtype=complex)
+    sum_d = [0.0j]
+    for k in range(n):
+        e[k] = 1j * beta / den1 * e[:k].sum() + 1j * sq / den1
+        col_acc = 0.0j
+        for j in range(k):
+            d[j, k] = 1j * beta / den2 * (rowsum[j] + col_acc) + 1j * sq * (e[j] + e[k]) / den2
+            col_acc += d[j, k]
+        rowsum[:k] += d[:k, k]
+        rowsum[k] = col_acc
+        sum_d.append(sum_d[-1] + col_acc)
+    return e, d + d.T, np.array(sum_d)
+
+
+@pytest.mark.parametrize("beta", [0.0081, 0.3, 1.0])
+@pytest.mark.parametrize("delta", [0.0, 0.5, -0.4])
+def test_anti_diagonal_fill_matches_column_loop(beta, delta):
+    # same sums in another order: agreement to rounding, ~450 float64 ulps
+    e, d, sum_d = _column_fill(beta, delta, 120)
+    ch = _SteadyChain(beta, delta)
+    ch.extend_to(120)
+    assert np.array_equal(ch.e, e)
+    assert np.max(np.abs(ch.dmat - d)) <= 1e-13 * np.max(np.abs(d))
+    assert np.max(np.abs(ch.sum_d - sum_d)) <= 1e-13 * np.max(np.abs(sum_d))
+
+
+@pytest.mark.parametrize("beta,delta", [(0.0081, 0.0), (0.3, 0.5), (1.0, -0.4)])
+def test_stepwise_extension_matches_one_extension(beta, delta):
+    steps = _SteadyChain(beta, delta)
+    for n in (1, 2, 7, 50, 51, 180):
+        steps.extend_to(n)
+    once = _SteadyChain(beta, delta)
+    once.extend_to(180)
+    for name in ("e", "dmat", "rowsum", "sum_d"):
+        assert np.array_equal(getattr(steps, name), getattr(once, name)), name
 
 
 def test_chain_state_validation():
@@ -215,6 +296,22 @@ def test_find_perfect_antibunching_reports_operating_point():
         abs(transmission_coefficient(0.05)) ** (2 * rep.n_star))
     assert rep.n_out == pytest.approx(rep.n_in * rep.transmission_at_n_star)
     assert rep.single_emitter_rate == pytest.approx(0.025)
+
+
+@pytest.mark.parametrize("beta,n_star,g2_zero,trans", [
+    (0.0081, 187, 1.864164240499611e-05, 0.002224078006784896),
+    (0.05, 18, 0.007264631473556142, 0.022528399544939195),
+])
+def test_find_perfect_antibunching_reference_values(beta, n_star, g2_zero, trans):
+    # values of the column-by-column pair fill; g2(0) at the dip is a 1e-5
+    # cancellation of O(1) terms, so summation order moves it by ~1e-11
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep = find_perfect_antibunching(beta)
+    assert rep.n_star == n_star
+    assert rep.g2_zero_at_n_star == pytest.approx(g2_zero, rel=1e-9)
+    assert rep.transmission_at_n_star == trans
+    assert rep.n_out == rep.n_in * trans
 
 
 def test_find_perfect_antibunching_needs_bracketed_minimum():
