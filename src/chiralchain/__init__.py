@@ -38,6 +38,7 @@ from .ensemble import (
     averaged_g2,
     averaged_g2_zero,
     build_number_distribution,
+    fit_beta_to_g2_points,
     od_to_atoms,
     sweep_g2_vs_od,
 )

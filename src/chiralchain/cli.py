@@ -23,12 +23,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import warnings
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     DataError,
@@ -39,7 +37,7 @@ from .core import (
     TauGrid,
     time_unit_ns,
 )
-from .transport import chain_g2, chain_g2_zero, od_per_atom
+from .transport import chain_g2, od_per_atom
 from .oracle import OracleConfig, oracle_g2
 from .ensemble import (
     OdBinSpec,
@@ -47,6 +45,7 @@ from .ensemble import (
     LOADING_MAX_OD,
     build_number_distribution,
     averaged_g2,
+    fit_beta_to_g2_points,
     od_to_atoms,
     sweep_g2_vs_od,
 )
@@ -204,25 +203,35 @@ def _tag_rows(ids: np.ndarray, mag: np.ndarray, ndig: int, neg: bool) -> np.ndar
 def write_timetags_csv(path: str, stream: ps.TimeTagStream):
     """Header detector_id,timestamp_ns, then one CRLF row per tag.
 
-    The bytes are those of a csv.writer loop.  Timestamps are sorted, so
-    rows of one sign and digit count are contiguous; each such block is
+    The two channels are merged in time order, detector 0 first on equal
+    timestamps, and the bytes are those of a csv.writer loop.  Merged rows
+    of one sign and digit count are contiguous; each such block is
     formatted as one uint8 matrix and written at once.
     """
-    ts = stream.timestamps_ns
+    ts = np.concatenate([stream.t0_ns, stream.t1_ns])
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    ids = (order >= stream.t0_ns.size).astype(np.uint8)
     neg = ts < 0
     mag = np.abs(ts).astype(np.uint64)  # -2**63 wraps to its magnitude
+    del ts, order
     ndig = np.searchsorted(_POW10, mag, side="right") + 1
     starts = np.flatnonzero(np.diff(np.where(neg, -ndig, ndig), prepend=0))
     with open(path, "wb") as fh:
         fh.write(b"detector_id,timestamp_ns\r\n")
-        for a, b in zip(starts, np.append(starts[1:], ts.size)):
-            fh.write(_tag_rows(stream.detector_ids[a:b], mag[a:b], int(ndig[a]), bool(neg[a])))
+        for a, b in zip(starts, np.append(starts[1:], ids.size)):
+            fh.write(_tag_rows(ids[a:b], mag[a:b], int(ndig[a]), bool(neg[a])))
 
 
 def read_timetags_csv(path: str) -> ps.TimeTagStream:
+    """The two detector channels of a file with ids 0 or 1 and sorted timestamps."""
     ids, ts = _read_table(path, ["detector_id", "timestamp_ns"], "bad-timetag-file",
                           dtype=np.int64)
-    return ps.TimeTagStream(ids, ts)
+    if not np.all((ids == 0) | (ids == 1)):
+        raise DataError("bad-detector-id", f"{path}: detector ids must be 0 or 1")
+    if np.any(np.diff(ts) < 0):
+        raise DataError("timestamps-not-sorted", f"{path}: timestamps must be non-decreasing")
+    return ps.TimeTagStream(ts[ids == 0], ts[ids == 1])
 
 
 def write_saturation_csv(path: str, data: ps.SaturationData):
@@ -367,7 +376,7 @@ def cmd_sweep(values, prov) -> int:
     extra = {}
     if values["fit_points"] is not None:
         od_pts, g2_pts = _read_points_csv(values["fit_points"])
-        beta_hat, beta_err = _fit_beta_points(od_pts, g2_pts, values["detuning"])
+        beta_hat, beta_err = fit_beta_to_g2_points(od_pts, g2_pts, values["detuning"])
         extra["beta_fit"] = {"beta": beta_hat, "beta_err": beta_err,
                              "n_points": int(od_pts.size)}
         _write_json(path + ".betafit.json", extra["beta_fit"])
@@ -382,41 +391,6 @@ def _read_points_csv(path: str):
     if od.size < 2:
         raise DataError("too-few-points", f"{path}: need at least 2 points")
     return od, g2
-
-
-def _fit_beta_points(od_pts: np.ndarray, g2_pts: np.ndarray, detuning: float):
-    """Least squares over beta of the ideal g2(0)-vs-OD curve.
-
-    round(N(od)) makes the model piecewise in beta, so the 1d minimum is
-    found by bounded scalar search rather than a gradient method; the error
-    comes from the SSR curvature sampled wide enough to span several steps.
-    """
-    if np.any(od_pts < 0) or np.any(od_pts > 8.0):
-        raise DataError("od-out-of-range", "measured ODs must lie in [0, 8]")
-
-    def model(beta):
-        out = np.empty(od_pts.size)
-        for i, od in enumerate(od_pts):
-            n = _atoms_for_od(float(od), beta)
-            out[i] = chain_g2_zero(PhysicalParams(beta=beta, n_atoms=n, detuning=detuning))
-        return out
-
-    def ssr(beta):
-        d = model(beta) - g2_pts
-        return float(d @ d)
-
-    res = optimize.minimize_scalar(ssr, bounds=(1e-4, 0.1), method="bounded",
-                                   options={"xatol": 1e-7})
-    if not res.success:
-        raise NumericalError("fit-failed", "beta fit to g2 points did not converge")
-    beta_hat = float(res.x)
-    dof = max(od_pts.size - 1, 1)
-    sigma2 = ssr(beta_hat) / dof
-    h = max(0.05 * beta_hat, 2e-4)
-    curv = (ssr(beta_hat + h) - 2.0 * ssr(beta_hat) + ssr(max(beta_hat - h, 1e-5))) / h**2
-    if curv <= 0 or not math.isfinite(curv):
-        raise DataError("uninformative", "g2 points carry no information on beta")
-    return beta_hat, math.sqrt(2.0 * sigma2 / curv)
 
 
 _ORACLE = [
@@ -478,6 +452,8 @@ def _synth_curve(values) -> G2Curve:
 
 
 def cmd_synth(values, prov) -> int:
+    if values["kind"] not in ("histogram", "timetags"):
+        raise ParameterError("bad-kind", f"kind must be histogram or timetags, got {values['kind']!r}")
     curve = _synth_curve(values)
     path = values["output"]
     if values["kind"] == "histogram":
@@ -488,14 +464,12 @@ def cmd_synth(values, prov) -> int:
                                   gamma_mhz=values["gamma_mhz"])
         write_histogram_csv(path, hist)
         print(f"wrote {path}: {hist.n_bins} bins, {hist.total_counts} coincidences")
-    elif values["kind"] == "timetags":
+    else:
         stream = ps.synth_timetags(curve, values["rate1"], values["rate2"],
                                    values["duration"], values["seed"],
                                    gamma_mhz=values["gamma_mhz"])
         write_timetags_csv(path, stream)
         print(f"wrote {path}: {stream.n_tags} tags")
-    else:
-        raise ParameterError("bad-kind", f"kind must be histogram or timetags, got {values['kind']!r}")
     _sidecar(path, "synth", values, prov, {"true_g2_zero": float(curve.values[0])})
     return 0
 

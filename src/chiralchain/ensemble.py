@@ -32,17 +32,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from .core import (
     DataError,
     G2Curve,
+    NumericalError,
     ParameterError,
     PhysicalParams,
     TauGrid,
     validate_params,
 )
-from .transport import TRANSMISSION_FLOOR, _chain, _g2_curves, od_per_atom
+from .transport import TRANSMISSION_FLOOR, _chain, _g2_curves, chain_g2_zero, od_per_atom
 
 __all__ = [
     "OdBinSpec",
@@ -53,6 +54,7 @@ __all__ = [
     "averaged_g2_zero",
     "SweepRow",
     "sweep_g2_vs_od",
+    "fit_beta_to_g2_points",
     "LOADING_GAIN",
     "LOADING_MAX_OD",
 ]
@@ -381,3 +383,40 @@ def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
             n_mean = dist.mean
         rows.append(SweepRow(float(od), n_mean, g2_ideal, g2_avg))
     return rows
+
+
+def fit_beta_to_g2_points(od, g2_0, detuning: float = 0.0) -> tuple[float, float]:
+    """Least squares over beta of the ideal g2(0)-vs-OD curve.
+
+    Returns (beta, beta_err) for measured points (od[i], g2_0[i]).
+    round(N(od)) makes the model piecewise in beta, so the 1d minimum is
+    found by bounded scalar search rather than a gradient method; the error
+    comes from the SSR curvature sampled wide enough to span several steps.
+    """
+    od_pts, g2_pts = np.asarray(od, dtype=float), np.asarray(g2_0, dtype=float)
+    if np.any(od_pts < 0) or np.any(od_pts > 8.0):
+        raise DataError("od-out-of-range", "measured ODs must lie in [0, 8]")
+
+    def model(beta):
+        out = np.empty(od_pts.size)
+        for i, od in enumerate(od_pts):
+            n = int(round(od_to_atoms(float(od), beta)))
+            out[i] = chain_g2_zero(PhysicalParams(beta=beta, n_atoms=n, detuning=detuning))
+        return out
+
+    def ssr(beta):
+        d = model(beta) - g2_pts
+        return float(d @ d)
+
+    res = optimize.minimize_scalar(ssr, bounds=(1e-4, 0.1), method="bounded",
+                                   options={"xatol": 1e-7})
+    if not res.success:
+        raise NumericalError("fit-failed", "beta fit to g2 points did not converge")
+    beta_hat = float(res.x)
+    dof = max(od_pts.size - 1, 1)
+    sigma2 = ssr(beta_hat) / dof
+    h = max(0.05 * beta_hat, 2e-4)
+    curv = (ssr(beta_hat + h) - 2.0 * ssr(beta_hat) + ssr(max(beta_hat - h, 1e-5))) / h**2
+    if curv <= 0 or not math.isfinite(curv):
+        raise DataError("uninformative", "g2 points carry no information on beta")
+    return beta_hat, math.sqrt(2.0 * sigma2 / curv)

@@ -9,8 +9,9 @@ coupling beta.
 
 Conventions:
 
-* detector timestamps are int64 nanoseconds; histograms use 2 ns bins with
-  centers placed symmetrically about tau = 0 (tau = t1 - t0),
+* detector timestamps are int64 nanoseconds, one sorted array per detector
+  (only the time-tag CSV file merges the two); histograms use 2 ns bins
+  with centers placed symmetrically about tau = 0 (tau = t1 - t0),
 * histogram counts are raw coincidences; normalization divides by the mean
   level at |tau| > 200 ns where correlations have decayed,
 * fitted decay rates are in 1/ns; model curves tabulated in units of
@@ -152,50 +153,36 @@ class CoincidenceHistogram:
 
 @dataclass(frozen=True)
 class TimeTagStream:
-    """Merged photon arrival records of the two correlator detectors.
+    """Photon arrival records of the two correlator detectors, one array each.
 
-    detector_ids   0 or 1 per tag
-    timestamps_ns  arrival times in integer ns, non-decreasing
+    t0_ns  detector-0 arrival times in integer ns, non-decreasing
+    t1_ns  detector-1 arrival times in integer ns, non-decreasing
+
+    The channels stay apart, as they are drawn and as the cross-correlation
+    reads them; only the time-tag CSV file interleaves them into one
+    time-ordered sequence.
     """
 
-    detector_ids: np.ndarray
-    timestamps_ns: np.ndarray
+    t0_ns: np.ndarray
+    t1_ns: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.detector_ids)
-        ts = np.asarray(self.timestamps_ns)
-        if ids.shape != ts.shape or ids.ndim != 1:
-            raise DataError("stream-shape-mismatch", "detector_ids and timestamps_ns must be 1d and equal length")
-        if ids.size and not np.all((ids == 0) | (ids == 1)):
-            raise DataError("bad-detector-id", "detector ids must be 0 or 1")
-        if not np.issubdtype(ts.dtype, np.integer):
-            tsf = np.asarray(ts, dtype=float)
-            if np.any(tsf != np.floor(tsf)):
-                raise DataError("timestamps-not-integer", "timestamps must be integer ns")
-        ts = np.asarray(ts, dtype=np.int64)
-        if ts.size > 1 and np.any(np.diff(ts) < 0):
-            raise DataError("timestamps-not-sorted", "timestamps must be non-decreasing")
-        object.__setattr__(self, "detector_ids", np.asarray(ids, dtype=np.uint8))
-        object.__setattr__(self, "timestamps_ns", ts)
+        for name in ("t0_ns", "t1_ns"):
+            ts = np.asarray(getattr(self, name))
+            if ts.ndim != 1:
+                raise DataError("timestamps-not-1d", f"{name} must be a 1d array")
+            if not np.issubdtype(ts.dtype, np.integer):
+                tsf = np.asarray(ts, dtype=float)
+                if np.any(tsf != np.floor(tsf)):
+                    raise DataError("timestamps-not-integer", "timestamps must be integer ns")
+            ts = np.asarray(ts, dtype=np.int64)
+            if ts.size > 1 and np.any(np.diff(ts) < 0):
+                raise DataError("timestamps-not-sorted", "timestamps must be non-decreasing")
+            object.__setattr__(self, name, ts)
 
     @property
     def n_tags(self) -> int:
-        return int(self.timestamps_ns.size)
-
-    def channel(self, detector: int) -> np.ndarray:
-        """Timestamps of one detector, ns."""
-        if detector not in (0, 1):
-            raise ParameterError("bad-detector-id", f"detector must be 0 or 1, got {detector}")
-        return self.timestamps_ns[self.detector_ids == detector]
-
-    @classmethod
-    def from_channels(cls, t0, t1) -> "TimeTagStream":
-        t0 = np.asarray(t0, dtype=np.int64)
-        t1 = np.asarray(t1, dtype=np.int64)
-        ids = np.concatenate([np.zeros(t0.size, dtype=np.uint8), np.ones(t1.size, dtype=np.uint8)])
-        ts = np.concatenate([t0, t1])
-        order = np.argsort(ts, kind="stable")
-        return cls(ids[order], ts[order])
+        return int(self.t0_ns.size + self.t1_ns.size)
 
 
 @dataclass(frozen=True)
@@ -390,8 +377,7 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
         kept.append(blk[accept])
     t1 = np.concatenate(kept) if kept else np.empty(0)
 
-    return TimeTagStream.from_channels(np.round(t0).astype(np.int64),
-                                       np.round(t1).astype(np.int64))
+    return TimeTagStream(np.round(t0).astype(np.int64), np.round(t1).astype(np.int64))
 
 
 def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_BIN_NS,
@@ -407,8 +393,10 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
     discard_pulses pulses are dropped, mirroring pulsed probing where the
     early pulses see an uncooled ensemble.
     """
-    t0 = stream.channel(0).astype(np.float64)
-    t1 = stream.channel(1).astype(np.float64)
+    # the stream spans from its earliest to its latest tag on either detector
+    nonempty = [c for c in (stream.t0_ns, stream.t1_ns) if c.size]
+    t0 = stream.t0_ns.astype(np.float64)
+    t1 = stream.t1_ns.astype(np.float64)
     acq = None
     if pulse_period_ns is not None:
         if not (0.0 <= gate_ns[0] < gate_ns[1] <= pulse_period_ns):
@@ -420,12 +408,13 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
             return t[(t >= start) & (phase >= gate_ns[0]) & (phase < gate_ns[1])]
 
         t0, t1 = gate(t0), gate(t1)
-        if stream.n_tags:
-            pulses = int(stream.timestamps_ns.max() // pulse_period_ns) + 1
+        if nonempty:
+            pulses = int(max(c[-1] for c in nonempty) // pulse_period_ns) + 1
             live = max(pulses - discard_pulses, 0)
             acq = live * (gate_ns[1] - gate_ns[0]) * 1e-9
     elif stream.n_tags > 1:
-        acq = float(stream.timestamps_ns.max() - stream.timestamps_ns.min()) * 1e-9
+        span = max(c[-1] for c in nonempty) - min(c[0] for c in nonempty)
+        acq = float(span) * 1e-9
 
     centers = _symmetric_centers(bin_width_ns, tau_max_ns)
     edges = np.concatenate([centers - bin_width_ns / 2.0, [centers[-1] + bin_width_ns / 2.0]])

@@ -67,6 +67,7 @@ lives in ``oracle``, which is kept algorithmically independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import functools
 import math
 import warnings
 
@@ -92,6 +93,7 @@ __all__ = [
     "chain_transmission",
     "chain_two_photon_amplitude",
     "chain_g2",
+    "chain_g2_zero",
     "find_perfect_antibunching",
 ]
 
@@ -216,16 +218,10 @@ class _SteadyChain:
         return np.where(ns == 0, 1.0, np.abs(psi) ** 2 / abs(self.t) ** (4 * ns))
 
 
-_CHAINS: dict = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _chain(beta: float, detuning: float) -> _SteadyChain:
-    key = (float(beta), float(detuning))
-    if key not in _CHAINS:
-        if len(_CHAINS) > 16:
-            _CHAINS.clear()
-        _CHAINS[key] = _SteadyChain(beta, detuning)
-    return _CHAINS[key]
+    """The steady chain of one (beta, detuning), shared by every caller."""
+    return _SteadyChain(beta, detuning)
 
 
 def chain_steady_state(params: PhysicalParams) -> ChainState:

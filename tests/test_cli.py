@@ -78,6 +78,16 @@ def test_simulate_parameter_errors(tmp_path):
     assert run(tmp_path, "simulate", "--od", 1.0, "--kind", "weird") == 2
 
 
+def test_synth_checks_kind_before_the_model(tmp_path, capsys):
+    # at N = 5000 the chain is dark, so building the curve first would fail
+    # with vanishing-transmission before the kind was read
+    for n in (5, 5000):
+        out = tmp_path / f"bogus{n}.csv"
+        assert run(tmp_path, "synth", "--kind", "bogus", "--n-atoms", n, "--output", out) == 2
+        assert "[bad-kind]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_config_file_resolution(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"beta": 0.01, "od": 2.0, "n_points": 41, "tau_max": 4.0}))
@@ -229,7 +239,7 @@ def test_synth_thinning_overflow_draws_nothing(tmp_path, monkeypatch):
     assert peak < 16 * 2**20
 
 
-def test_analyze_data_errors(tmp_path):
+def test_analyze_data_errors(tmp_path, capsys):
     assert run(tmp_path, "analyze", "--input", tmp_path / "missing.csv") == 4
     garbled = tmp_path / "garbled.csv"
     garbled.write_text("detector_id,timestamp_ns\n0,abc\n")
@@ -247,10 +257,17 @@ def test_analyze_data_errors(tmp_path):
     assert run(tmp_path, "analyze", "--input", short) == 4  # no tail past 200 ns
     for i, body in enumerate(["0,5\r\n1\r\n",  # one-field row
                               "300,5\r\n", "-1,5\r\n",  # ids off the uint8 range
+                              "0,5\r\n2,5\r\n",  # no detector 2
                               "0,99999999999999999999\r\n"]):  # past int64
         bad = tmp_path / f"tags{i}.csv"
         bad.write_text("detector_id,timestamp_ns\r\n" + body, newline="")
         assert run(tmp_path, "analyze", "--input", bad) == 4
+    capsys.readouterr()
+    # each channel alone is sorted, but the file is not
+    unsorted = tmp_path / "unsorted.csv"
+    unsorted.write_text("detector_id,timestamp_ns\r\n0,10\r\n1,20\r\n0,15\r\n", newline="")
+    assert run(tmp_path, "analyze", "--input", unsorted) == 4
+    assert "[timestamps-not-sorted]" in capsys.readouterr().err
     rows = "".join(f"{t:g},100\n" for t in np.arange(-300, 301, 2.0))
     for i, tail in enumerate(["5\n", "400,inf\n", "400,nan\n"]):
         bad = tmp_path / f"hist{i}.csv"
@@ -296,12 +313,13 @@ def test_fit_points_short_row(tmp_path):
 
 
 def _csv_write_timetags(path, stream):
-    """Reference writer: one csv.writer row per tag."""
+    """Reference writer: one csv.writer row per tag, in time order, detector 0 first on ties."""
+    tags = sorted([(int(t), 0) for t in stream.t0_ns] + [(int(t), 1) for t in stream.t1_ns])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["detector_id", "timestamp_ns"])
-        for d, t in zip(stream.detector_ids, stream.timestamps_ns):
-            w.writerow([int(d), int(t)])
+        for t, d in tags:
+            w.writerow([d, t])
 
 
 def _csv_columns(path):
@@ -325,13 +343,13 @@ def test_timetag_writer_matches_csv_writer(tmp_path):
     curve = chain_g2(PhysicalParams(0.0081, 100), TauGrid.linear(12.0, 481))
     streams = {
         "synth": synth_timetags(curve, 3e4, 3e4, 1.0, 5),
-        "empty": TimeTagStream(np.zeros(0, np.uint8), np.zeros(0, np.int64)),
-        "one": TimeTagStream(np.array([1], np.uint8), np.array([12345], np.int64)),
+        "empty": TimeTagStream(np.zeros(0, np.int64), np.zeros(0, np.int64)),
+        "one": TimeTagStream(np.zeros(0, np.int64), np.array([12345], np.int64)),
+        "ties": TimeTagStream([5, 5, 7, 9, 12, 12], [5, 7, 7, 9, 9, 12]),
     }
     ts = _digit_boundaries()
-    streams["boundaries"] = TimeTagStream(np.arange(ts.size) % 2, ts)
-    streams["negative"] = TimeTagStream(np.array([0, 1, 1, 0]),
-                                        np.array([-1000, -999, -5, 0]))
+    streams["boundaries"] = TimeTagStream(ts[0::2], ts[1::2])
+    streams["negative"] = TimeTagStream([-1000, 0], [-999, -5])
     assert streams["synth"].n_tags > 10**4
     for name, stream in streams.items():
         new, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
@@ -339,8 +357,8 @@ def test_timetag_writer_matches_csv_writer(tmp_path):
         _csv_write_timetags(ref, stream)
         assert new.read_bytes() == ref.read_bytes(), name
         back = read_timetags_csv(str(new))
-        assert np.array_equal(back.detector_ids, stream.detector_ids), name
-        assert np.array_equal(back.timestamps_ns, stream.timestamps_ns), name
+        assert np.array_equal(back.t0_ns, stream.t0_ns), name
+        assert np.array_equal(back.t1_ns, stream.t1_ns), name
 
 
 def test_table_readers_match_csv_module(tmp_path):

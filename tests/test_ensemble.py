@@ -17,6 +17,7 @@ from chiralchain import (
     chain_g2,
     chain_g2_zero,
     chain_transmission,
+    fit_beta_to_g2_points,
     od_per_atom,
     od_to_atoms,
     sweep_g2_vs_od,
@@ -223,3 +224,15 @@ def test_assignment_prob_matches_scipy_stats_poisson(monkeypatch):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
     assert not np.any(np.isnan(np.concatenate(fast[1])))
+
+
+def test_fit_beta_to_g2_points_recovers_beta():
+    ods = np.arange(0.5, 5.01, 0.5)
+    g2 = [chain_g2_zero(PhysicalParams(BETA, int(round(od_to_atoms(float(od), BETA)))))
+          for od in ods]
+    beta, beta_err = fit_beta_to_g2_points(ods, g2)
+    assert beta == pytest.approx(BETA, rel=1e-6)
+    assert 0.0 <= beta_err < 1e-6
+    with pytest.raises(DataError) as err:
+        fit_beta_to_g2_points([1.0, 9.0], [0.95, 0.9])
+    assert err.value.code == "od-out-of-range"

@@ -89,20 +89,23 @@ def test_pooled_histograms():
 
 
 def test_time_tag_stream():
-    s = TimeTagStream.from_channels([10, 30], [20, 25])
-    np.testing.assert_array_equal(s.timestamps_ns, [10, 20, 25, 30])
-    np.testing.assert_array_equal(s.detector_ids, [0, 1, 1, 0])
-    np.testing.assert_array_equal(s.channel(0), [10, 30])
-    np.testing.assert_array_equal(s.channel(1), [20, 25])
+    s = TimeTagStream([10, 30], [20, 25])
+    np.testing.assert_array_equal(s.t0_ns, [10, 30])
+    np.testing.assert_array_equal(s.t1_ns, [20, 25])
+    assert s.t0_ns.dtype == np.int64 and s.t1_ns.dtype == np.int64
+    assert s.n_tags == 4
+    assert TimeTagStream([], []).n_tags == 0
+    for t0, t1 in (([10, 5], [1]), ([1], [3, 2])):
+        with pytest.raises(DataError) as err:
+            TimeTagStream(np.array(t0, np.int64), np.array(t1, np.int64))
+        assert err.value.code == "timestamps-not-sorted"
+    for t0, t1 in (([1.5], []), ([], [2.0, 2.5])):
+        with pytest.raises(DataError) as err:
+            TimeTagStream(np.array(t0), np.array(t1))
+        assert err.value.code == "timestamps-not-integer"
     with pytest.raises(DataError) as err:
-        TimeTagStream(np.array([0, 1], np.uint8), np.array([10, 5], np.int64))
-    assert err.value.code == "timestamps-not-sorted"
-    with pytest.raises(DataError):
-        TimeTagStream(np.array([0, 2], np.uint8), np.array([1, 2], np.int64))
-    with pytest.raises(DataError):
-        TimeTagStream(np.array([0], np.uint8), np.array([1.5]))
-    with pytest.raises(ParameterError):
-        s.channel(2)
+        TimeTagStream(np.zeros((2, 2), np.int64), [])
+    assert err.value.code == "timestamps-not-1d"
 
 
 def test_fit_result_round_trip():
@@ -163,8 +166,8 @@ def test_synth_histogram_modulates_by_g2():
 def test_synth_timetags_rates_and_flat_correlation():
     curve = _exp_contrast_curve(0.0, 0.05)
     stream = synth_timetags(curve, 2e4, 2e4, 5.0, seed=11)
-    n0 = stream.channel(0).size
-    n1 = stream.channel(1).size
+    n0 = stream.t0_ns.size
+    n1 = stream.t1_ns.size
     assert n0 == pytest.approx(1e5, abs=5 * math.sqrt(1e5))
     assert n1 == pytest.approx(1e5, abs=5 * math.sqrt(1e5))
     h = histogram_timetags(stream)
@@ -176,38 +179,51 @@ def test_synth_timetags_deterministic():
     curve = _exp_contrast_curve(0.5, 0.05)
     a = synth_timetags(curve, 1e4, 1e4, 2.0, seed=3)
     b = synth_timetags(curve, 1e4, 1e4, 2.0, seed=3)
-    np.testing.assert_array_equal(a.timestamps_ns, b.timestamps_ns)
-    np.testing.assert_array_equal(a.detector_ids, b.detector_ids)
+    np.testing.assert_array_equal(a.t0_ns, b.t0_ns)
+    np.testing.assert_array_equal(a.t1_ns, b.t1_ns)
 
 
 def test_histogram_timetags_places_pairs():
-    stream = TimeTagStream.from_channels([1000_000], [1000_005])
+    stream = TimeTagStream([1000_000], [1000_005])
     h = histogram_timetags(stream, bin_width_ns=2.0, tau_max_ns=10.0)
     assert h.total_counts == 1
     assert h.counts[h.tau_ns == 6.0] == 1  # tau = +5 ns falls in the (5, 7] bin
-    far = TimeTagStream.from_channels([0], [10_000_000])
+    far = TimeTagStream([0], [10_000_000])
     assert histogram_timetags(far, tau_max_ns=10.0).total_counts == 0
 
 
 def test_histogram_timetags_sign_convention():
     # detector-1 tag before detector-0 tag: negative tau
-    stream = TimeTagStream.from_channels([1000_010], [1000_005])
+    stream = TimeTagStream([1000_010], [1000_005])
     h = histogram_timetags(stream, bin_width_ns=2.0, tau_max_ns=10.0)
     assert h.counts[h.tau_ns == -4.0] == 1
+
+
+def test_histogram_timetags_span_covers_both_channels():
+    # the acquisition runs from the earliest to the latest tag of either detector
+    h = histogram_timetags(TimeTagStream([100, 5000], [50, 3000]), tau_max_ns=10.0)
+    assert h.acquisition_s == 4950 * 1e-9
+    assert h.rate1 == h.rate2 == 2 / h.acquisition_s
+    h = histogram_timetags(TimeTagStream([], [10, 30]), tau_max_ns=10.0)
+    assert h.acquisition_s == 20 * 1e-9 and h.rate1 == 0.0
+    assert histogram_timetags(TimeTagStream([7], []), tau_max_ns=10.0).acquisition_s is None
+    # pulsed: the pulse count follows the last tag, here on detector 1
+    gated = histogram_timetags(TimeTagStream([254_000], [1_254_004]), pulse_period_ns=10_000.0)
+    assert gated.acquisition_s == pytest.approx((126 - 20) * 8000e-9, rel=1e-12)
 
 
 def test_histogram_timetags_pulse_gating():
     period, gate = 10_000.0, (1000.0, 9000.0)
     # pulse 25, phase 4000-4004: inside gate, past the discarded pulses
-    live = TimeTagStream.from_channels([254_000], [254_004])
+    live = TimeTagStream([254_000], [254_004])
     h = histogram_timetags(live, pulse_period_ns=period, gate_ns=gate)
     assert h.total_counts == 1
     # same offsets in pulse 0 are discarded
-    early = TimeTagStream.from_channels([4_000], [4_004])
+    early = TimeTagStream([4_000], [4_004])
     h0 = histogram_timetags(early, pulse_period_ns=period, gate_ns=gate)
     assert h0.total_counts == 0
     # phase outside the gate is dropped even in a live pulse
-    dark = TimeTagStream.from_channels([250_500], [250_504])
+    dark = TimeTagStream([250_500], [250_504])
     hd = histogram_timetags(dark, pulse_period_ns=period, gate_ns=gate)
     assert hd.total_counts == 0
     with pytest.raises(ParameterError):
