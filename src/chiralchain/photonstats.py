@@ -173,10 +173,12 @@ class TimeTagStream:
                 raise DataError("timestamps-not-1d", f"{name} must be a 1d array")
             if not np.issubdtype(ts.dtype, np.integer):
                 tsf = np.asarray(ts, dtype=float)
-                if np.any(tsf != np.floor(tsf)):
-                    raise DataError("timestamps-not-integer", "timestamps must be integer ns")
+                # -2**63 <= x < 2**63 is exactly the float range that casts to int64
+                if np.any((tsf != np.floor(tsf)) | ~(tsf >= -2.0**63) | ~(tsf < 2.0**63)):
+                    raise DataError("timestamps-not-integer",
+                                    "timestamps must be integer ns within the int64 range")
             ts = np.asarray(ts, dtype=np.int64)
-            if ts.size > 1 and np.any(np.diff(ts) < 0):
+            if np.any(ts[1:] < ts[:-1]):
                 raise DataError("timestamps-not-sorted", "timestamps must be non-decreasing")
             object.__setattr__(self, name, ts)
 
@@ -191,7 +193,11 @@ class FitResult:
 
     g2_zero = 1 - A is reported unclamped; values outside [0, 9] flag a
     problem with the data rather than being silently truncated.
-    a_err is the bootstrap standard error of A (None before bootstrapping).
+    gamma_at_edge is true when gamma_fit stopped on an edge of
+    GAMMA_FIT_BAND, where A is the best amplitude at a constrained decay.
+    a_err is the bootstrap standard error of A (None before bootstrapping),
+    taken over the refits that did not fail; n_failed counts the failed
+    refits and n_at_edge the other refits whose decay stopped on a band edge.
     """
 
     amplitude: float
@@ -201,6 +207,9 @@ class FitResult:
     a_err: float | None = None
     n_bootstrap: int = 0
     seed: int | None = None
+    gamma_at_edge: bool = False
+    n_failed: int = 0
+    n_at_edge: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -211,6 +220,9 @@ class FitResult:
             "window_ns": self.window_ns,
             "n_bootstrap": self.n_bootstrap,
             "seed": self.seed,
+            "gamma_at_edge": self.gamma_at_edge,
+            "n_failed": self.n_failed,
+            "n_at_edge": self.n_at_edge,
         }
 
     @classmethod
@@ -221,7 +233,10 @@ class FitResult:
                    window_ns=float(d["window_ns"]),
                    a_err=None if d.get("a_err") is None else float(d["a_err"]),
                    n_bootstrap=int(d.get("n_bootstrap", 0)),
-                   seed=d.get("seed"))
+                   seed=d.get("seed"),
+                   gamma_at_edge=bool(d.get("gamma_at_edge", False)),
+                   n_failed=int(d.get("n_failed", 0)),
+                   n_at_edge=int(d.get("n_at_edge", 0)))
 
 
 @dataclass(frozen=True)
@@ -395,8 +410,7 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
     """
     # the stream spans from its earliest to its latest tag on either detector
     nonempty = [c for c in (stream.t0_ns, stream.t1_ns) if c.size]
-    t0 = stream.t0_ns.astype(np.float64)
-    t1 = stream.t1_ns.astype(np.float64)
+    t0, t1 = stream.t0_ns, stream.t1_ns
     acq = None
     if pulse_period_ns is not None:
         if not (0.0 <= gate_ns[0] < gate_ns[1] <= pulse_period_ns):
@@ -420,17 +434,21 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
     edges = np.concatenate([centers - bin_width_ns / 2.0, [centers[-1] + bin_width_ns / 2.0]])
     counts = np.zeros(centers.size, dtype=np.int64)
     if t0.size and t1.size:
-        reach = centers[-1] + bin_width_ns / 2.0
-        lo = np.searchsorted(t1, t0 - reach, side="left")
-        hi = np.searchsorted(t1, t0 + reach, side="right")
-        n = hi - lo
-        total = int(n.sum())
-        if total:
-            ids = np.repeat(np.arange(t0.size), n)
-            offs = np.arange(total) - np.repeat(np.cumsum(n) - n, n)
-            diffs = t1[lo[ids] + offs] - t0[ids]
-            counts, _ = np.histogram(diffs, edges)
-            counts = counts.astype(np.int64)
+        # pair differences are integers, so |tau| <= reach means |tau| <= floor(reach)
+        reach = math.floor(edges[-1])
+        # walk forward from each detector-0 tag's first partner (tau >= -reach)
+        # until tau > reach; each pass keeps only the tags still pairing
+        i = np.arange(t0.size)
+        j = np.searchsorted(t1, t0 - reach, side="left")
+        diffs = []
+        while i.size:
+            more = j < t1.size
+            i, j = i[more], j[more]
+            d = t1[j] - t0[i]
+            near = d <= reach
+            i, j = i[near], j[near] + 1
+            diffs.append(d[near])
+        counts = np.histogram(np.concatenate(diffs), edges)[0].astype(np.int64)
 
     r1 = t0.size / acq if acq else None
     r2 = t1.size / acq if acq else None
@@ -520,66 +538,174 @@ def _auto_window(hist: CoincidenceHistogram, tail_start_ns: float = TAIL_START_N
 
 GAMMA_FIT_BAND = (0.004, 0.4)
 
+# log gamma points of the profile scan; the first and last are the band edges
+_LOG_GAMMA_SCAN = np.linspace(math.log(GAMMA_FIT_BAND[0]), math.log(GAMMA_FIT_BAND[1]), 41)
+_A_LIMIT = 1e3     # |A| bound of the likelihood domain
+_A_FAIL = 900.0    # |A| beyond this: the fit never saw the uncorrelated level
+_G_FLOOR = 1e-12   # the model g must stay above this inside the domain
+_MAX_ITER = 60
 
-def _fit_window_counts(tau_ns: np.ndarray, counts: np.ndarray, warm_start=None):
-    """Maximize the multinomial likelihood of 1 - A exp(-gamma |tau|).
 
-    Returns (A, gamma, nll); raises NumericalError on non-convergence.
-    The likelihood conditions on the total count over the included bins, so
-    no normalization of the histogram is needed.
+def _contrast_nll(c, ctot, a, e):
+    """Multinomial nll of g = 1 - a e over the last (bin) axis; inf outside the domain.
+
+    e = exp(-gamma |tau|) broadcasts against a[..., None].
+    """
+    g = 1.0 - a[..., None] * e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = ctot * np.log(g.sum(axis=-1)) - (c * np.log(g)).sum(axis=-1)
+    return np.where((np.abs(a) <= _A_LIMIT) & np.all(g > _G_FLOOR, axis=-1), f, np.inf)
+
+
+def _profile_amplitude(c, ctot, e):
+    """Amplitude minimizing the nll at each scanned decay, shape (replicates, scan).
+
+    At fixed gamma every stationary point in A is a minimum (by
+    Cauchy-Schwarz, d2nll/dA2 >= 0 wherever dnll/dA = 0), so the root of
+    dnll/dA is unique within the domain and is bracketed from the start.
+    Newton steps that leave the bracket fall back to bisection; only
+    entries still moving are updated.
+    """
+    n_rep, n_scan = c.shape[0], e.shape[0]
+    se = e.sum(axis=1)
+    lo = np.full(n_rep * n_scan, -_A_LIMIT)
+    hi = np.tile(np.minimum(_A_LIMIT, (1.0 - _G_FLOOR) / e.max(axis=1)), n_rep)
+    a = np.zeros(n_rep * n_scan)
+    todo = np.arange(a.size)
+    for _ in range(_MAX_ITER):
+        r, j = np.divmod(todo, n_scan)
+        x, lo_k, hi_k = a[todo], lo[todo], hi[todo]
+        q = e[j] / (1.0 - x[:, None] * e[j])            # -dln(g)/dA
+        cq = c[r] * q
+        m = se[j] / (e.shape[1] - x * se[j])            # -dln(sum g)/dA
+        d1 = cq.sum(axis=1) - ctot[r] * m
+        d2 = (cq * q).sum(axis=1) - ctot[r] * m * m
+        lo_k = np.where(d1 < 0, x, lo_k)
+        hi_k = np.where(d1 > 0, x, hi_k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - d1 / d2
+        new = np.where((d2 > 0) & (new > lo_k) & (new < hi_k), new, 0.5 * (lo_k + hi_k))
+        a[todo], lo[todo], hi[todo] = new, lo_k, hi_k
+        todo = todo[np.abs(new - x) > 1e-10 * (1.0 + np.abs(x))]
+        if not todo.size:
+            break
+    return a.reshape(n_rep, n_scan)
+
+
+def _newton_steps(t, c, ctot, a, lg):
+    """Newton steps of the nll in (A, log gamma) from the closed-form derivatives.
+
+    Returns (dnll/dlog gamma, the 2-D step in A and in log gamma, the 1-D
+    step in A at fixed gamma).  An indefinite Hessian is shifted until its
+    smallest eigenvalue is positive, so both steps point downhill.
+    """
+    gam = np.exp(lg)[:, None]
+    e = np.exp(-gam * t)
+    g = 1.0 - a[:, None] * e
+    # derivatives of g = 1 - A exp(-gamma t) in A and u = log gamma
+    g_au = gam * t * e
+    g_a, g_u = -e, a[:, None] * g_au
+    g_uu = g_u * (1.0 - gam * t)
+    w = c / g
+    wg = w / g
+    s = g.sum(axis=1)
+    sa, su = g_a.sum(axis=1) / s, g_u.sum(axis=1) / s
+    grad_a = ctot * sa - (w * g_a).sum(axis=1)
+    grad_u = ctot * su - (w * g_u).sum(axis=1)
+    h_aa = (wg * g_a * g_a).sum(axis=1) - ctot * sa * sa
+    h_au = (ctot * (g_au.sum(axis=1) / s - sa * su)
+            - (w * g_au - wg * g_a * g_u).sum(axis=1))
+    h_uu = (ctot * (g_uu.sum(axis=1) / s - su * su)
+            - (w * g_uu - wg * g_u * g_u).sum(axis=1))
+    lam_min = 0.5 * (h_aa + h_uu) - np.hypot(0.5 * (h_aa - h_uu), h_au)
+    floor = 1e-8 * np.maximum(np.abs(h_aa) + np.abs(h_uu), 1.0)
+    shift = np.maximum(floor - lam_min, 0.0)
+    h_aa, h_uu = h_aa + shift, h_uu + shift
+    det = h_aa * h_uu - h_au * h_au
+    return (grad_u, (h_uu * grad_a - h_au * grad_u) / det,
+            (h_aa * grad_u - h_au * grad_a) / det, grad_a / h_aa)
+
+
+def _fit_window_counts(tau_ns: np.ndarray, counts: np.ndarray):
+    """Maximize the multinomial likelihood of 1 - A exp(-gamma |tau|), row by row.
+
+    counts is a (replicates x bins) array over the bins tau_ns; all rows are
+    solved together.  Returns arrays (A, gamma, nll, at_edge), one entry per
+    row.  The likelihood conditions on each row's total count, so no
+    normalization of the histogram is needed.
 
     gamma is constrained to GAMMA_FIT_BAND, between a decay too slow for the
-    contrast window to see and one faster than the 2 ns binning.  Because
-    the normalization tail anchors the uncorrelated level, the amplitude
-    stays identified even when gamma drifts to a band edge on weakly
-    contrasted data, so edge solutions are kept.  A warm_start (A, gamma)
-    is trusted when it converges, keeping bootstrap refits cheap.
+    contrast window to see and one faster than the 2 ns binning.  The
+    solver has two steps:
+
+    * profile scan: at each point of _LOG_GAMMA_SCAN (41 log-spaced points
+      from edge to edge) A is profiled out by a safeguarded 1-D Newton
+      search, and each row starts from its best scan point;
+    * polish: Newton steps in (A, log gamma) with the closed-form gradient
+      and Hessian, a backtracking line search on the nll alone, and an
+      active set on the band (Bertsekas, SIAM J. Control Optim. 20, 221
+      (1982)): a row on an edge whose gradient points out of the band keeps
+      gamma on the edge and moves A alone.  Every accepted step lowers or
+      keeps the nll, so the result is never worse than any scan point.
+
+    Because the normalization tail anchors the uncorrelated level, the
+    amplitude stays identified even when gamma stops at a band edge on
+    weakly contrasted data; such rows are kept and flagged in at_edge.  A
+    row fails, with A = nan and nll = inf, when no scan point has a finite
+    nll or when |A| ends above 900: an amplitude at the guard rail means
+    the likelihood never saw the uncorrelated level, which the contrast
+    model does not describe.
     """
-    at = np.abs(tau_ns)
-    c = counts.astype(float)
-    ctot = c.sum()
-    lg_lo, lg_hi = math.log(GAMMA_FIT_BAND[0]), math.log(GAMMA_FIT_BAND[1])
+    t = np.abs(np.asarray(tau_ns, dtype=float))
+    c = np.asarray(counts, dtype=float)
+    ctot = c.sum(axis=1)
+    lg_lo, lg_hi = _LOG_GAMMA_SCAN[0], _LOG_GAMMA_SCAN[-1]
 
-    def nll(x):
-        a, lg = x
-        if abs(a) > 1e3 or not lg_lo <= lg <= lg_hi:
-            return 1e300
-        g = 1.0 - a * np.exp(-math.exp(lg) * at)
-        if np.any(g <= 1e-12):
-            return 1e300
-        return float(ctot * math.log(g.sum()) - c @ np.log(g))
+    e = np.exp(-np.exp(_LOG_GAMMA_SCAN)[:, None] * t)
+    amp = _profile_amplitude(c, ctot, e)
+    f_scan = _contrast_nll(c[:, None, :], ctot[:, None], amp, e)
+    rows = np.arange(c.shape[0])
+    best = np.argmin(f_scan, axis=1)
+    a, lg, f = amp[rows, best], _LOG_GAMMA_SCAN[best], f_scan[rows, best]
 
-    def solve(x0):
-        res = optimize.minimize(nll, x0, method="Nelder-Mead",
-                                options={"maxiter": 4000, "xatol": 1e-8, "fatol": 1e-11})
-        if not res.success or res.fun >= 1e299:
-            return None
-        gamma = math.exp(res.x[1])
-        # an amplitude at the guard rail means the likelihood never saw the
-        # uncorrelated level; the contrast model does not describe such data
-        if abs(res.x[0]) > 900.0:
-            return None
-        return float(res.x[0]), gamma, float(res.fun)
+    todo = rows[np.isfinite(f)]
+    for _ in range(_MAX_ITER):
+        if not todo.size:
+            break
+        ck, tk, ak, uk, fk = c[todo], ctot[todo], a[todo], lg[todo], f[todo]
+        grad_u, d_a, d_u, d_a_fixed = _newton_steps(t, ck, tk, ak, uk)
+        low = (uk - lg_lo <= 1e-9) & (grad_u > 0)
+        high = (lg_hi - uk <= 1e-9) & (grad_u < 0)
+        edge = low | high
+        d_a = np.where(edge, d_a_fixed, d_a)
+        d_u = np.where(edge, 0.0, d_u)
+        base_u = np.where(low, lg_lo, np.where(high, lg_hi, uk))
+        new_a, new_u, new_f = ak.copy(), uk.copy(), fk.copy()
+        step = 1.0
+        # a Newton step this short has nothing left to gain on the nll
+        pend = np.flatnonzero((np.abs(d_a) > 1e-10 * (1.0 + np.abs(ak)))
+                              | (np.abs(d_u) > 1e-10) | (base_u != uk))
+        for _ in range(40):
+            ta = ak[pend] - step * d_a[pend]
+            tu = np.clip(base_u[pend] - step * d_u[pend], lg_lo, lg_hi)
+            tf = _contrast_nll(ck[pend], tk[pend], ta, np.exp(-np.exp(tu)[:, None] * t))
+            ok = tf <= fk[pend]
+            took = pend[ok]
+            new_a[took], new_u[took], new_f[took] = ta[ok], tu[ok], tf[ok]
+            pend = pend[~ok]
+            if not pend.size:
+                break
+            step *= 0.5
+        moved = (np.abs(new_a - ak) > 1e-12 * (1.0 + np.abs(ak))) | (np.abs(new_u - uk) > 1e-12)
+        a[todo], lg[todo], f[todo] = new_a, new_u, new_f
+        todo = todo[moved]
 
-    if warm_start is not None:
-        got = solve((warm_start[0], math.log(warm_start[1])))
-        if got is not None:
-            return got
-
-    # contrast guess from the center bin against the outer quarter of the window
-    outer = at >= 0.75 * at.max()
-    base = max(c[outer].mean(), 0.5)
-    a0 = float(np.clip(1.0 - c[np.argmin(at)] / base, -30.0, 0.99))
-    starts = [(a0, 1.0 / 30.6), (a0, 0.1), (a0, 0.008),
-              (0.98, 0.008), (0.98, 1.0 / 30.6), (-1.0, 0.1)]
-    best = None
-    for a_s, g_s in starts:
-        got = solve((a_s, math.log(g_s)))
-        if got is not None and (best is None or got[2] < best[2]):
-            best = got
-    if best is None:
-        raise NumericalError("fit-failed", "contrast fit did not converge from any start")
-    return best
+    failed = ~np.isfinite(f) | (np.abs(a) > _A_FAIL)
+    at_edge = ~failed & ((lg == lg_lo) | (lg == lg_hi))
+    # report the edges exactly rather than as exp(log(edge))
+    gamma = np.where(lg == lg_lo, GAMMA_FIT_BAND[0],
+                     np.where(lg == lg_hi, GAMMA_FIT_BAND[1], np.exp(lg)))
+    return np.where(failed, np.nan, a), gamma, np.where(failed, np.inf, f), at_edge
 
 
 def mle_fit_g2(hist: CoincidenceHistogram, *, window_ns: float | None = None,
@@ -592,7 +718,11 @@ def mle_fit_g2(hist: CoincidenceHistogram, *, window_ns: float | None = None,
     count C makes the fit independent of the absolute coincidence rate, so
     the histogram does not need to be normalized first.  The window defaults
     to 30 ns for antibunched data and 15 ns when bunching is detected.
-    g2_zero = 1 - A, reported unclamped.
+    The histogram is one row of _fit_window_counts (profile scan over the
+    gamma band, then a bounded Newton polish); gamma_at_edge reports a
+    decay that stopped on an edge of GAMMA_FIT_BAND.  g2_zero = 1 - A,
+    reported unclamped.  Raises NumericalError "fit-failed" when the fit
+    has no finite minimum or |A| ends above 900.
     """
     if window_ns is None:
         window_ns = _auto_window(hist, tail_start_ns)
@@ -605,8 +735,11 @@ def mle_fit_g2(hist: CoincidenceHistogram, *, window_ns: float | None = None,
     cts = hist.counts[mask]
     if cts.sum() == 0:
         raise DataError("empty-window", "no coincidences inside the fit region")
-    a, gamma, _ = _fit_window_counts(tau, cts)
-    return FitResult(amplitude=a, gamma_fit=gamma, g2_zero=1.0 - a, window_ns=float(window_ns))
+    a, gamma, _, at_edge = _fit_window_counts(tau, cts[None, :])
+    if not np.isfinite(a[0]):
+        raise NumericalError("fit-failed", "contrast fit found no finite minimum")
+    return FitResult(amplitude=float(a[0]), gamma_fit=float(gamma[0]), g2_zero=1.0 - float(a[0]),
+                     window_ns=float(window_ns), gamma_at_edge=bool(at_edge[0]))
 
 
 def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: int = 50,
@@ -614,10 +747,14 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
                     tail_start_ns: float = TAIL_START_NS) -> FitResult:
     """Bootstrap standard error of the fitted contrast.
 
-    Synthetic datasets are drawn from the fitted model over the same bins the
-    fit used, multinomially conditioned on the observed total count, and
-    refit; a_err is the sample standard deviation of the refitted amplitudes.
-    More than max_failures of failed refits marks the fit unstable.
+    n_samples synthetic datasets are drawn at once from the fitted model over
+    the same bins the fit used, multinomially conditioned on the observed
+    total count, and refit together as the rows of one _fit_window_counts
+    call.  a_err is the sample standard deviation of the refitted amplitudes
+    that did not fail; n_failed counts the failed refits and n_at_edge the
+    others whose decay stopped on an edge of GAMMA_FIT_BAND.  More than
+    max_failures of failed refits, or fewer than two that did not fail,
+    raises NumericalError "unstable-fit".
     """
     if n_samples < 2:
         raise ParameterError("too-few-samples", "need at least 2 bootstrap samples")
@@ -630,23 +767,17 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
     model = 1.0 - fit.amplitude * np.exp(-fit.gamma_fit * np.abs(tau))
     model = np.maximum(model, 1e-12)
     p = model / model.sum()
-    rng = np.random.default_rng(seed)
-    amps = []
-    failures = 0
-    for _ in range(n_samples):
-        counts = rng.multinomial(ctot, p)
-        try:
-            a, _, _ = _fit_window_counts(tau, counts,
-                                         warm_start=(fit.amplitude, fit.gamma_fit))
-        except NumericalError:
-            failures += 1
-            continue
-        amps.append(a)
-    if failures > max_failures * n_samples:
+    counts = np.random.default_rng(seed).multinomial(ctot, p, size=n_samples)
+    amps, _, _, at_edge = _fit_window_counts(tau, counts)
+    ok = np.isfinite(amps)
+    failures = n_samples - int(ok.sum())
+    # a standard error needs two amplitudes, whatever max_failures allows
+    if failures > max_failures * n_samples or failures > n_samples - 2:
         raise NumericalError("unstable-fit",
                              f"{failures}/{n_samples} bootstrap refits failed")
-    a_err = float(np.std(amps, ddof=1))
-    return replace(fit, a_err=a_err, n_bootstrap=n_samples, seed=seed)
+    a_err = float(np.std(amps[ok], ddof=1))
+    return replace(fit, a_err=a_err, n_bootstrap=n_samples, seed=seed,
+                   n_failed=failures, n_at_edge=int(at_edge.sum()))
 
 
 def bin_runs_by_od(runs, bins: OdBinSpec | None = None) -> dict[int, CoincidenceHistogram]:

@@ -170,7 +170,8 @@ def test_synth_analyze_round_trip(tmp_path):
                "--curve-output", curve) == 0
     fit = json.loads(rep.read_text())
     assert set(fit) == {"A", "a_err", "gamma_fit_per_ns", "g2_zero",
-                        "window_ns", "n_bootstrap", "seed"}
+                        "window_ns", "n_bootstrap", "seed",
+                        "gamma_at_edge", "n_failed", "n_at_edge"}
     side = json.loads((tmp_path / "fit.json.config.json").read_text())
     assert side["command"] == "analyze"
     from chiralchain import PhysicalParams, chain_g2_zero, od_to_atoms

@@ -1,9 +1,12 @@
 """Measurement chain: synthesis, histogramming, normalization, MLE, saturation."""
 
+from dataclasses import replace
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
+from scipy import optimize
 
 from chiralchain import (
     CoincidenceHistogram,
@@ -25,13 +28,22 @@ from chiralchain import (
     histogram_timetags,
     mle_fit_g2,
     normalize_histogram,
+    od_to_atoms,
     saturation_transmission,
     synth_histogram,
     synth_saturation_data,
     synth_timetags,
     time_unit_ns,
 )
-from chiralchain.photonstats import RunRecord, _symmetric_centers
+from chiralchain.photonstats import (
+    GAMMA_FIT_BAND,
+    TAIL_START_NS,
+    RunRecord,
+    _LOG_GAMMA_SCAN,
+    _fit_window_counts,
+    _likelihood_mask,
+    _symmetric_centers,
+)
 
 
 def _centers(k, width=2.0):
@@ -99,7 +111,8 @@ def test_time_tag_stream():
         with pytest.raises(DataError) as err:
             TimeTagStream(np.array(t0, np.int64), np.array(t1, np.int64))
         assert err.value.code == "timestamps-not-sorted"
-    for t0, t1 in (([1.5], []), ([], [2.0, 2.5])):
+    # integral floats outside int64 would cast to -2**63
+    for t0, t1 in (([1.5], []), ([], [2.0, 2.5]), ([1.0, np.inf], []), ([], [1.0, 1e30])):
         with pytest.raises(DataError) as err:
             TimeTagStream(np.array(t0), np.array(t1))
         assert err.value.code == "timestamps-not-integer"
@@ -109,10 +122,15 @@ def test_time_tag_stream():
 
 
 def test_fit_result_round_trip():
-    fit = FitResult(amplitude=0.4, gamma_fit=0.03, g2_zero=0.6, window_ns=30.0,
-                    a_err=0.05, n_bootstrap=50, seed=7)
+    fit = FitResult(amplitude=0.4, gamma_fit=0.004, g2_zero=0.6, window_ns=30.0,
+                    a_err=0.05, n_bootstrap=50, seed=7,
+                    gamma_at_edge=True, n_failed=2, n_at_edge=9)
     again = FitResult.from_dict(fit.to_dict())
     assert again == fit
+    # reports written before the fit diagnostics existed still load
+    old = {k: v for k, v in fit.to_dict().items()
+           if k not in ("gamma_at_edge", "n_failed", "n_at_edge")}
+    assert FitResult.from_dict(old) == replace(fit, gamma_at_edge=False, n_failed=0, n_at_edge=0)
 
 
 def test_saturation_data_validation():
@@ -190,6 +208,24 @@ def test_histogram_timetags_places_pairs():
     assert h.counts[h.tau_ns == 6.0] == 1  # tau = +5 ns falls in the (5, 7] bin
     far = TimeTagStream([0], [10_000_000])
     assert histogram_timetags(far, tau_max_ns=10.0).total_counts == 0
+
+
+def test_histogram_timetags_matches_all_pairs_reference():
+    # odd differences sit exactly on bin edges (2 ns bins centered on even
+    # ns), including both ends of the range, +-321 ns; every pair is binned
+    # as numpy bins float differences, the last edge closed
+    t0 = np.array([1_000, 1_004, 1_500, 2_000, 9_000], np.int64)
+    t1 = np.array([679, 995, 1_001, 1_005, 1_321, 1_325, 1_821, 2_321, 2_322, 9_000], np.int64)
+    diffs = (t1[None, :] - t0[:, None]).ravel().astype(float)
+    for width, tau_max in ((2.0, 320.0), (3.0, 90.0)):
+        h = histogram_timetags(TimeTagStream(t0, t1), bin_width_ns=width, tau_max_ns=tau_max)
+        edges = np.append(h.tau_ns - width / 2.0, h.tau_ns[-1] + width / 2.0)
+        ref = np.histogram(diffs[np.abs(diffs) <= edges[-1]], edges)[0]
+        np.testing.assert_array_equal(h.counts, ref)
+    h = histogram_timetags(TimeTagStream(t0, t1))
+    for tau, center in ((-321, -320.0), (-5, -4.0), (1, 2.0), (5, 6.0), (321, 320.0)):
+        assert tau in diffs
+        assert h.counts[h.tau_ns == center] >= 1
 
 
 def test_histogram_timetags_sign_convention():
@@ -343,6 +379,135 @@ def test_bootstrap_error_tracks_counting_noise():
         h = synth_histogram(curve, 3e4, 3e4, acq, seed=21)
         errs.append(bootstrap_error(mle_fit_g2(h), h, seed=0).a_err)
     assert 2.0 < errs[0] / errs[1] < 8.0  # expect ~4
+
+
+def test_fit_failures_are_raised_and_counted():
+    tau = _centers(160)
+    # an empty normalization tail: the likelihood runs to the |A| guard rail
+    empty_tail = CoincidenceHistogram(tau, np.where(np.abs(tau) <= 15, 50, 0))
+    with pytest.raises(NumericalError) as err:
+        mle_fit_g2(empty_tail)
+    assert err.value.code == "fit-failed"
+    # two tail counts: refits whose draw leaves the tail empty fail
+    counts = np.where(np.abs(tau) <= 15, 3, 0)
+    counts[0] = counts[-1] = 1
+    h = CoincidenceHistogram(tau, counts)
+    fit = mle_fit_g2(h)
+    boot = bootstrap_error(fit, h, seed=1, max_failures=0.5)
+    assert 0 < boot.n_failed <= 25 and math.isfinite(boot.a_err)
+    with pytest.raises(NumericalError) as err:
+        bootstrap_error(fit, h, seed=1, max_failures=0.2)
+    assert err.value.code == "unstable-fit"
+    # both refits of this draw fail: no spread to report, whatever the allowance
+    with pytest.raises(NumericalError) as err:
+        bootstrap_error(fit, h, n_samples=2, seed=3, max_failures=1.0)
+    assert err.value.code == "unstable-fit"
+
+
+def _reference_nll(tau, counts):
+    """The contrast nll as a plain function of (A, log gamma), 1e300 outside the band."""
+    at = np.abs(tau)
+    c = counts.astype(float)
+    lg_lo, lg_hi = (math.log(g) for g in GAMMA_FIT_BAND)
+
+    def nll(x):
+        a, lg = x
+        if abs(a) > 1e3 or not lg_lo <= lg <= lg_hi:
+            return 1e300
+        g = 1.0 - a * np.exp(-math.exp(lg) * at)
+        if np.any(g <= 1e-12):
+            return 1e300
+        return float(c.sum() * math.log(g.sum()) - c @ np.log(g))
+
+    return nll
+
+
+def _profile_minimum(tau, counts, log_gamma):
+    """Bounded Brent minimum of the reference nll over A at fixed gamma."""
+    nll = _reference_nll(tau, counts)
+    a_max = min(1e3, (1.0 - 1e-12) / math.exp(-math.exp(log_gamma) * np.abs(tau).min()))
+    return optimize.minimize_scalar(lambda a: nll((a, log_gamma)), bounds=(-1e3, a_max),
+                                    method="bounded", options={"xatol": 1e-12})
+
+
+def _nelder_mead_nll(tau, counts, extra_starts=()):
+    """Lowest Nelder-Mead nll from the six starts of the former fitter."""
+    nll = _reference_nll(tau, counts)
+    at = np.abs(tau)
+    outer = at >= 0.75 * at.max()
+    base = max(counts[outer].mean(), 0.5)
+    a0 = float(np.clip(1.0 - counts[np.argmin(at)] / base, -30.0, 0.99))
+    starts = [(a0, 1.0 / 30.6), (a0, 0.1), (a0, 0.008),
+              (0.98, 0.008), (0.98, 1.0 / 30.6), (-1.0, 0.1), *extra_starts]
+    best = math.inf
+    for a_s, g_s in starts:
+        res = optimize.minimize(nll, (a_s, math.log(g_s)), method="Nelder-Mead",
+                                options={"maxiter": 4000, "xatol": 1e-8, "fatol": 1e-11})
+        if res.success and abs(res.x[0]) <= 900.0:
+            best = min(best, res.fun)
+    return best
+
+
+def test_fitter_nll_never_above_nelder_mead():
+    # criterion-7 histograms (OD 3.15 seeds 2-3 put main fits and refits on
+    # the lower gamma edge), a deep dip at OD 5.13 and a bunched histogram
+    # in the 15 ns window; each main fit and its first ten bootstrap refits
+    hists = []
+    grid = TauGrid.linear(12.0, 481)
+    for od, seed in ((3.15, 2), (3.15, 3), (5.13, 0)):
+        n = int(round(od_to_atoms(od, 0.0081)))
+        curve = chain_g2(PhysicalParams(0.0081, n, 0.0), grid)
+        hists.append(histogram_timetags(synth_timetags(curve, 3e4, 3e4, 60.0, seed=seed)))
+    hists.append(synth_histogram(_exp_contrast_curve(-4.0, 0.06), 4e4, 4e4, 120.0, seed=6))
+    edges = 0
+    for k, h in enumerate(hists):
+        fit = mle_fit_g2(h)
+        assert fit.window_ns == (15.0 if k == 3 else 30.0)
+        mask = _likelihood_mask(h, fit.window_ns, TAIL_START_NS)
+        tau, cts = h.tau_ns[mask], h.counts[mask]
+        model = 1.0 - fit.amplitude * np.exp(-fit.gamma_fit * np.abs(tau))
+        rng = np.random.default_rng(10_000 + k)
+        rows = np.vstack([cts, rng.multinomial(cts.sum(), model / model.sum(), size=10)])
+        a, gamma, nll, at_edge = _fit_window_counts(tau, rows)
+        assert a[0] == fit.amplitude and at_edge[0] == fit.gamma_at_edge
+        for r, row in enumerate(rows):
+            warm = [(fit.amplitude, fit.gamma_fit)] if r else []
+            ref = _nelder_mead_nll(tau, row, warm)
+            assert nll[r] <= ref + 1e-9 * abs(ref), (k, r, nll[r], ref)
+            assert nll[r] == pytest.approx(_reference_nll(tau, row)((a[r], math.log(gamma[r]))),
+                                           rel=1e-12)
+            if at_edge[r]:
+                # on an edge, A is the constrained optimum: dnll/dA = 0 there
+                e = np.exp(-gamma[r] * np.abs(tau))
+
+                def dnll_da(x):
+                    g = 1.0 - x * e
+                    return (row * e / g).sum() - row.sum() * e.sum() / g.sum()
+
+                root = optimize.brentq(dnll_da, -1.0, 0.99, xtol=1e-14)
+                assert a[r] == pytest.approx(root, abs=1e-9)
+        assert np.array_equal(at_edge, np.isin(gamma, GAMMA_FIT_BAND))
+        edges += int(at_edge.sum())
+    assert edges > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(amplitude=st.floats(-6.0, 0.95), log_gamma=st.floats(math.log(0.002), math.log(0.8)),
+       level=st.floats(3.0, 300.0), window=st.sampled_from([15.0, 30.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_fitter_stays_in_band_and_beats_every_scan_point(amplitude, log_gamma, level,
+                                                          window, seed):
+    tau = _centers(160)
+    tau = tau[(np.abs(tau) <= window) | (np.abs(tau) > TAIL_START_NS)]
+    mean = level * (1.0 - amplitude * np.exp(-math.exp(log_gamma) * np.abs(tau)))
+    counts = np.random.default_rng(seed).poisson(mean)
+    a, gamma, nll, at_edge = _fit_window_counts(tau, counts[None, :])
+    assert np.isfinite(nll[0])
+    assert GAMMA_FIT_BAND[0] <= gamma[0] <= GAMMA_FIT_BAND[1]
+    assert at_edge[0] == (gamma[0] in GAMMA_FIT_BAND)
+    for lg in _LOG_GAMMA_SCAN:
+        scan_point = _profile_minimum(tau, counts, lg).fun
+        assert nll[0] <= scan_point + 1e-9 * abs(scan_point)
 
 
 # ---------------------------------------------------------------------------
