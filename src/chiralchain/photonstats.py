@@ -67,6 +67,8 @@ DEFAULT_GAMMA_MHZ = 5.2
 DEFAULT_BIN_NS = 2.0
 DEFAULT_TAU_MAX_NS = 320.0
 TAIL_START_NS = 200.0
+# largest share of detector-1 tags that clipping may add in synth_timetags
+CLIP_BIAS_BOUND = 0.02
 
 
 @dataclass(frozen=True)
@@ -171,12 +173,18 @@ class TimeTagStream:
             ts = np.asarray(getattr(self, name))
             if ts.ndim != 1:
                 raise DataError("timestamps-not-1d", f"{name} must be a 1d array")
-            if not np.issubdtype(ts.dtype, np.integer):
+            if np.issubdtype(ts.dtype, np.unsignedinteger):
+                # uint64 values >= 2**63 would wrap to negative int64
+                outside = ts > np.iinfo(np.int64).max
+            elif not np.issubdtype(ts.dtype, np.integer):
                 tsf = np.asarray(ts, dtype=float)
                 # -2**63 <= x < 2**63 is exactly the float range that casts to int64
-                if np.any((tsf != np.floor(tsf)) | ~(tsf >= -2.0**63) | ~(tsf < 2.0**63)):
-                    raise DataError("timestamps-not-integer",
-                                    "timestamps must be integer ns within the int64 range")
+                outside = (tsf != np.floor(tsf)) | ~(tsf >= -2.0**63) | ~(tsf < 2.0**63)
+            else:
+                outside = False
+            if np.any(outside):
+                raise DataError("timestamps-not-integer",
+                                "timestamps must be integer ns within the int64 range")
             ts = np.asarray(ts, dtype=np.int64)
             if np.any(ts[1:] < ts[:-1]):
                 raise DataError("timestamps-not-sorted", "timestamps must be non-decreasing")
@@ -342,57 +350,129 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
                    seed: int, *, gamma_mhz: float = DEFAULT_GAMMA_MHZ) -> TimeTagStream:
     """Time-tag stream whose cross-correlation follows a model g2.
 
-    Detector 0 is drawn as a homogeneous Poisson process at rate1; detector 1
-    is an inhomogeneous Poisson process with intensity
-    rate2 * (1 + sum_j (g2(t - t_j) - 1)) over the detector-0 tags t_j,
-    sampled by thinning.  Only the cross-correlation between the detectors is
-    faithful; autocorrelations of the individual channels are Poissonian.
-    Raises "thinning-overflow" before any draw when the expected number of
-    thinning candidates, as float64, would not fit in the installed memory.
+    Detector 0 is a homogeneous Poisson process at rate1.  Detector 1 is an
+    inhomogeneous Poisson process with intensity
+
+        rate2 * (1 - R + sum_j (g2(t - t_j) - 1))
+
+    over the detector-0 tags t_j, where g2 - 1 is zero beyond the curve
+    support S (its last grid delay) and R = rate1 * int (g2 - 1) dtau over
+    [-S, S].  The other tags' excess raises the mean level by R, so lowering
+    the baseline by R makes the rate conditioned on a detector-0 tag at s
+    exactly rate2 * g2(t - s), at any rate.  Only the cross-correlation
+    between the detectors is faithful; autocorrelations of the individual
+    channels are Poissonian.
+
+    Sampling is exact thinning (Lewis & Shedler, Naval Res. Logist. Q. 26,
+    403 (1979)).  The candidates are a Poisson process at rate2 * (1 - R)
+    over the whole span plus, on each window [t_j - S, t_j + S], one at
+    rate2 * env(t - t_j), where env is constant on each grid cell at the
+    larger of max(g2 - 1, 0) at its two ends, so it bounds the linearly
+    interpolated excess everywhere.  A candidate in no window is kept as
+    drawn; one in a window is kept with probability
+    max(1 - R + sum excess, 0) / (1 - R + sum env), summed over every
+    detector-0 tag within S.
+
+    Where 1 - R + sum excess < 0 the intensity clips at 0.  The tags this
+    adds raise the detector-1 rate by a share f, counted in expectation
+    over the clipped candidates; they move the tail-normalised g2 by the
+    order of f * |g2 - 1| where g2 is well above 0, and by more where it
+    nears 0, since the intensity clips most often there.
+    Raises NumericalError "intensity-clipped" when f exceeds
+    CLIP_BIAS_BOUND (2 %), and before any draw when R >= 1, where the
+    baseline vanishes.  Raises "thinning-overflow" before any draw when
+    the expected number of candidates,
+    rate2 * T * (1 - R + rate1 * int 2 env dtau), as float64, would not fit
+    in the installed memory.
     """
     if rate1 <= 0 or rate2 <= 0 or duration_s <= 0:
         raise ParameterError("rates-not-positive", "rates and duration must be > 0")
     scale = 1.0 if curve.grid.unit == "ns" else time_unit_ns(gamma_mhz)
-    support_ns = float(curve.grid.values[-1]) * scale
-    tau_grid_ns = curve.grid.values * scale
-    g2max = float(max(curve.values.max(), 1.0))
-    # cap covers two simultaneously contributing neighbor tags; more within one
-    # correlation window is vanishingly rare at the intended sparse rates
-    lam_cap = rate2 * (1.0 + 2.0 * (g2max - 1.0))
-    n_expected = lam_cap * duration_s
+    tau_ns = curve.grid.values * scale
+    support_ns = float(tau_ns[-1])
+    excess = curve.values - 1.0
+    env = np.maximum(np.maximum(excess[:-1], excess[1:]), 0.0)
+    env_area = env * np.diff(tau_ns)
+    cells = np.flatnonzero(env_area > 0.0)
+    cum = np.concatenate([[0.0], np.cumsum(env_area[cells])])
+    # level = 1 - R; the integrals are two-sided, in ns
+    env_ns = 2.0 * float(cum[-1])
+    level = 1.0 - rate1 * 1e-9 * 2.0 * float(np.trapezoid(excess, tau_ns))
+    n_expected = rate2 * duration_s * (level + rate1 * 1e-9 * env_ns)
     if not (math.isfinite(n_expected) and 8.0 * n_expected <= _physical_memory_bytes()):
         raise NumericalError(
             "thinning-overflow",
-            f"thinning needs ~{n_expected:.3g} candidate tags (g2 peaks at {g2max:.3g}), "
-            "more than fit in memory; shorten the duration or lower the rates",
+            f"thinning needs ~{n_expected:.3g} candidate tags, more than fit in memory; "
+            "shorten the duration or lower the rates",
+        )
+    if level <= 0.0:
+        raise NumericalError(
+            "intensity-clipped",
+            f"rate1 * int (g2 - 1) dtau = {1.0 - level:.3g} >= 1 leaves no uncorrelated "
+            "detector-1 level; lower rate1",
         )
     rng = np.random.default_rng(seed)
+    span_ns = duration_s * 1e9
 
-    n0 = rng.poisson(rate1 * duration_s)
-    t0 = np.sort(rng.uniform(0.0, duration_s, n0)) * 1e9
+    t0 = np.sort(rng.uniform(0.0, span_ns, rng.poisson(rate1 * duration_s)))
 
-    ncand = rng.poisson(lam_cap * duration_s)
-    tc = np.sort(rng.uniform(0.0, duration_s, ncand)) * 1e9
+    # window candidates: pick an owner tag, a side and a cell by area, then
+    # a uniform delay inside the cell (inverse CDF of the step envelope)
+    n_extra = rng.poisson(t0.size * rate2 * 1e-9 * env_ns)
+    u = rng.uniform(-cum[-1], cum[-1], n_extra)
+    au = np.abs(u)
+    k = np.minimum(np.searchsorted(cum, au, side="right") - 1, cells.size - 1)
+    delay = tau_ns[cells[k]] + (au - cum[k]) / env[cells[k]]
+    extra = t0[rng.integers(0, t0.size, n_extra)] + np.copysign(delay, u)
+    extra = extra[(extra >= 0.0) & (extra < span_ns)]
 
-    kept = []
-    chunk = 4_000_000
-    for a in range(0, tc.size, chunk):
-        blk = tc[a:a + chunk]
-        excess = np.zeros(blk.size)
-        if t0.size:
-            pos = np.searchsorted(t0, blk)
-            for off in (-3, -2, -1, 0, 1, 2):
-                idx = np.clip(pos + off, 0, t0.size - 1)
-                dt = np.abs(blk - t0[idx])
-                near = (dt <= support_ns) & (pos + off >= 0) & (pos + off < t0.size)
-                if np.any(near):
-                    excess[near] += np.interp(dt[near], tau_grid_ns, curve.values, right=1.0) - 1.0
-        lam = rate2 * np.maximum(1.0 + excess, 0.0)
-        accept = rng.uniform(size=blk.size) < lam / lam_cap
-        kept.append(blk[accept])
-    t1 = np.concatenate(kept) if kept else np.empty(0)
+    tc = np.sort(np.concatenate([
+        rng.uniform(0.0, span_ns, rng.poisson(rate2 * duration_s * level)), extra]))
 
-    return TimeTagStream(np.round(t0).astype(np.int64), np.round(t1).astype(np.int64))
+    i, j = _pairs_within(t0, tc, support_ns)
+    d = np.abs(tc[j] - t0[i])
+    cell = np.minimum(np.searchsorted(tau_ns, d, side="right") - 1, env.size - 1)
+    near, inv = np.unique(j, return_inverse=True)
+    # target and candidate intensities over rate2, per candidate in a window
+    lam = level + np.bincount(inv, np.interp(d, tau_ns, excess), near.size)
+    lam_cand = level + np.bincount(inv, env[cell], near.size)
+    keep = np.ones(tc.size, dtype=bool)
+    keep[near] = rng.uniform(size=near.size) * lam_cand < lam
+
+    # a candidate stands for 1 / (rate2 * lam_cand) of time, so clipping adds
+    # sum(-lam / lam_cand) tags over the clipped candidates in expectation
+    clipped = lam < 0.0
+    added = float(np.sum(-lam[clipped] / lam_cand[clipped])) / (rate2 * duration_s)
+    if added > CLIP_BIAS_BOUND:
+        raise NumericalError(
+            "intensity-clipped",
+            f"{int(clipped.sum())} candidates clip at zero intensity, adding "
+            f"{added:.2%} to the detector-1 rate (bound {CLIP_BIAS_BOUND:.0%}); "
+            "lower the rates",
+        )
+
+    return TimeTagStream(np.round(t0).astype(np.int64), np.round(tc[keep]).astype(np.int64))
+
+
+def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with |b[j] - a[i]| <= reach, for sorted a and b.
+
+    A searchsorted of a - reach finds each a-tag's first partner; the walk
+    then goes forward one partner rank per numpy pass, keeping only the
+    tags still pairing.
+    """
+    i = np.arange(a.size)
+    j = np.searchsorted(b, a - reach, side="left")
+    pairs_i, pairs_j = [i[:0]], [j[:0]]
+    while i.size:
+        more = j < b.size
+        i, j = i[more], j[more]
+        near = b[j] - a[i] <= reach
+        i, j = i[near], j[near]
+        pairs_i.append(i)
+        pairs_j.append(j)
+        j = j + 1
+    return np.concatenate(pairs_i), np.concatenate(pairs_j)
 
 
 def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_BIN_NS,
@@ -432,23 +512,9 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
 
     centers = _symmetric_centers(bin_width_ns, tau_max_ns)
     edges = np.concatenate([centers - bin_width_ns / 2.0, [centers[-1] + bin_width_ns / 2.0]])
-    counts = np.zeros(centers.size, dtype=np.int64)
-    if t0.size and t1.size:
-        # pair differences are integers, so |tau| <= reach means |tau| <= floor(reach)
-        reach = math.floor(edges[-1])
-        # walk forward from each detector-0 tag's first partner (tau >= -reach)
-        # until tau > reach; each pass keeps only the tags still pairing
-        i = np.arange(t0.size)
-        j = np.searchsorted(t1, t0 - reach, side="left")
-        diffs = []
-        while i.size:
-            more = j < t1.size
-            i, j = i[more], j[more]
-            d = t1[j] - t0[i]
-            near = d <= reach
-            i, j = i[near], j[near] + 1
-            diffs.append(d[near])
-        counts = np.histogram(np.concatenate(diffs), edges)[0].astype(np.int64)
+    # pair differences are integers, so |tau| <= reach means |tau| <= floor(reach)
+    i, j = _pairs_within(t0, t1, math.floor(edges[-1]))
+    counts = np.histogram(t1[j] - t0[i], edges)[0].astype(np.int64)
 
     r1 = t0.size / acq if acq else None
     r2 = t1.size / acq if acq else None

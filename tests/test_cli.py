@@ -207,8 +207,8 @@ def test_analyze_auto_format_reads_quoted_header(tmp_path):
 
 
 def test_synth_thinning_overflow_exits_3(tmp_path):
-    # at N = 600 (OD 19.6) g2 peaks near 1e11, so thinning would need ~1e16
-    # candidate tags in one second: more than any machine holds
+    # at N = 600 (OD 19.6) g2 peaks near 1e11, so thinning would need ~9e10
+    # candidate tags (740 GB) in one second: more than the machine holds
     import chiralchain
     src = os.path.dirname(os.path.dirname(chiralchain.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -223,12 +223,12 @@ def test_synth_thinning_overflow_exits_3(tmp_path):
     assert not out.exists()
 
 
-def test_synth_thinning_overflow_draws_nothing(tmp_path, monkeypatch):
-    # ~2.4e7 candidates (190 MB) against 64 MiB of memory: refused before
+def test_synth_thinning_overflow_draws_nothing(tmp_path, monkeypatch, capsys):
+    # ~1.5e4 candidates (120 kB) against 64 KiB of memory: refused before
     # any array of tags is drawn
     import tracemalloc
     from chiralchain import photonstats
-    monkeypatch.setattr(photonstats, "_physical_memory_bytes", lambda: 64.0 * 2**20)
+    monkeypatch.setattr(photonstats, "_physical_memory_bytes", lambda: 64.0 * 2**10)
     tracemalloc.start()
     try:
         code = run(tmp_path, "synth", "--kind", "timetags", "--n-atoms", 300,
@@ -237,7 +237,17 @@ def test_synth_thinning_overflow_draws_nothing(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 3
+    assert "thinning-overflow" in capsys.readouterr().err
     assert peak < 16 * 2**20
+
+
+def test_synth_intensity_clipped_exits_3(tmp_path, capsys):
+    # at 3e7/s the detector-0 tags of OD 6.75 leave no uncorrelated level
+    out = tmp_path / "tags.csv"
+    assert run(tmp_path, "synth", "--kind", "timetags", "--od", 6.75, "--rate1", 3e7,
+               "--rate2", 3e7, "--duration", 1, "--output", out) == 3
+    assert "[intensity-clipped]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_data_errors(tmp_path, capsys):

@@ -42,6 +42,7 @@ from chiralchain.photonstats import (
     _LOG_GAMMA_SCAN,
     _fit_window_counts,
     _likelihood_mask,
+    _pairs_within,
     _symmetric_centers,
 )
 
@@ -111,8 +112,10 @@ def test_time_tag_stream():
         with pytest.raises(DataError) as err:
             TimeTagStream(np.array(t0, np.int64), np.array(t1, np.int64))
         assert err.value.code == "timestamps-not-sorted"
-    # integral floats outside int64 would cast to -2**63
-    for t0, t1 in (([1.5], []), ([], [2.0, 2.5]), ([1.0, np.inf], []), ([], [1.0, 1e30])):
+    # integral floats outside int64 would cast to -2**63, unsigned values
+    # from 2**63 up would wrap to negative int64
+    for t0, t1 in (([1.5], []), ([], [2.0, 2.5]), ([1.0, np.inf], []), ([], [1.0, 1e30]),
+                   ([np.uint64(2**63 + 5)], [])):
         with pytest.raises(DataError) as err:
             TimeTagStream(np.array(t0), np.array(t1))
         assert err.value.code == "timestamps-not-integer"
@@ -199,6 +202,51 @@ def test_synth_timetags_deterministic():
     b = synth_timetags(curve, 1e4, 1e4, 2.0, seed=3)
     np.testing.assert_array_equal(a.t0_ns, b.t0_ns)
     np.testing.assert_array_equal(a.t1_ns, b.t1_ns)
+
+
+def _chain_curve(od):
+    n = int(round(od_to_atoms(od, 0.0081)))
+    return chain_g2(PhysicalParams(0.0081, n, 0.0), TauGrid.linear(12.0, 481))
+
+
+def test_synth_timetags_exact_at_high_rate():
+    # at 5e6/s each detector-0 tag has ~3.7 others within the 367 ns support,
+    # whose excess raises the uncorrelated level by R = rate1 * int (g2 - 1)
+    # = 0.18 at OD 6.75; a baseline not lowered by R reads 1 + (g2 - 1) / (1 + R)
+    # in the tail-normalised histogram, 1.50 instead of the model g2(60 ns) = 1.592
+    curve = _chain_curve(6.75)
+    h = histogram_timetags(synth_timetags(curve, 5e6, 5e6, 0.2, seed=1))
+    g2 = normalize_histogram(h)
+    at60 = np.abs(h.tau_ns) == 60.0
+    tail = np.abs(h.tau_ns) > TAIL_START_NS
+    measured = g2.values[g2.grid.values == 60.0][0]
+    sigma = measured * math.sqrt(1.0 / h.counts[at60].sum() + 1.0 / h.counts[tail].sum())
+    model = curve_values_ns(curve, np.array([60.0]))[0]
+    assert abs(measured - model) <= 3.0 * sigma, (measured, model, sigma)
+
+
+def test_synth_timetags_refuses_clipped_intensity():
+    # OD 6.75: g2 falls to 0 near 8 ns.  At 1e7/s R = 0.37, so the intensity
+    # clips at 0 wherever g2 < R, adding ~5 % to the detector-1 rate; at
+    # 3e7/s R = 1.1 leaves no uncorrelated level, refused before any draw
+    curve = _chain_curve(6.75)
+    for rate, duration in ((1e7, 0.02), (3e7, 1.0)):
+        with pytest.raises(NumericalError) as err:
+            synth_timetags(curve, rate, rate, duration, seed=1)
+        assert err.value.code == "intensity-clipped"
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(st.integers(-40, 40), max_size=25), b=st.lists(st.integers(-40, 40), max_size=25),
+       reach=st.integers(0, 12))
+def test_pairs_within_matches_all_pairs(a, b, reach):
+    # a narrow value range makes ties within and across the two sides common
+    a, b = np.sort(np.array(a, np.int64)), np.sort(np.array(b, np.int64))
+    i, j = _pairs_within(a, b, reach)
+    got = list(zip(i.tolist(), j.tolist()))
+    want = {(p, q) for p in range(a.size) for q in range(b.size)
+            if abs(int(b[q]) - int(a[p])) <= reach}
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 def test_histogram_timetags_places_pairs():
