@@ -15,7 +15,9 @@ from .transport import (
     ChainState,
     RateReport,
     chain_g2,
+    chain_g2_by_length,
     chain_g2_zero,
+    chain_g2_zero_by_length,
     chain_steady_state,
     chain_transmission,
     chain_two_photon_amplitude,

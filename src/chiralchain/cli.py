@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 
@@ -100,9 +101,7 @@ def _sidecar(path: str, command: str, values: dict, prov: dict, extra: dict | No
            "params": {k: {"value": values[k], "source": prov[k]} for k in sorted(values)}}
     if extra:
         doc.update(extra)
-    with open(path + ".config.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path + ".config.json", doc)
 
 
 def _load_config(path: str | None) -> dict | None:
@@ -123,29 +122,34 @@ def _load_config(path: str | None) -> dict | None:
 # ---------------------------------------------------------------------------
 # file formats
 
-def _fmt(x: float) -> str:
+def _cell(x) -> str:
+    """CSV text of one value: integers as such, floats by repr, None empty."""
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     return repr(float(x))
+
+
+def _write_csv(path: str, header: list[str], *columns):
+    """CSV with the given header and one row per position of the columns."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_cell(x) for x in row] for row in zip(*columns))
 
 
 def write_curve_csv(path: str, curve: G2Curve, gamma_mhz: float):
     """Two-sided curve CSV with both physical and natural delay columns."""
-    scale = 1.0 if curve.grid.unit == "ns" else time_unit_ns(gamma_mhz)
+    unit_ns = time_unit_ns(gamma_mhz)
     tau, g2 = curve.mirrored()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau_ns", "tau_gamma", "g2"])
-        for t, v in zip(tau, g2):
-            t_ns = t * scale if curve.grid.unit == "gamma" else t
-            t_gm = t if curve.grid.unit == "gamma" else t / time_unit_ns(gamma_mhz)
-            w.writerow([_fmt(t_ns), _fmt(t_gm), _fmt(v)])
+    natural = curve.grid.unit == "gamma"
+    _write_csv(path, ["tau_ns", "tau_gamma", "g2"],
+               tau * unit_ns if natural else tau, tau if natural else tau / unit_ns, g2)
 
 
 def write_histogram_csv(path: str, hist: ps.CoincidenceHistogram):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau_ns", "counts"])
-        for t, c in zip(hist.tau_ns, hist.counts):
-            w.writerow([_fmt(t), int(c)])
+    _write_csv(path, ["tau_ns", "counts"], hist.tau_ns, hist.counts)
 
 
 def _read_table(path: str, columns: list[str], code: str, dtype=np.float64):
@@ -235,11 +239,7 @@ def read_timetags_csv(path: str) -> ps.TimeTagStream:
 
 
 def write_saturation_csv(path: str, data: ps.SaturationData):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s0", "transmission"])
-        for s, t in zip(data.s0, data.transmission):
-            w.writerow([_fmt(s), _fmt(t)])
+    _write_csv(path, ["s0", "transmission"], data.s0, data.transmission)
 
 
 def read_saturation_csv(path: str) -> ps.SaturationData:
@@ -273,18 +273,28 @@ def _grid_from(values) -> TauGrid:
     return TauGrid.linear(values["tau_max"], values["n_points"])
 
 
-def _atoms_for_od(od: float, beta: float) -> int:
-    return int(round(od_to_atoms(od, beta)))
-
-
 def _distribution(values, od):
-    bins = OdBinSpec(OdBinSpec.default().edges, photon_budget=values["budget"])
+    bins = OdBinSpec.default(values["budget"])
     idx = bins.bin_index(od)
     if idx < 0:
         raise ParameterError("od-outside-scheme", f"OD {od:g} is outside the binning scheme")
     return build_number_distribution(
         bins, idx, values["beta"], preparation_spread=values["spread"],
         loading_gain=values["loading_gain"], loading_max_od=values["loading_max_od"])
+
+
+def _model_curve(values, kind: str, od: float | None = None,
+                 n_atoms: int | None = None) -> tuple[int, G2Curve]:
+    """Chain length and ideal or averaged model curve at one OD or atom number."""
+    beta = values["beta"]
+    n = int(n_atoms) if od is None else int(round(od_to_atoms(od, beta)))
+    params = PhysicalParams(beta=beta, n_atoms=n, detuning=values["detuning"])
+    grid = _grid_from(values)
+    if kind == "ideal":
+        return n, chain_g2(params, grid)
+    if od is None:
+        od = n * od_per_atom(beta)
+    return n, averaged_g2(_distribution(values, od), params, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -309,26 +319,16 @@ def cmd_simulate(values, prov) -> int:
         raise ParameterError("od-and-n-atoms", "give either --od or --n-atoms, not both")
     if ods is None and natoms is None:
         raise ParameterError("no-configuration", "need at least one --od or --n-atoms")
-    grid = _grid_from(values)
     kinds = ("ideal", "averaged") if values["kind"] == "both" else (values["kind"],)
-
-    targets = []
     if ods is not None:
-        targets = [(f"od{od:g}", od, _atoms_for_od(od, values["beta"])) for od in ods]
+        targets = [(f"od{od:g}", od, None) for od in ods]
     else:
-        targets = [(f"n{n}", None, int(n)) for n in natoms]
+        targets = [(f"n{n}", None, n) for n in natoms]
 
     multi = len(targets) > 1 or len(kinds) > 1
-    for label, od, n in targets:
-        params = PhysicalParams(beta=values["beta"], n_atoms=n, detuning=values["detuning"])
+    for label, od, n_atoms in targets:
         for kind in kinds:
-            if kind == "averaged":
-                if od is None:
-                    od = n * od_per_atom(values["beta"])
-                dist = _distribution(values, od)
-                curve = averaged_g2(dist, params, grid)
-            else:
-                curve = chain_g2(params, grid)
+            n, curve = _model_curve(values, kind, od, n_atoms)
             if multi:
                 stem = values["output"]
                 stem = stem[:-4] if stem.endswith(".csv") else stem
@@ -354,25 +354,23 @@ _SWEEP = _PHYS + _SPREAD + [
 
 
 def cmd_sweep(values, prov) -> int:
-    if values["od_step"] <= 0:
-        raise ParameterError("bad-od-step", "od_step must be > 0")
+    if not (math.isfinite(values["od_step"]) and values["od_step"] > 0):
+        raise ParameterError("bad-od-step", "od_step must be finite and > 0")
+    if not (math.isfinite(values["od_min"]) and math.isfinite(values["od_max"])):
+        raise ParameterError("bad-od-grid", "od_min and od_max must be finite")
     grid = np.arange(values["od_min"], values["od_max"] + 1e-9, values["od_step"])
     if grid.size == 0:
         raise ParameterError("empty-od-grid", "the requested OD grid is empty")
-    bins = OdBinSpec(OdBinSpec.default().edges, photon_budget=values["budget"])
-    rows = sweep_g2_vs_od(values["beta"], grid, bins=bins,
+    rows = sweep_g2_vs_od(values["beta"], grid, bins=OdBinSpec.default(values["budget"]),
                           preparation_spread=values["spread"],
                           averaged=bool(values["averaged"]),
                           detuning=values["detuning"],
                           loading_gain=values["loading_gain"],
                           loading_max_od=values["loading_max_od"])
     path = values["output"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["od", "n_mean", "g2_0_ideal", "g2_0_averaged"])
-        for r in rows:
-            w.writerow([_fmt(r.od), _fmt(r.n_mean), _fmt(r.g2_0_ideal),
-                        "" if r.g2_0_averaged is None else _fmt(r.g2_0_averaged)])
+    _write_csv(path, ["od", "n_mean", "g2_0_ideal", "g2_0_averaged"],
+               [r.od for r in rows], [r.n_mean for r in rows],
+               [r.g2_0_ideal for r in rows], [r.g2_0_averaged for r in rows])
     extra = {}
     if values["fit_points"] is not None:
         od_pts, g2_pts = _read_points_csv(values["fit_points"])
@@ -435,26 +433,13 @@ _SYNTH = _PHYS + _SPREAD + [
 ]
 
 
-def _synth_curve(values) -> G2Curve:
-    if (values["od"] is None) == (values["n_atoms"] is None):
-        raise ParameterError("no-configuration", "give exactly one of --od or --n-atoms")
-    if values["od"] is not None:
-        od = values["od"]
-        n = _atoms_for_od(od, values["beta"])
-    else:
-        n = int(values["n_atoms"])
-        od = n * od_per_atom(values["beta"])
-    params = PhysicalParams(beta=values["beta"], n_atoms=n, detuning=values["detuning"])
-    grid = _grid_from(values)
-    if values["averaged"]:
-        return averaged_g2(_distribution(values, od), params, grid)
-    return chain_g2(params, grid)
-
-
 def cmd_synth(values, prov) -> int:
     if values["kind"] not in ("histogram", "timetags"):
         raise ParameterError("bad-kind", f"kind must be histogram or timetags, got {values['kind']!r}")
-    curve = _synth_curve(values)
+    if (values["od"] is None) == (values["n_atoms"] is None):
+        raise ParameterError("no-configuration", "give exactly one of --od or --n-atoms")
+    _, curve = _model_curve(values, "averaged" if values["averaged"] else "ideal",
+                            values["od"], values["n_atoms"])
     path = values["output"]
     if values["kind"] == "histogram":
         hist = ps.synth_histogram(curve, values["rate1"], values["rate2"],
@@ -509,12 +494,10 @@ def cmd_analyze(values, prov) -> int:
     if fmt == "auto":
         fmt = _sniff_format(values["input"])
     if fmt == "timetags":
-        stream = read_timetags_csv(values["input"])
-        kwargs = {}
-        if values["pulse_period_ns"] is not None:
-            kwargs["pulse_period_ns"] = values["pulse_period_ns"]
-        hist = ps.histogram_timetags(stream, bin_width_ns=values["bin_width_ns"],
-                                     tau_max_ns=values["tau_max_ns"], **kwargs)
+        hist = ps.histogram_timetags(read_timetags_csv(values["input"]),
+                                     bin_width_ns=values["bin_width_ns"],
+                                     tau_max_ns=values["tau_max_ns"],
+                                     pulse_period_ns=values["pulse_period_ns"])
     elif fmt == "histogram":
         hist = read_histogram_csv(values["input"])
     else:
@@ -526,12 +509,12 @@ def cmd_analyze(values, prov) -> int:
                         tail_start_ns=values["tail_start_ns"])
     fit = ps.bootstrap_error(fit, hist, n_samples=values["n_bootstrap"],
                              seed=values["seed"], tail_start_ns=values["tail_start_ns"])
-    path = values["output"]
-    _write_json(path, fit.to_dict())
-    _sidecar(path, "analyze", values, prov)
     if values["curve_output"] is not None:
         write_curve_csv(values["curve_output"], curve, values["gamma_mhz"])
         _sidecar(values["curve_output"], "analyze", values, prov)
+    path = values["output"]
+    _write_json(path, fit.to_dict())
+    _sidecar(path, "analyze", values, prov)
     print(f"wrote {path}: g2(0) = {fit.g2_zero:.4f} +- {fit.a_err:.4f} "
           f"(window {fit.window_ns:g} ns)")
     return 0

@@ -58,8 +58,8 @@ class DataError(ValueError):
 
 def time_unit_ns(gamma_mhz: float) -> float:
     """Length of the natural time unit 1/Gamma in ns, for Gamma/2pi in MHz."""
-    if gamma_mhz <= 0:
-        raise ParameterError("gamma-not-positive", f"gamma_mhz must be > 0, got {gamma_mhz}")
+    if not (math.isfinite(gamma_mhz) and gamma_mhz > 0):
+        raise ParameterError("gamma-not-positive", f"gamma_mhz must be finite, > 0: {gamma_mhz}")
     return 1e3 / (2.0 * math.pi * gamma_mhz)
 
 

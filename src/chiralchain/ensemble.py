@@ -41,9 +41,8 @@ from .core import (
     ParameterError,
     PhysicalParams,
     TauGrid,
-    validate_params,
 )
-from .transport import TRANSMISSION_FLOOR, _chain, _g2_curves, chain_g2_zero, od_per_atom
+from .transport import chain_g2_by_length, chain_g2_zero_by_length, od_per_atom
 
 __all__ = [
     "OdBinSpec",
@@ -296,6 +295,17 @@ def build_number_distribution(bins: OdBinSpec, bin_index: int, beta: float,
     return NumberDistribution(ns, weights, rates)
 
 
+def _rate_weighted_mean(dist: NumberDistribution, values: np.ndarray):
+    """sum_N w_N r_N^2 values[N] / sum_N w_N r_N^2, values[i] at N = support[i].
+
+    Pooled coincidences weight each run by its pair rate, w_N r_N^2.  The
+    rows of 2d values are added one after another, in support order.
+    """
+    wr = dist.weights * dist.rate_weights**2
+    wr = wr.reshape((-1,) + (1,) * (values.ndim - 1))
+    return (wr * values).sum(axis=0) / wr.sum()
+
+
 def averaged_g2(dist: NumberDistribution, params: PhysicalParams,
                 grid: TauGrid) -> G2Curve:
     """Distribution-averaged g2: pooled histograms weight runs by rate^2.
@@ -303,23 +313,18 @@ def averaged_g2(dist: NumberDistribution, params: PhysicalParams,
     g2_avg = sum_N w_N r_N^2 g2_N / sum_N w_N r_N^2.  The atom number in
     ``params`` is ignored; the distribution supplies N.
     """
-    validate_params(params)
-    curves = _g2_curves(params, dist.support.tolist(), grid, TRANSMISSION_FLOOR)
-    wr = dist.weights * dist.rate_weights**2
-    values = np.zeros(grid.values.size)
+    curves = chain_g2_by_length(params, dist.support, grid)
+    values = _rate_weighted_mean(dist, np.array([c.values for c in curves]))
     trans = 0.0
-    for w, wrate, curve in zip(dist.weights, wr, curves):
-        values += wrate * curve.values
+    for w, curve in zip(dist.weights, curves):
         trans += w * curve.transmission
-    return G2Curve(grid, values / wr.sum(), transmission=trans)
+    return G2Curve(grid, values, transmission=trans)
 
 
 def averaged_g2_zero(dist: NumberDistribution, beta: float,
                      detuning: float = 0.0) -> float:
     """Equal-time version of averaged_g2, cheap enough for OD sweeps."""
-    wr = dist.weights * dist.rate_weights**2
-    g = _chain(beta, detuning).g2_zero(dist.support)
-    return float((wr * g).sum() / wr.sum())
+    return float(_rate_weighted_mean(dist, chain_g2_zero_by_length(beta, dist.support, detuning)))
 
 
 @dataclass(frozen=True)
@@ -350,38 +355,29 @@ def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
     if bins is None:
         bins = OdBinSpec.default()
 
-    # the distributions come first, so that the chain is extended once, to
-    # the longest chain any row reads
     n_rounds = [int(round(od_to_atoms(float(od), beta))) for od in od_grid]
-    dists: list[NumberDistribution | None] = []
-    dist_cache: dict[int, NumberDistribution | None] = {}
-    for od in od_grid:
-        if not averaged or od == 0.0:
-            dists.append(None)
-            continue
-        idx = bins.bin_index(float(od))
-        if idx not in dist_cache:
-            try:
-                dist_cache[idx] = build_number_distribution(
-                    bins, idx, beta, preparation_spread, loading_gain, loading_max_od)
-            except DataError:
-                dist_cache[idx] = None
-        dists.append(dist_cache[idx])
-    ch = _chain(beta, detuning)
-    ch.extend_to(max(n_rounds + [int(d.support[-1]) for d in dists if d is not None]))
+    bin_of = [bins.bin_index(float(od)) if averaged and od > 0.0 else None for od in od_grid]
+    dists: dict[int, NumberDistribution] = {}
+    for idx in set(bin_of) - {None}:
+        try:
+            dists[idx] = build_number_distribution(
+                bins, idx, beta, preparation_spread, loading_gain, loading_max_od)
+        except DataError:
+            pass
+    # one g2(0) call covers every chain length any row reads
+    n_top = max(n_rounds + [int(d.support[-1]) for d in dists.values()])
+    g2z = chain_g2_zero_by_length(beta, np.arange(n_top + 1), detuning)
 
     rows = []
-    for od, n_round, dist in zip(od_grid, n_rounds, dists):
-        g2_ideal = float(ch.g2_zero(n_round))
-        g2_avg = None
-        n_mean = od_to_atoms(float(od), beta)
+    for od, n_round, idx in zip(od_grid, n_rounds, bin_of):
+        dist = dists.get(idx)
         if averaged and od == 0.0:
-            g2_avg = 1.0
-            n_mean = 0.0
+            n_mean, g2_avg = 0.0, 1.0
         elif dist is not None:
-            g2_avg = averaged_g2_zero(dist, beta, detuning)
-            n_mean = dist.mean
-        rows.append(SweepRow(float(od), n_mean, g2_ideal, g2_avg))
+            n_mean, g2_avg = dist.mean, float(_rate_weighted_mean(dist, g2z[dist.support]))
+        else:
+            n_mean, g2_avg = od_to_atoms(float(od), beta), None
+        rows.append(SweepRow(float(od), n_mean, float(g2z[n_round]), g2_avg))
     return rows
 
 
@@ -398,11 +394,8 @@ def fit_beta_to_g2_points(od, g2_0, detuning: float = 0.0) -> tuple[float, float
         raise DataError("od-out-of-range", "measured ODs must lie in [0, 8]")
 
     def model(beta):
-        out = np.empty(od_pts.size)
-        for i, od in enumerate(od_pts):
-            n = int(round(od_to_atoms(float(od), beta)))
-            out[i] = chain_g2_zero(PhysicalParams(beta=beta, n_atoms=n, detuning=detuning))
-        return out
+        ns = np.array([int(round(od_to_atoms(float(od), beta))) for od in od_pts])
+        return chain_g2_zero_by_length(beta, np.arange(ns.max(initial=0) + 1), detuning)[ns]
 
     def ssr(beta):
         d = model(beta) - g2_pts

@@ -326,8 +326,8 @@ def synth_histogram(curve: G2Curve, rate1: float, rate2: float, acquisition_s: f
     Bin means are rate1 * rate2 * bin_width * acquisition * g2(tau_i), the
     uncorrelated-pair level modulated by the correlation function.
     """
-    if rate1 <= 0 or rate2 <= 0 or acquisition_s <= 0:
-        raise ParameterError("rates-not-positive", "rates and acquisition time must be > 0")
+    if not all(math.isfinite(x) and x > 0 for x in (rate1, rate2, acquisition_s)):
+        raise ParameterError("rates-not-positive", "rates and acquisition time must be finite, > 0")
     centers = _symmetric_centers(bin_width_ns, tau_max_ns)
     g2 = curve_values_ns(curve, centers, gamma_mhz)
     mean = rate1 * rate2 * (bin_width_ns * 1e-9) * acquisition_s * g2
@@ -385,8 +385,8 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     rate2 * T * (1 - R + rate1 * int 2 env dtau), as float64, would not fit
     in the installed memory.
     """
-    if rate1 <= 0 or rate2 <= 0 or duration_s <= 0:
-        raise ParameterError("rates-not-positive", "rates and duration must be > 0")
+    if not all(math.isfinite(x) and x > 0 for x in (rate1, rate2, duration_s)):
+        raise ParameterError("rates-not-positive", "rates and duration must be finite and > 0")
     scale = 1.0 if curve.grid.unit == "ns" else time_unit_ns(gamma_mhz)
     tau_ns = curve.grid.values * scale
     support_ns = float(tau_ns[-1])
@@ -482,11 +482,12 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
                        discard_pulses: int = 20) -> CoincidenceHistogram:
     """Cross-correlation histogram of a time-tag stream.
 
-    Every inter-detector pair with |t1 - t0| inside the histogram range is
-    counted once, at tau = t1 - t0.  With pulse_period_ns set, tags are first
-    gated to the window gate_ns within each pulse and the first
-    discard_pulses pulses are dropped, mirroring pulsed probing where the
-    early pulses see an uncooled ensemble.
+    Every inter-detector pair with tau = t1 - t0 in [-E, E), E the outer bin
+    edge, is counted once.  Each bin is half-open, [lo, hi), so with integer
+    delays and odd-integer edges every bin takes the same number of delays.
+    With pulse_period_ns set, tags are first gated to the window gate_ns
+    within each pulse and the first discard_pulses pulses are dropped,
+    mirroring pulsed probing where the early pulses see an uncooled ensemble.
     """
     # the stream spans from its earliest to its latest tag on either detector
     nonempty = [c for c in (stream.t0_ns, stream.t1_ns) if c.size]
@@ -512,9 +513,11 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
 
     centers = _symmetric_centers(bin_width_ns, tau_max_ns)
     edges = np.concatenate([centers - bin_width_ns / 2.0, [centers[-1] + bin_width_ns / 2.0]])
-    # pair differences are integers, so |tau| <= reach means |tau| <= floor(reach)
+    # pair differences are integers, so |tau| <= reach means |tau| <= floor(reach);
+    # np.histogram closes its last bin, so tau = E is dropped first
     i, j = _pairs_within(t0, t1, math.floor(edges[-1]))
-    counts = np.histogram(t1[j] - t0[i], edges)[0].astype(np.int64)
+    tau = t1[j] - t0[i]
+    counts = np.histogram(tau[tau < edges[-1]], edges)[0].astype(np.int64)
 
     r1 = t0.size / acq if acq else None
     r2 = t1.size / acq if acq else None

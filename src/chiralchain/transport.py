@@ -94,6 +94,8 @@ __all__ = [
     "chain_two_photon_amplitude",
     "chain_g2",
     "chain_g2_zero",
+    "chain_g2_by_length",
+    "chain_g2_zero_by_length",
     "find_perfect_antibunching",
 ]
 
@@ -210,9 +212,9 @@ class _SteadyChain:
         self.sum_d = np.concatenate((self.sum_d[:-1], np.cumsum(acc)))
         self.e, self.dmat, self.rowsum = e, dmat, rowsum
 
-    def g2_zero(self, ns: np.ndarray) -> np.ndarray:
+    def g2_zero(self, ns) -> np.ndarray:
         """Equal-time g2 for each chain length in ns (1 at N = 0)."""
-        ns = np.asarray(ns)
+        ns = np.asarray(ns, dtype=np.int64)
         self.extend_to(int(ns.max(initial=0)))
         psi = 2.0 * self.t**ns - 1.0 + 2.0 * self.beta * self.sum_d[ns]
         return np.where(ns == 0, 1.0, np.abs(psi) ** 2 / abs(self.t) ** (4 * ns))
@@ -243,18 +245,27 @@ def chain_transmission(params: PhysicalParams) -> float:
     return _power_transmission(params.beta, params.detuning, params.n_atoms)
 
 
-def _check_transmission(trans: float, floor: float) -> None:
-    if trans < floor:
+def _check_transmission(trans: float) -> None:
+    if trans < TRANSMISSION_FLOOR:
         raise NumericalError(
             "vanishing-transmission",
-            f"power transmission {trans:.3e} below floor {floor:.1e}; g2 of the "
-            "transmitted light is ill-conditioned",
+            f"power transmission {trans:.3e} below floor {TRANSMISSION_FLOOR:.1e}; g2 of "
+            "the transmitted light is ill-conditioned",
         )
 
 
 def _check_grid(grid: TauGrid) -> None:
     if grid.unit != "gamma":
         raise ParameterError("grid-bad-unit", "model grids are in units of 1/Gamma")
+
+
+def _lengths(ns) -> list[int]:
+    """Chain lengths as a list of ints, checked to be ascending and >= 0."""
+    arr = np.asarray(ns)
+    if (arr.ndim != 1 or (arr.size and not np.issubdtype(arr.dtype, np.integer))
+            or np.any(arr < 0) or np.any(np.diff(arr) < 0)):
+        raise ParameterError("bad-lengths", "chain lengths must be ascending ints >= 0")
+    return arr.astype(np.int64).tolist()
 
 
 def _propagator_table(beta: float, taus: np.ndarray, n_max: int) -> np.ndarray:
@@ -286,20 +297,29 @@ def _propagator_table(beta: float, taus: np.ndarray, n_max: int) -> np.ndarray:
     return table
 
 
-def _two_photon_amplitudes(beta: float, detuning: float, ns, taus: np.ndarray) -> np.ndarray:
-    """psi_N(taus) at alpha = 1, one row per chain length in ascending ns >= 1."""
+def _two_photon_amplitudes(beta: float, detuning: float, ns: list[int],
+                           taus: np.ndarray) -> np.ndarray:
+    """psi_N(taus) at alpha = 1, one row per chain length in ascending ns (1 at N = 0).
+
+    Transmission never rises with N, so the longest chain alone meets the floor.
+    """
+    psi = np.ones((len(ns), taus.size), dtype=complex)
+    lit = ns[ns.count(0):]
+    if not lit:
+        return psi
+    _check_transmission(_power_transmission(beta, detuning, lit[-1]))
     ch = _chain(beta, detuning)
-    n_max = ns[-1]
+    n_max = lit[-1]
     ch.extend_to(n_max)
     sq = math.sqrt(beta)
 
-    # row i holds df of chain ns[i] reversed, so that row @ table sums
+    # row i holds df of chain lit[i] reversed, so that row @ table sums
     # df_k C_{N-1-k}; the pair row sums sum_j d_kj grow column by column
-    weights = np.zeros((len(ns), n_max), dtype=complex)
-    carrier = np.empty(len(ns), dtype=complex)
+    weights = np.zeros((len(lit), n_max), dtype=complex)
+    carrier = np.empty(len(lit), dtype=complex)
     rowsum = np.zeros(n_max, dtype=complex)
     prev = 0
-    for i, n in enumerate(ns):
+    for i, n in enumerate(lit):
         rowsum[:n] += ch.dmat[:n, prev:n].sum(axis=1)
         rowsum[prev:n] += ch.dmat[prev:n, :prev].sum(axis=1)
         prev = n
@@ -309,11 +329,11 @@ def _two_photon_amplitudes(beta: float, detuning: float, ns, taus: np.ndarray) -
 
     phase = np.exp(1j * detuning * taus)
     table = _propagator_table(beta, taus, n_max)
-    return carrier[:, None] + sq * phase * (weights @ table)
+    psi[len(ns) - len(lit):] = carrier[:, None] + sq * phase * (weights @ table)
+    return psi
 
 
-def chain_two_photon_amplitude(params: PhysicalParams, grid: TauGrid,
-                               floor: float = TRANSMISSION_FLOOR) -> ComplexCurve:
+def chain_two_photon_amplitude(params: PhysicalParams, grid: TauGrid) -> ComplexCurve:
     """Transmitted two-photon detection amplitude psi_N(tau) at alpha = 1.
 
     psi_N relaxes to t^2N at large delay (two independent coherent photons);
@@ -321,72 +341,65 @@ def chain_two_photon_amplitude(params: PhysicalParams, grid: TauGrid,
     """
     validate_params(params)
     _check_grid(grid)
-    n = params.n_atoms
-    if n == 0:
-        return ComplexCurve(grid, np.ones(grid.values.size, dtype=complex))
-    _check_transmission(_power_transmission(params.beta, params.detuning, n), floor)
-    amp = _two_photon_amplitudes(params.beta, params.detuning, [n], grid.values)
+    amp = _two_photon_amplitudes(params.beta, params.detuning, [params.n_atoms], grid.values)
     return ComplexCurve(grid, amp[0])
 
 
-def _g2_curves(params: PhysicalParams, ns: list[int], grid: TauGrid,
-               floor: float) -> list[G2Curve]:
-    """chain_g2 for each of the ascending chain lengths ns, from one table.
+def chain_g2_by_length(params: PhysicalParams, ns, grid: TauGrid) -> list[G2Curve]:
+    """chain_g2 for each of the ascending chain lengths ns, from one propagator table.
 
-    Checks run per N in ascending order, as separate chain_g2 calls would.
+    The atom number in ``params`` is ignored; each curve carries its own.
+    Raises "vanishing-transmission" when the longest chain is below the
+    transmission floor.
     """
-    trans = [_power_transmission(params.beta, params.detuning, n) for n in ns]
+    validate_params(params)
+    _check_grid(grid)
+    ns = _lengths(ns)
+    psi = _two_photon_amplitudes(params.beta, params.detuning, ns, grid.values)
     curves = []
-    amps = None
-    for i, (n, tr) in enumerate(zip(ns, trans)):
-        p = replace(params, n_atoms=n)
-        if n == 0:
-            curves.append(G2Curve(grid, np.ones(grid.values.size), transmission=1.0, params=p))
-            continue
-        _check_transmission(tr, floor)
-        if amps is None:
-            _check_grid(grid)
-            lit = [m for m, tr_m in zip(ns[i:], trans[i:]) if tr_m >= floor]
-            amps = iter(_two_photon_amplitudes(params.beta, params.detuning, lit, grid.values))
-        values = np.abs(next(amps)) ** 2 / tr**2
-        curves.append(G2Curve(grid, values, transmission=tr, params=p))
+    for n, row in zip(ns, psi):
+        trans = _power_transmission(params.beta, params.detuning, n)
+        curves.append(G2Curve(grid, np.abs(row) ** 2 / trans**2, transmission=trans,
+                              params=replace(params, n_atoms=n)))
     return curves
 
 
-def chain_g2(params: PhysicalParams, grid: TauGrid,
-             floor: float = TRANSMISSION_FLOOR) -> G2Curve:
+def chain_g2(params: PhysicalParams, grid: TauGrid) -> G2Curve:
     """Normalized g2(tau) of the light transmitted through the chain.
 
     N = 0 gives exactly 1 (the bare coherent state).  Raises
-    "vanishing-transmission" when |t|^2N drops below ``floor``.
+    "vanishing-transmission" when |t|^2N drops below TRANSMISSION_FLOOR.
+    """
+    return chain_g2_by_length(params, [params.n_atoms], grid)[0]
+
+
+def chain_g2_zero_by_length(beta: float, ns, detuning: float = 0.0) -> np.ndarray:
+    """Equal-time g2(0) for each of the ascending chain lengths ns (1 at N = 0).
+
+    Same model as chain_g2 at tau = 0, read off the cached steady chain, so
+    a scan over N costs one chain extension, to the longest N.  No floor
+    applies: g2(0) needs no propagator table.
+    """
+    validate_params(PhysicalParams(beta=beta, n_atoms=0, detuning=detuning))
+    return _chain(beta, detuning).g2_zero(_lengths(ns))
+
+
+def chain_g2_zero(params: PhysicalParams) -> float:
+    """Equal-time g2(0) of one chain, without building a delay grid.
+
+    Raises "vanishing-transmission" as chain_g2 does.
     """
     validate_params(params)
-    return _g2_curves(params, [params.n_atoms], grid, floor)[0]
-
-
-def chain_g2_zero(params: PhysicalParams, floor: float = TRANSMISSION_FLOOR) -> float:
-    """Equal-time g2(0), without building a delay grid.
-
-    Same model as chain_g2 at tau = 0; O(1) after the cached chain has been
-    extended once, so sweeps over N are cheap.
-    """
-    validate_params(params)
-    if params.n_atoms == 0:
-        return 1.0
-    _check_transmission(_power_transmission(params.beta, params.detuning, params.n_atoms), floor)
-    return float(_chain(params.beta, params.detuning).g2_zero(params.n_atoms))
+    n = params.n_atoms
+    _check_transmission(_power_transmission(params.beta, params.detuning, n))
+    return float(chain_g2_zero_by_length(params.beta, [n], params.detuning)[0])
 
 
 def single_atom_g2(beta: float, grid: TauGrid, detuning: float = 0.0) -> G2Curve:
     """Closed-form single-emitter g2: psi = t^2 - (1-t)^2 exp((i Delta - 1/2) tau)."""
     t = transmission_coefficient(beta, detuning)
-    if abs(t) ** 2 < TRANSMISSION_FLOOR:
-        raise NumericalError(
-            "vanishing-transmission",
-            f"coherent transmission vanishes at beta = {beta}, detuning = {detuning}",
-        )
-    if grid.unit != "gamma":
-        raise ParameterError("grid-bad-unit", "model grids are in units of 1/Gamma")
+    _check_transmission(float(abs(t) ** 2))
+    _check_grid(grid)
     psi = t**2 - (1.0 - t) ** 2 * np.exp((1j * detuning - 0.5) * grid.values)
     return G2Curve(grid, np.abs(psi) ** 2 / abs(t) ** 4, transmission=float(abs(t) ** 2),
                    params=PhysicalParams(beta=beta, n_atoms=1, detuning=detuning))
@@ -428,18 +441,18 @@ def find_perfect_antibunching(beta: float, detuning: float = 0.0, n_max: int = 4
     """
     if n_max < 2:
         raise ParameterError("n-max", "n_max must be >= 2")
-    ch = _chain(beta, detuning)
+    t = transmission_coefficient(beta, detuning)
     ns = np.arange(n_max + 1)
-    dark = np.flatnonzero(abs(ch.t) ** (2 * ns) < TRANSMISSION_FLOOR)
+    dark = np.flatnonzero(abs(t) ** (2 * ns) < TRANSMISSION_FLOOR)
     last = int(dark[0]) - 1 if dark.size else n_max
-    g2z = ch.g2_zero(ns[: last + 1])
+    g2z = chain_g2_zero_by_length(beta, ns[: last + 1], detuning)
     n_star = int(np.argmin(g2z))
     if g2z[n_star] >= 0.5 or n_star == 0 or n_star >= last:
         raise NumericalError(
             "not-bracketed",
             f"no interior g2(0) minimum below 0.5 for beta = {beta} within N <= {n_max}",
         )
-    trans = float(abs(ch.t) ** (2 * n_star))
+    trans = float(abs(t) ** (2 * n_star))
     if trans < 0.01:
         warnings.warn(
             f"transmission at the antibunching point is only {trans:.2e}; "

@@ -149,6 +149,30 @@ def test_sweep_rejects_bad_grid(tmp_path):
     assert run(tmp_path, "sweep", "--od-max", 12) == 2
 
 
+@pytest.mark.parametrize("args,code", [
+    (["simulate", "--od", 3.0, "--gamma-mhz", "nan"], "gamma-not-positive"),
+    (["analyze", "--input", "HIST", "--gamma-mhz", "nan", "--curve-output", "OUT/curve.csv"],
+     "gamma-not-positive"),
+    (["synth", "--kind", "timetags", "--od", 3.0, "--gamma-mhz", "inf"], "gamma-not-positive"),
+    (["synth", "--od", 3.0, "--duration", "nan"], "rates-not-positive"),
+    (["synth", "--kind", "timetags", "--od", 3.0, "--rate1", "nan"], "rates-not-positive"),
+    (["sweep", "--od-step", "nan"], "bad-od-step"),
+    (["sweep", "--od-max", "nan"], "bad-od-grid"),
+    (["sweep", "--detuning", "nan"], "detuning-not-finite"),
+])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, args, code):
+    hist = tmp_path / "hist.csv"
+    if "HIST" in args:
+        assert run(tmp_path, "synth", "--od", 3.0, "--output", hist) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    args = [str(a).replace("HIST", str(hist)).replace("OUT", str(out)) for a in args]
+    capsys.readouterr()
+    assert run(tmp_path, *args, "--output", out / "result") == 2
+    assert f"[{code}]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_oracle_command_single_emitter_limit(tmp_path):
     out = tmp_path / "orc.csv"
     assert run(tmp_path, "oracle", "--beta", 1.0, "--n-atoms", 1,

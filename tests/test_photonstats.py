@@ -101,6 +101,29 @@ def test_pooled_histograms():
         CoincidenceHistogram.pooled([a, CoincidenceHistogram(_centers(4), np.zeros(9, int))])
 
 
+_RUN = st.tuples(st.lists(st.integers(0, 10**6), min_size=7, max_size=7),
+                 st.integers(1, 10**4), st.floats(1.0, 1e6), st.floats(1e-6, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs=st.lists(_RUN, min_size=2, max_size=6), data=st.data())
+def test_pooling_is_additive(runs, data):
+    # integer acquisition times add exactly in any grouping
+    hists = [CoincidenceHistogram(_centers(3), counts, rate1=rate, rate2=2.0 * rate,
+                                  acquisition_s=float(acq), transmission=trans)
+             for counts, acq, rate, trans in runs]
+    split = data.draw(st.integers(1, len(hists) - 1))
+    once = CoincidenceHistogram.pooled(hists)
+    twice = CoincidenceHistogram.pooled([CoincidenceHistogram.pooled(hists[:split]),
+                                         CoincidenceHistogram.pooled(hists[split:])])
+    np.testing.assert_array_equal(once.counts, np.sum([h.counts for h in hists], axis=0))
+    assert once.acquisition_s == sum(h.acquisition_s for h in hists)
+    np.testing.assert_array_equal(twice.counts, once.counts)
+    assert twice.acquisition_s == once.acquisition_s
+    for name in ("rate1", "rate2", "transmission"):
+        assert getattr(twice, name) == pytest.approx(getattr(once, name), rel=1e-12)
+
+
 def test_time_tag_stream():
     s = TimeTagStream([10, 30], [20, 25])
     np.testing.assert_array_equal(s.t0_ns, [10, 30])
@@ -253,7 +276,7 @@ def test_histogram_timetags_places_pairs():
     stream = TimeTagStream([1000_000], [1000_005])
     h = histogram_timetags(stream, bin_width_ns=2.0, tau_max_ns=10.0)
     assert h.total_counts == 1
-    assert h.counts[h.tau_ns == 6.0] == 1  # tau = +5 ns falls in the (5, 7] bin
+    assert h.counts[h.tau_ns == 6.0] == 1  # tau = +5 ns falls in the [5, 7) bin
     far = TimeTagStream([0], [10_000_000])
     assert histogram_timetags(far, tau_max_ns=10.0).total_counts == 0
 
@@ -261,19 +284,31 @@ def test_histogram_timetags_places_pairs():
 def test_histogram_timetags_matches_all_pairs_reference():
     # odd differences sit exactly on bin edges (2 ns bins centered on even
     # ns), including both ends of the range, +-321 ns; every pair is binned
-    # as numpy bins float differences, the last edge closed
+    # as numpy bins float differences, in half-open bins [lo, hi)
     t0 = np.array([1_000, 1_004, 1_500, 2_000, 9_000], np.int64)
     t1 = np.array([679, 995, 1_001, 1_005, 1_321, 1_325, 1_821, 2_321, 2_322, 9_000], np.int64)
     diffs = (t1[None, :] - t0[:, None]).ravel().astype(float)
     for width, tau_max in ((2.0, 320.0), (3.0, 90.0)):
         h = histogram_timetags(TimeTagStream(t0, t1), bin_width_ns=width, tau_max_ns=tau_max)
         edges = np.append(h.tau_ns - width / 2.0, h.tau_ns[-1] + width / 2.0)
-        ref = np.histogram(diffs[np.abs(diffs) <= edges[-1]], edges)[0]
+        ref = np.histogram(diffs[(diffs >= edges[0]) & (diffs < edges[-1])], edges)[0]
         np.testing.assert_array_equal(h.counts, ref)
     h = histogram_timetags(TimeTagStream(t0, t1))
-    for tau, center in ((-321, -320.0), (-5, -4.0), (1, 2.0), (5, 6.0), (321, 320.0)):
+    for tau, center in ((-321, -320.0), (-5, -4.0), (1, 2.0), (5, 6.0)):
         assert tau in diffs
         assert h.counts[h.tau_ns == center] >= 1
+    # tau = +321 is the open outer edge, and no delay falls in [319, 321)
+    assert 321 in diffs and h.counts[-1] == 0
+
+
+def test_histogram_timetags_bins_take_equal_delay_counts():
+    # one detector-1 tag at each integer delay -321..321 from a detector-0
+    # tag: with 2 ns bins on odd edges every bin, the outer ones included,
+    # takes exactly two delays
+    t1 = 10_000 + np.arange(-321, 322, dtype=np.int64)
+    h = histogram_timetags(TimeTagStream(np.array([10_000], np.int64), t1))
+    assert h.n_bins == 321
+    assert np.all(h.counts == 2)
 
 
 def test_histogram_timetags_sign_convention():
@@ -346,6 +381,27 @@ def test_normalize_requires_tail():
     with pytest.raises(DataError) as err:
         normalize_histogram(sparse)
     assert err.value.code == "tail-underpopulated"
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=st.integers(2, 30).flatmap(
+    lambda k: st.lists(st.integers(0, 10**6), min_size=2 * k + 1, max_size=2 * k + 1)))
+def test_normalize_ignores_the_sign_of_the_delay(counts):
+    # the mirrored histogram, counts reversed, folds to the same curve
+    tau = _centers(len(counts) // 2)
+    tail_start = float(tau[-2])
+    hist = CoincidenceHistogram(tau, counts)
+    mirror = CoincidenceHistogram(tau, counts[::-1])
+    try:
+        curve = normalize_histogram(hist, tail_start_ns=tail_start, min_tail_counts=1)
+    except DataError as err:
+        assert err.code == "tail-underpopulated"
+        with pytest.raises(DataError):
+            normalize_histogram(mirror, tail_start_ns=tail_start, min_tail_counts=1)
+        return
+    other = normalize_histogram(mirror, tail_start_ns=tail_start, min_tail_counts=1)
+    np.testing.assert_array_equal(other.grid.values, curve.grid.values)
+    np.testing.assert_array_equal(other.values, curve.values)
 
 
 # ---------------------------------------------------------------------------

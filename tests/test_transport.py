@@ -3,6 +3,7 @@
 import math
 import warnings
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +13,9 @@ from chiralchain import (
     PhysicalParams,
     TauGrid,
     chain_g2,
+    chain_g2_by_length,
     chain_g2_zero,
+    chain_g2_zero_by_length,
     chain_steady_state,
     chain_transmission,
     chain_two_photon_amplitude,
@@ -22,7 +25,7 @@ from chiralchain import (
     transmission_coefficient,
 )
 from chiralchain.core import ParameterError
-from chiralchain.transport import TRANSMISSION_FLOOR, ChainState, _g2_curves, _SteadyChain
+from chiralchain.transport import TRANSMISSION_FLOOR, ChainState, _SteadyChain
 
 GRID = TauGrid.linear(12.0, 241)
 
@@ -240,12 +243,40 @@ def test_long_delays_match_expm():
 def test_shared_table_matches_single_lengths():
     params = PhysicalParams(beta=0.05, n_atoms=7, detuning=0.2)
     lengths = [0, 1, 4, 9, 30]
-    curves = _g2_curves(params, lengths, GRID, TRANSMISSION_FLOOR)
+    curves = chain_g2_by_length(params, lengths, GRID)
     for n, curve in zip(lengths, curves):
         single = chain_g2(PhysicalParams(beta=0.05, n_atoms=n, detuning=0.2), GRID)
         np.testing.assert_allclose(curve.values, single.values, rtol=1e-12, atol=1e-14)
         assert curve.transmission == single.transmission
         assert curve.params == single.params
+
+
+def test_batched_lengths_are_checked():
+    params = PhysicalParams(beta=0.05, n_atoms=0)
+    for bad in ([3, 1], [-1, 2], [1.0, 2.0], [[1, 2]]):
+        for call in (lambda: chain_g2_by_length(params, bad, GRID),
+                     lambda: chain_g2_zero_by_length(0.05, bad)):
+            with pytest.raises(ParameterError) as err:
+                call()
+            assert err.value.code == "bad-lengths"
+    with pytest.raises(ParameterError) as err:
+        chain_g2_zero_by_length(0.05, [1, 2], detuning=float("nan"))
+    assert err.value.code == "detuning-not-finite"
+    # transmission never rises with N: the longest chain decides the floor
+    with pytest.raises(NumericalError) as err:
+        chain_g2_by_length(PhysicalParams(beta=0.4, n_atoms=1), [0, 1, 50], GRID)
+    assert err.value.code == "vanishing-transmission"
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(0.002, 0.3), detuning=st.floats(-1.0, 1.0),
+       lengths=st.lists(st.integers(0, 300), max_size=12))
+def test_batched_g2_zero_matches_single_lengths(beta, detuning, lengths):
+    ns = sorted(n for n in lengths if chain_transmission(
+        PhysicalParams(beta=beta, n_atoms=n, detuning=detuning)) >= TRANSMISSION_FLOOR)
+    got = chain_g2_zero_by_length(beta, ns, detuning)
+    want = [chain_g2_zero(PhysicalParams(beta=beta, n_atoms=n, detuning=detuning)) for n in ns]
+    assert got.tolist() == want
 
 
 def test_curve_and_zero_paths_agree():
