@@ -96,6 +96,34 @@ def _resolve(params, args, config):
     return values, prov
 
 
+# ParameterError code for a non-finite value of each float flag: the code the
+# library gives that quantity where a command computes with it.  Every float
+# flag is checked before the first file is written, so one that a command
+# ignores (--gamma-mhz of analyze without --curve-output) cannot carry a NaN
+# into a sidecar.
+_NOT_FINITE = {
+    "beta": "beta-not-finite", "detuning": "detuning-not-finite",
+    "gamma_mhz": "gamma-not-positive", "spread": "bad-spread",
+    "budget": "bad-photon-budget", "loading_gain": "bad-loading",
+    "loading_max_od": "bad-loading", "od": "bad-od", "tau_max": "grid-not-finite",
+    "od_min": "bad-od-grid", "od_max": "bad-od-grid", "od_step": "bad-od-step",
+    "rate1": "rates-not-positive", "rate2": "rates-not-positive",
+    "duration": "rates-not-positive", "bin_width_ns": "bad-bin-width",
+    "tau_max_ns": "bad-tau-max", "pulse_period_ns": "bad-gate", "window_ns": "bad-window",
+    "tail_start_ns": "no-tail", "od0": "od0-not-positive",
+}
+
+
+def _check_finite(params, values):
+    """Raise ParameterError if any float value, flag, config or default, is not finite."""
+    for p in params:
+        if p.ptype is not float or values[p.name] is None:
+            continue
+        for v in (values[p.name] if p.repeatable else [values[p.name]]):
+            if not math.isfinite(v):
+                raise ParameterError(_NOT_FINITE[p.name], f"{p.name} must be finite, got {v!r}")
+
+
 def _sidecar(path: str, command: str, values: dict, prov: dict, extra: dict | None = None):
     doc = {"command": command,
            "params": {k: {"value": values[k], "source": prov[k]} for k in sorted(values)}}
@@ -158,19 +186,26 @@ def _read_table(path: str, columns: list[str], code: str, dtype=np.float64):
     A file without the header raises DataError(code); a row that does not
     hold two values of ``dtype`` raises DataError("malformed-value").
     Blank rows are skipped and columns past the second are ignored.
+
+    The header record is parsed by ``csv.reader`` and the file closed; the
+    body is then read by ``np.loadtxt`` from the path, skipping the physical
+    lines the header took (``reader.line_num``, more than one when a quoted
+    header field holds a newline).  Given a path, numpy parses the file in
+    C-level chunks; given an open file it iterates it line by line in Python.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or [h.strip() for h in header[:2]] != columns:
-            raise DataError(code, f"{path}: expected header {','.join(columns)}")
-        with warnings.catch_warnings():
-            # a header-only file is an empty table, left to the caller to judge
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                body = np.loadtxt(fh, delimiter=",", dtype=dtype, usecols=(0, 1),
-                                  ndmin=2, comments=None, quotechar='"')
-            except ValueError as exc:
-                raise DataError("malformed-value", f"{path}: {exc}") from None
+        reader = csv.reader(fh)
+        header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != columns:
+        raise DataError(code, f"{path}: expected header {','.join(columns)}")
+    with warnings.catch_warnings():
+        # a header-only file is an empty table, left to the caller to judge
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            body = np.loadtxt(path, delimiter=",", dtype=dtype, usecols=(0, 1), ndmin=2,
+                              comments=None, quotechar='"', skiprows=reader.line_num)
+        except ValueError as exc:
+            raise DataError("malformed-value", f"{path}: {exc}") from None
     return body[:, 0], body[:, 1]
 
 
@@ -233,7 +268,7 @@ def read_timetags_csv(path: str) -> ps.TimeTagStream:
                           dtype=np.int64)
     if not np.all((ids == 0) | (ids == 1)):
         raise DataError("bad-detector-id", f"{path}: detector ids must be 0 or 1")
-    if np.any(np.diff(ts) < 0):
+    if np.any(ts[1:] < ts[:-1]):  # np.diff would wrap for steps past 2**63
         raise DataError("timestamps-not-sorted", f"{path}: timestamps must be non-decreasing")
     return ps.TimeTagStream(ts[ids == 0], ts[ids == 1])
 
@@ -248,9 +283,10 @@ def read_saturation_csv(path: str) -> ps.SaturationData:
 
 
 def _write_json(path: str, doc: dict):
+    """Strict JSON: a NaN or infinity raises ValueError before the file is opened."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +390,8 @@ _SWEEP = _PHYS + _SPREAD + [
 
 
 def cmd_sweep(values, prov) -> int:
-    if not (math.isfinite(values["od_step"]) and values["od_step"] > 0):
-        raise ParameterError("bad-od-step", "od_step must be finite and > 0")
-    if not (math.isfinite(values["od_min"]) and math.isfinite(values["od_max"])):
-        raise ParameterError("bad-od-grid", "od_min and od_max must be finite")
+    if not values["od_step"] > 0:
+        raise ParameterError("bad-od-step", "od_step must be > 0")
     grid = np.arange(values["od_min"], values["od_max"] + 1e-9, values["od_step"])
     if grid.size == 0:
         raise ParameterError("empty-od-grid", "the requested OD grid is empty")
@@ -575,6 +609,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         values, prov = _resolve(params, args, config)
+        _check_finite(params, values)
         return runner(values, prov)
     except ParameterError as exc:
         print(f"parameter error [{exc.code}]: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .core import (
     DataError,
@@ -389,6 +389,7 @@ def fit_beta_to_g2_points(od, g2_0, detuning: float = 0.0) -> tuple[float, float
     found by bounded scalar search rather than a gradient method; the error
     comes from the SSR curvature sampled wide enough to span several steps.
     """
+    from scipy import optimize  # deferred: importing chiralchain loads no scipy.optimize
     od_pts, g2_pts = np.asarray(od, dtype=float), np.asarray(g2_0, dtype=float)
     if np.any(od_pts < 0) or np.any(od_pts > 8.0):
         raise DataError("od-out-of-range", "measured ODs must lie in [0, 8]")

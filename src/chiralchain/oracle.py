@@ -35,7 +35,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     G2Curve,
@@ -198,6 +197,7 @@ def oracle_propagate(gen: CascadedGenerator, rho: np.ndarray, t: float) -> np.nd
         raise ParameterError("negative-time", "propagation time must be >= 0")
     if t == 0.0:
         return np.array(rho, dtype=complex)
+    from scipy.linalg import expm  # deferred: importing chiralchain loads no scipy.linalg
     vec = np.asarray(rho, dtype=complex).reshape(-1)
     return (expm(gen.liouvillian() * t) @ vec).reshape(rho.shape)
 
@@ -216,6 +216,7 @@ _SAME_STEP = 1e-12
 def _finite_drive_g2(gen: CascadedGenerator, grid: TauGrid) -> tuple[np.ndarray, float]:
     """g2(tau) of the transmitted field at one finite drive, by quantum
     regression, and the steady output rate it is normalized by."""
+    from scipy.linalg import expm  # deferred: importing chiralchain loads no scipy.linalg
     lv = gen.liouvillian()
     rho = _steady_state(lv, gen.dim)
     n_out = _output_rate(gen, rho)

@@ -27,7 +27,6 @@ import os
 import warnings
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     DataError,
@@ -878,6 +877,7 @@ def saturation_transmission(beta: float, od0: float, s0) -> np.ndarray:
     left side is strictly increasing in T so the root in (0, 1) is unique.
     At weak drive this reduces to T = exp(-od0).
     """
+    from scipy import optimize  # deferred: importing chiralchain loads no scipy.optimize
     if not (math.isfinite(beta) and 0.0 < beta < 0.5):
         raise ParameterError("beta-out-of-range", f"beta must be in (0, 0.5), got {beta}")
     if not (math.isfinite(od0) and od0 > 0):
@@ -902,6 +902,7 @@ def fit_beta_saturation(data: SaturationData, od0: float, *,
     approach saturation, or that are fully saturated throughout, carry no
     information on beta and are refused.
     """
+    from scipy import optimize  # deferred: importing chiralchain loads no scipy.optimize
     if data.n_points < 5:
         raise DataError("too-few-points", f"need >= 5 powers, got {data.n_points}")
 

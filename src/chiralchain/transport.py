@@ -378,10 +378,21 @@ def chain_g2_zero_by_length(beta: float, ns, detuning: float = 0.0) -> np.ndarra
 
     Same model as chain_g2 at tau = 0, read off the cached steady chain, so
     a scan over N costs one chain extension, to the longest N.  No floor
-    applies: g2(0) needs no propagator table.
+    applies: g2(0) needs no propagator table.  Raises "vanishing-transmission"
+    naming the first N whose g2(0) is not finite (|t|^4N too small to divide by).
     """
     validate_params(PhysicalParams(beta=beta, n_atoms=0, detuning=detuning))
-    return _chain(beta, detuning).g2_zero(_lengths(ns))
+    ns = _lengths(ns)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g2 = _chain(beta, detuning).g2_zero(ns)
+    bad = np.flatnonzero(~np.isfinite(g2))
+    if bad.size:
+        raise NumericalError(
+            "vanishing-transmission",
+            f"g2(0) is not finite at N = {ns[bad[0]]}: the power transmission "
+            "|t|^2N is too small to normalize by",
+        )
+    return g2
 
 
 def chain_g2_zero(params: PhysicalParams) -> float:

@@ -5,8 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -159,6 +161,12 @@ def test_sweep_rejects_bad_grid(tmp_path):
     (["sweep", "--od-step", "nan"], "bad-od-step"),
     (["sweep", "--od-max", "nan"], "bad-od-grid"),
     (["sweep", "--detuning", "nan"], "detuning-not-finite"),
+    # flags the command does not compute with
+    (["analyze", "--input", "HIST", "--gamma-mhz", "nan"], "gamma-not-positive"),
+    (["sweep", "--averaged", 0, "--gamma-mhz", "inf"], "gamma-not-positive"),
+    (["simulate", "--od", 3.0, "--spread", "nan"], "bad-spread"),
+    (["synth", "--kind", "timetags", "--od", 3.0, "--bin-width-ns", "nan"], "bad-bin-width"),
+    (["simulate", "--od", "inf"], "bad-od"),
 ])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, args, code):
     hist = tmp_path / "hist.csv"
@@ -170,6 +178,22 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, args, code):
     capsys.readouterr()
     assert run(tmp_path, *args, "--output", out / "result") == 2
     assert f"[{code}]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_json_outputs_are_strict(tmp_path, capsys):
+    from chiralchain.cli import _COMMANDS, _NOT_FINITE, _write_json
+    floats = {p.name for params, _, _ in _COMMANDS.values() for p in params if p.ptype is float}
+    assert floats == set(_NOT_FINITE)  # every float flag has its error code
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gamma_mhz": NaN}')  # Python's json reads the bare token
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(tmp_path, "simulate", "--od", 3.0, "--config", cfg,
+               "--output", out / "curve.csv") == 2
+    assert "[gamma-not-positive]" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        _write_json(str(out / "doc.json"), {"value": float("nan")})
     assert list(out.iterdir()) == []
 
 
@@ -396,6 +420,69 @@ def test_timetag_writer_matches_csv_writer(tmp_path):
         assert np.array_equal(back.t1_ns, stream.t1_ns), name
 
 
+_BOUNDARIES = _digit_boundaries().tolist()
+_CHANNEL = st.lists(st.one_of(st.integers(-40, 40), st.sampled_from(_BOUNDARIES),
+                              st.integers(-(2**63), 2**63 - 1)), max_size=30).map(sorted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(t0=_CHANNEL, t1=_CHANNEL)
+@example(t0=[], t1=[-(2**63), 2**63 - 1])  # one step past 2**63 between neighbours
+def test_timetag_csv_round_trip(t0, t1):
+    # small stamps make cross-detector ties common; the boundaries change the
+    # digit count, so the writer's fixed-width blocks split there
+    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain.photonstats import TimeTagStream
+    stream = TimeTagStream(np.array(t0, np.int64), np.array(t1, np.int64))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tags.csv")
+        write_timetags_csv(path, stream)
+        header, rows = _read_csv(path)
+        back = read_timetags_csv(path)
+    assert header == ["detector_id", "timestamp_ns"]
+    # time order, detector 0 first on equal timestamps
+    assert [(int(t), int(d)) for d, t in rows] == sorted([(t, 0) for t in t0] + [(t, 1) for t in t1])
+    assert back.t0_ns.tolist() == t0 and back.t1_ns.tolist() == t1
+
+
+_TAGS_HEADER = "detector_id,timestamp_ns"
+
+
+@pytest.mark.parametrize("body,t0,t1", [
+    # quoted header field holding a newline: one record on two physical lines
+    ('detector_id,"timestamp_ns\n"\r\n0,5\r\n1,7\r\n', [5], [7]),
+    (_TAGS_HEADER + "\r0,5\r1,7\r0,9\r", [5, 9], [7]),  # CR-only line endings
+    (_TAGS_HEADER + "\r\n\r\n0,5\r\n\r\n\r\n1,7\r\n\r\n", [5], [7]),  # blank rows
+    (_TAGS_HEADER + ",x\r\n0,5,abc\r\n1,7,\r\n1,8,1,2,3\r\n", [5], [7, 8]),  # extra columns
+    ('"detector_id","timestamp_ns"\r\n"0","5"\r\n1,"7"\r\n', [5], [7]),  # quoted values
+    (_TAGS_HEADER + "\r\n", [], []),  # header only
+    (_TAGS_HEADER, [], []),  # header only, no line end
+])
+def test_timetag_reader_edge_cases(tmp_path, body, t0, t1):
+    from chiralchain.cli import read_timetags_csv
+    path = tmp_path / "tags.csv"
+    path.write_text(body, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stream = read_timetags_csv(str(path))
+    assert stream.t0_ns.tolist() == t0 and stream.t1_ns.tolist() == t1
+
+
+def test_reader_skips_every_header_line(tmp_path, capsys):
+    from chiralchain.cli import read_histogram_csv
+    hist = tmp_path / "hist.csv"
+    hist.write_text('tau_ns,"counts\n\n"\n-2,3.9\n0,1\n2,7\n', newline="")
+    h = read_histogram_csv(str(hist))
+    assert h.tau_ns.tolist() == [-2.0, 0.0, 2.0] and h.counts.tolist() == [3, 1, 7]
+    # a malformed row after a two-line header is still reported as such
+    bad = tmp_path / "bad.csv"
+    bad.write_text('detector_id,"timestamp_ns\n"\r\n0,5\r\n1,x\r\n', newline="")
+    capsys.readouterr()
+    assert run(tmp_path, "analyze", "--input", bad, "--output", tmp_path / "fit.json") == 4
+    assert "[malformed-value]" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_table_readers_match_csv_module(tmp_path):
     from chiralchain import synth_histogram, synth_saturation_data
     from chiralchain.cli import (_read_points_csv, read_histogram_csv,
@@ -444,4 +531,15 @@ def test_cli_import_leaves_out_scipy_stats():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
     code = "import sys, chiralchain.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_loads_only_scipy_special():
+    import chiralchain
+    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    code = ("import sys, chiralchain.cli; "
+            "sys.exit(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.special')"
+            " if m in sys.modules) != ['scipy.special'])")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -268,6 +268,19 @@ def test_batched_lengths_are_checked():
     assert err.value.code == "vanishing-transmission"
 
 
+def test_g2_zero_by_length_raises_where_g2_zero_is_not_finite():
+    # at beta 0.4, |t|^4N = 0.2^4N reaches the bottom of the double range near
+    # N = 110 and g2(0) = |psi|^2 / |t|^4N overflows; the first such N is named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as err:
+            chain_g2_zero_by_length(0.4, [0, 10, 120, 300])
+        assert err.value.code == "vanishing-transmission"
+        assert "N = 120" in str(err.value)
+        g2 = chain_g2_zero_by_length(0.4, [0, 10, 60])
+    assert g2[0] == 1.0 and np.all(np.isfinite(g2)) and g2[1] == pytest.approx(5.152e25, rel=1e-3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(beta=st.floats(0.002, 0.3), detuning=st.floats(-1.0, 1.0),
        lengths=st.lists(st.integers(0, 300), max_size=12))
