@@ -12,13 +12,11 @@ from .core import (
     validate_params,
 )
 from .transport import (
-    ChainState,
     RateReport,
     chain_g2,
     chain_g2_by_length,
     chain_g2_zero,
     chain_g2_zero_by_length,
-    chain_steady_state,
     chain_transmission,
     chain_two_photon_amplitude,
     find_perfect_antibunching,
@@ -28,10 +26,7 @@ from .transport import (
 )
 from .oracle import (
     OracleConfig,
-    build_cascaded_generator,
     oracle_g2,
-    oracle_steady_state,
-    oracle_transmission,
 )
 from .ensemble import (
     NumberDistribution,

@@ -36,6 +36,7 @@ from .core import (
     ParameterError,
     PhysicalParams,
     TauGrid,
+    _physical_memory_bytes,
     time_unit_ns,
 )
 from .transport import chain_g2, od_per_atom
@@ -392,6 +393,9 @@ _SWEEP = _PHYS + _SPREAD + [
 def cmd_sweep(values, prov) -> int:
     if not values["od_step"] > 0:
         raise ParameterError("bad-od-step", "od_step must be > 0")
+    n_ods = (values["od_max"] - values["od_min"]) / values["od_step"]
+    if not 8.0 * n_ods <= _physical_memory_bytes():
+        raise ParameterError("bad-od-step", f"{n_ods:.3g} OD steps do not fit in memory")
     grid = np.arange(values["od_min"], values["od_max"] + 1e-9, values["od_step"])
     if grid.size == 0:
         raise ParameterError("empty-od-grid", "the requested OD grid is empty")
@@ -499,7 +503,9 @@ _ANALYZE = [
     _Param("gamma_mhz", float, ps.DEFAULT_GAMMA_MHZ, "natural linewidth Gamma/2pi in MHz"),
     _Param("bin_width_ns", float, ps.DEFAULT_BIN_NS, "histogram bin width for time tags, ns"),
     _Param("tau_max_ns", float, ps.DEFAULT_TAU_MAX_NS, "histogram half range for time tags, ns"),
-    _Param("pulse_period_ns", float, None, "pulse period for gated correlation, ns"),
+    _Param("pulse_period_ns", float, None,
+           f"pulse period for gated correlation, ns (gate {ps.PULSE_GATE_NS[0]:g}-"
+           f"{ps.PULSE_GATE_NS[1]:g} ns of each pulse, first {ps.DISCARD_PULSES} dropped)"),
     _Param("window_ns", float, None, "contrast fit window (default: auto 30/15 ns)"),
     _Param("tail_start_ns", float, ps.TAIL_START_NS, "start of the normalization tail, ns"),
     _Param("min_tail_counts", int, 100, "minimum total counts in the tail"),

@@ -13,8 +13,9 @@ Unit conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 import math
+import os
 
 import numpy as np
 
@@ -63,20 +64,30 @@ def time_unit_ns(gamma_mhz: float) -> float:
     return 1e3 / (2.0 * math.pi * gamma_mhz)
 
 
+def _physical_memory_bytes() -> float:
+    """Installed memory, or inf where the platform does not report it.
+
+    Arrays sized from user input are refused before allocation when they
+    would not fit in it.
+    """
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Parameters of the driven emitter chain.
 
-    beta                fraction of emission into the forward waveguide mode
-    n_atoms             number of emitters in the chain
-    detuning            drive detuning from atomic resonance, units of Gamma
-    drive_photon_rate   input photon rate, units of Gamma (0 = weak-drive limit)
+    beta      fraction of emission into the forward waveguide mode
+    n_atoms   number of emitters in the chain
+    detuning  drive detuning from atomic resonance, units of Gamma
     """
 
     beta: float
     n_atoms: int
     detuning: float = 0.0
-    drive_photon_rate: float = 0.0
 
 
 def validate_params(params: PhysicalParams) -> PhysicalParams:
@@ -93,11 +104,6 @@ def validate_params(params: PhysicalParams) -> PhysicalParams:
         raise ParameterError("n-atoms-negative", f"n_atoms must be >= 0, got {n}")
     if not math.isfinite(params.detuning):
         raise ParameterError("detuning-not-finite", f"detuning must be finite, got {params.detuning!r}")
-    if not (math.isfinite(params.drive_photon_rate) and params.drive_photon_rate >= 0.0):
-        raise ParameterError(
-            "drive-rate-out-of-range",
-            f"drive_photon_rate must be >= 0, got {params.drive_photon_rate!r}",
-        )
     return params
 
 
@@ -105,12 +111,10 @@ def validate_params(params: PhysicalParams) -> PhysicalParams:
 class TauGrid:
     """Delay grid, tau >= 0, strictly increasing, starting at 0.
 
-    symmetric  whether the associated curve is to be mirrored to tau < 0
-    unit       "gamma" (units of 1/Gamma) or "ns"
+    unit  "gamma" (units of 1/Gamma) or "ns"
     """
 
     values: np.ndarray
-    symmetric: bool = True
     unit: str = "gamma"
 
     def __post_init__(self):
@@ -128,27 +132,12 @@ class TauGrid:
             raise ParameterError("grid-bad-unit", f"unit must be 'gamma' or 'ns', got {self.unit!r}")
 
     @classmethod
-    def linear(cls, tau_max: float, n_points: int, symmetric: bool = True, unit: str = "gamma"):
-        return cls(np.linspace(0.0, tau_max, n_points), symmetric=symmetric, unit=unit)
+    def linear(cls, tau_max: float, n_points: int, unit: str = "gamma"):
+        return cls(np.linspace(0.0, tau_max, n_points), unit=unit)
 
     def mirrored_values(self) -> np.ndarray:
         """Full two-sided grid (negative delays prepended) for output."""
-        if not self.symmetric:
-            return self.values
         return np.concatenate([-self.values[:0:-1], self.values])
-
-    def to_dict(self) -> dict:
-        return {"values": self.values.tolist(), "symmetric": self.symmetric, "unit": self.unit}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TauGrid":
-        return cls(np.asarray(d["values"], dtype=float), bool(d["symmetric"]), str(d["unit"]))
-
-
-def _mirror(grid: TauGrid, values: np.ndarray) -> np.ndarray:
-    if not grid.symmetric:
-        return values
-    return np.concatenate([values[:0:-1], values])
 
 
 @dataclass(frozen=True)
@@ -181,23 +170,7 @@ class G2Curve:
 
     def mirrored(self) -> tuple[np.ndarray, np.ndarray]:
         """(tau, g2) over the full symmetric range, for output."""
-        return self.grid.mirrored_values(), _mirror(self.grid, self.values)
-
-    def value_at(self, tau: float) -> float:
-        """Linear interpolation at |tau|; 1 beyond the grid."""
-        return float(np.interp(abs(tau), self.grid.values, self.values, right=1.0))
-
-    def to_dict(self) -> dict:
-        d = {"grid": self.grid.to_dict(), "values": self.values.tolist(),
-             "transmission": self.transmission}
-        d["params"] = None if self.params is None else asdict(self.params)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "G2Curve":
-        params = None if d.get("params") is None else PhysicalParams(**d["params"])
-        return cls(TauGrid.from_dict(d["grid"]), np.asarray(d["values"], dtype=float),
-                   d.get("transmission"), params)
+        return self.grid.mirrored_values(), np.concatenate([self.values[:0:-1], self.values])
 
 
 @dataclass(frozen=True)
@@ -214,15 +187,3 @@ class ComplexCurve:
             raise ParameterError("curve-shape-mismatch", "values and grid must have equal length")
         if not np.all(np.isfinite(v)):
             raise ParameterError("curve-not-finite", "amplitude values must be finite")
-
-    def mirrored(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.grid.mirrored_values(), _mirror(self.grid, self.values)
-
-    def to_dict(self) -> dict:
-        return {"grid": self.grid.to_dict(),
-                "values": [[z.real, z.imag] for z in self.values]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ComplexCurve":
-        vals = np.array([complex(re, im) for re, im in d["values"]])
-        return cls(TauGrid.from_dict(d["grid"]), vals)

@@ -166,18 +166,6 @@ class NumberDistribution:
     def mean(self) -> float:
         return float(self.weights @ self.support)
 
-    def to_dict(self) -> dict:
-        return {
-            "support": self.support.tolist(),
-            "weights": self.weights.tolist(),
-            "rate_weights": self.rate_weights.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NumberDistribution":
-        return cls(np.asarray(data["support"]), np.asarray(data["weights"]),
-                   np.asarray(data["rate_weights"]))
-
 
 def od_to_atoms(od: float, beta: float) -> float:
     """Mean atom number behind a measured optical depth."""

@@ -14,9 +14,10 @@ with J0 = sqrt(beta Gamma) sum_j sigma_j the collective waveguide jump
 operator and upstream emitters (lower index) feeding downstream ones.  The
 transmitted field in normally ordered correlators is a_out = alpha + J0.
 
-True weak-drive quantities are obtained from two finite drives with
-amplitude ratio 1 : 1/2 by two-point Richardson extrapolation in drive
-power, which cancels the O(|alpha|^2) saturation correction.
+True weak-drive quantities are obtained from the configured finite drives
+(three by default), with consecutive amplitude ratio 2 : 1, by iterated
+Richardson extrapolation in drive power: each stage cancels one more order
+of the saturation correction, starting with O(|alpha|^2).
 
 Each drive builds its Liouvillian L once.  Its steady state gives both the
 output rate (hence the transmission) and the start of the regression, and
@@ -46,17 +47,20 @@ from .core import (
 )
 
 __all__ = [
+    "MAX_ATOMS",
+    "EXTRAPOLATION_TOL",
     "OracleConfig",
-    "DensityOperator",
     "CascadedGenerator",
-    "build_cascaded_generator",
-    "oracle_steady_state",
-    "oracle_propagate",
     "oracle_g2",
-    "oracle_transmission",
 ]
 
 _SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|, basis (g, e)
+
+# soft cap on N: the full density matrix is 4^N numbers
+MAX_ATOMS = 4
+# allowed change of the extrapolation when the finest drive is dropped,
+# relative to the curve's maximum
+EXTRAPOLATION_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -72,17 +76,12 @@ class OracleConfig:
                         saturation correction to g2 is amplified by the
                         inverse chain transmission, so strongly coupled
                         chains need very weak probes.
-    max_atoms           soft cap on N (full density matrix is 4^N numbers)
-    extrapolation_tol   allowed change of the extrapolation when the finest
-                        drive is dropped, relative to the curve's maximum
 
     There is no time step to set: delays are propagated exactly, with one
     expm(L dtau) per distinct grid step.
     """
 
     drive_saturations: tuple = (0.004, 0.001, 0.00025)
-    max_atoms: int = 4
-    extrapolation_tol: float = 0.1
 
     def __post_init__(self):
         s = tuple(float(x) for x in self.drive_saturations)
@@ -97,25 +96,6 @@ class OracleConfig:
         for lo, hi in zip(srt, srt[1:]):
             if not math.isclose(hi / lo, 4.0, rel_tol=1e-9):
                 raise ParameterError("oracle-drives", "consecutive drives must have power ratio 4:1")
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Validated density matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ParameterError("rho-not-square", "density matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise NumericalError("rho-not-hermitian", "density matrix not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise NumericalError("rho-trace", "density matrix trace differs from 1 beyond 1e-10")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -1e-10:
-            raise NumericalError("rho-not-positive", "density matrix has eigenvalue below -1e-10")
 
 
 class CascadedGenerator:
@@ -167,8 +147,14 @@ def _site_op(op: np.ndarray, site: int, n: int) -> np.ndarray:
     return out
 
 
-def build_cascaded_generator(params: PhysicalParams, drive_amplitude: float) -> CascadedGenerator:
-    return CascadedGenerator(params, drive_amplitude)
+def _check_density(m: np.ndarray) -> None:
+    """Raise unless m is a density matrix: Hermitian, unit trace, positive."""
+    if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        raise NumericalError("rho-not-hermitian", "density matrix not Hermitian within 1e-12")
+    if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
+        raise NumericalError("rho-trace", "density matrix trace differs from 1 beyond 1e-10")
+    if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -1e-10:
+        raise NumericalError("rho-not-positive", "density matrix has eigenvalue below -1e-10")
 
 
 def _steady_state(lv: np.ndarray, dim: int) -> np.ndarray:
@@ -182,24 +168,8 @@ def _steady_state(lv: np.ndarray, dim: int) -> np.ndarray:
     if resid > 1e-8:
         raise NumericalError("steady-state", f"null-space residual {resid:.2e}")
     rho = vec.reshape(dim, dim)
-    DensityOperator(rho)  # validates the raw solution against the physicality bounds
+    _check_density(rho)  # the raw solution, against the physicality bounds
     return (rho + rho.conj().T) / 2
-
-
-def oracle_steady_state(gen: CascadedGenerator) -> DensityOperator:
-    """Steady state from the Liouvillian null space plus the trace condition."""
-    return DensityOperator(_steady_state(gen.liouvillian(), gen.dim))
-
-
-def oracle_propagate(gen: CascadedGenerator, rho: np.ndarray, t: float) -> np.ndarray:
-    """Evolve an operator under the master equation for time t, by expm(L t)."""
-    if t < 0:
-        raise ParameterError("negative-time", "propagation time must be >= 0")
-    if t == 0.0:
-        return np.array(rho, dtype=complex)
-    from scipy.linalg import expm  # deferred: importing chiralchain loads no scipy.linalg
-    vec = np.asarray(rho, dtype=complex).reshape(-1)
-    return (expm(gen.liouvillian() * t) @ vec).reshape(rho.shape)
 
 
 def _output_rate(gen: CascadedGenerator, rho: np.ndarray) -> float:
@@ -257,14 +227,8 @@ def _richardson(curves: list) -> tuple:
     return tab[0], top_prev
 
 
-def _drive_amplitudes(params: PhysicalParams, config: OracleConfig):
-    """Probe amplitudes, strongest first."""
-    sats = sorted(config.drive_saturations, reverse=True)
-    return [math.sqrt(s / (8.0 * params.beta)) for s in sats]
-
-
-def _check_atoms(params: PhysicalParams, config: OracleConfig):
-    if params.n_atoms > config.max_atoms:
+def _check_atoms(params: PhysicalParams):
+    if params.n_atoms > MAX_ATOMS:
         warnings.warn(
             f"oracle with N = {params.n_atoms} emitters builds a {4 ** params.n_atoms}"
             " dimensional Liouvillian; expect it to be slow",
@@ -284,22 +248,26 @@ class OracleG2Result:
 def oracle_g2(params: PhysicalParams, grid: TauGrid, config: OracleConfig = OracleConfig()) -> OracleG2Result:
     """Weak-drive g2(tau) of the transmitted light, by brute force.
 
-    Runs the full master equation at the two finest configured drives and
-    Richardson-extrapolates the two finite-drive correlation curves to zero
-    power.  Raises "not-converged" when the two drives disagree by more than
-    config.extrapolation_tol relative to the extrapolated curve, i.e. when
-    the probes are too strong for the linear correction model.
+    Runs the full master equation at every configured drive and
+    extrapolates the finite-drive correlation curves to zero power by
+    iterated Richardson (see _richardson).  Raises "not-converged" when
+    dropping the finest drive moves the extrapolation by more than
+    EXTRAPOLATION_TOL relative to the curve's maximum, i.e. when the probes
+    are too strong for the power series the extrapolation assumes.  The
+    curve's transmission is the same extrapolation of the output rates.
     """
     validate_params(params)
-    _check_atoms(params, config)
+    _check_atoms(params)
     if grid.unit != "gamma":
         raise ParameterError("grid-bad-unit", "oracle grids are in units of 1/Gamma")
-    amps = _drive_amplitudes(params, config)
-    curves, rates = zip(*(_finite_drive_g2(build_cascaded_generator(params, amp), grid)
+    # probe amplitudes, strongest first
+    amps = [math.sqrt(s / (8.0 * params.beta))
+            for s in sorted(config.drive_saturations, reverse=True)]
+    curves, rates = zip(*(_finite_drive_g2(CascadedGenerator(params, amp), grid)
                           for amp in amps))
     g0, g_without_finest = _richardson(curves)
     gap = float(np.max(np.abs(g0 - g_without_finest)) / max(float(np.max(g0)), 1.0))
-    if gap > config.extrapolation_tol:
+    if gap > EXTRAPOLATION_TOL:
         raise NumericalError(
             "not-converged",
             f"extrapolation moved by {gap:.3f} of the curve scale when the finest "
@@ -309,21 +277,7 @@ def oracle_g2(params: PhysicalParams, grid: TauGrid, config: OracleConfig = Orac
     if np.min(g0) < -1e-4 * max(float(np.max(g0)), 1.0):
         raise NumericalError("not-converged", f"extrapolated g2 reached {np.min(g0):.2e} < 0")
     g0 = np.clip(g0, 0.0, None)
-    curve = G2Curve(grid, g0, transmission=_weak_transmission(rates, amps), params=params)
-    return OracleG2Result(curve, tuple(sorted(config.drive_saturations)), gap)
-
-
-def oracle_transmission(params: PhysicalParams, config: OracleConfig = OracleConfig()) -> float:
-    """Weak-drive power transmission Tr[a_out^dag a_out rho_ss] / |alpha|^2."""
-    validate_params(params)
-    _check_atoms(params, config)
-    amps = _drive_amplitudes(params, config)
-    gens = [build_cascaded_generator(params, amp) for amp in amps]
-    rates = [_output_rate(gen, oracle_steady_state(gen).matrix) for gen in gens]
-    return _weak_transmission(rates, amps)
-
-
-def _weak_transmission(rates, amps) -> float:
-    """Richardson-extrapolated rate / |alpha|^2 over the drives."""
+    # weak-drive power transmission: the extrapolated rate / |alpha|^2
     trans, _ = _richardson([r / a**2 for r, a in zip(rates, amps)])
-    return float(trans)
+    curve = G2Curve(grid, g0, transmission=float(trans), params=params)
+    return OracleG2Result(curve, tuple(sorted(config.drive_saturations)), gap)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import math
-import os
 import warnings
 
 import numpy as np
@@ -34,6 +33,7 @@ from .core import (
     NumericalError,
     ParameterError,
     TauGrid,
+    _physical_memory_bytes,
     time_unit_ns,
 )
 from .ensemble import OdBinSpec
@@ -43,6 +43,8 @@ __all__ = [
     "DEFAULT_BIN_NS",
     "DEFAULT_TAU_MAX_NS",
     "TAIL_START_NS",
+    "PULSE_GATE_NS",
+    "DISCARD_PULSES",
     "CoincidenceHistogram",
     "TimeTagStream",
     "FitResult",
@@ -68,6 +70,10 @@ DEFAULT_TAU_MAX_NS = 320.0
 TAIL_START_NS = 200.0
 # largest share of detector-1 tags that clipping may add in synth_timetags
 CLIP_BIAS_BOUND = 0.02
+# pulsed time-tag correlation: the live window within each pulse, in ns,
+# and the number of leading pulses dropped (they see an uncooled ensemble)
+PULSE_GATE_NS = (1000.0, 9000.0)
+DISCARD_PULSES = 20
 
 
 @dataclass(frozen=True)
@@ -232,19 +238,6 @@ class FitResult:
             "n_at_edge": self.n_at_edge,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
-        return cls(amplitude=float(d["A"]),
-                   gamma_fit=float(d["gamma_fit_per_ns"]),
-                   g2_zero=float(d["g2_zero"]),
-                   window_ns=float(d["window_ns"]),
-                   a_err=None if d.get("a_err") is None else float(d["a_err"]),
-                   n_bootstrap=int(d.get("n_bootstrap", 0)),
-                   seed=d.get("seed"),
-                   gamma_at_edge=bool(d.get("gamma_at_edge", False)),
-                   n_failed=int(d.get("n_failed", 0)),
-                   n_at_edge=int(d.get("n_at_edge", 0)))
-
 
 @dataclass(frozen=True)
 class SaturationData:
@@ -308,11 +301,22 @@ def curve_values_ns(curve: G2Curve, tau_ns: np.ndarray, gamma_mhz: float = DEFAU
 
 
 def _symmetric_centers(bin_width_ns: float, tau_max_ns: float) -> np.ndarray:
+    """Bin centers k * bin_width_ns for |k| <= tau_max_ns / bin_width_ns, rounded.
+
+    Raises "bad-tau-max" before allocating when the centers, as float64,
+    would not fit in the installed memory.
+    """
     if not (math.isfinite(bin_width_ns) and bin_width_ns > 0):
         raise ParameterError("bad-bin-width", f"bin_width_ns must be > 0, got {bin_width_ns!r}")
     if tau_max_ns < bin_width_ns:
         raise ParameterError("bad-tau-max", "tau_max_ns must cover at least one bin")
-    k = int(round(tau_max_ns / bin_width_ns))
+    half = tau_max_ns / bin_width_ns
+    if not 8.0 * (2.0 * half + 1.0) <= _physical_memory_bytes():
+        raise ParameterError(
+            "bad-tau-max",
+            f"tau_max_ns / bin_width_ns = {half:.3g} bins per side do not fit in memory",
+        )
+    k = int(round(half))
     return np.arange(-k, k + 1, dtype=float) * bin_width_ns
 
 
@@ -323,26 +327,26 @@ def synth_histogram(curve: G2Curve, rate1: float, rate2: float, acquisition_s: f
     """Poisson coincidence counts for a model g2 at given singles rates.
 
     Bin means are rate1 * rate2 * bin_width * acquisition * g2(tau_i), the
-    uncorrelated-pair level modulated by the correlation function.
+    uncorrelated-pair level modulated by the correlation function.  Raises
+    "counts-overflow" before any draw when the expected total exceeds half
+    the int64 range, so the counts and their total stay representable.
     """
     if not all(math.isfinite(x) and x > 0 for x in (rate1, rate2, acquisition_s)):
         raise ParameterError("rates-not-positive", "rates and acquisition time must be finite, > 0")
     centers = _symmetric_centers(bin_width_ns, tau_max_ns)
     g2 = curve_values_ns(curve, centers, gamma_mhz)
     mean = rate1 * rate2 * (bin_width_ns * 1e-9) * acquisition_s * g2
+    if not float(mean.sum()) <= np.iinfo(np.int64).max / 2:
+        raise ParameterError(
+            "counts-overflow",
+            f"{float(mean.sum()):.3g} expected coincidences overflow the int64 counts; "
+            "shorten the acquisition or lower the rates",
+        )
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mean)
     return CoincidenceHistogram(centers, counts, bin_width_ns,
                                 rate1=rate1, rate2=rate2, acquisition_s=acquisition_s,
                                 transmission=curve.transmission)
-
-
-def _physical_memory_bytes() -> float:
-    """Installed memory, or inf where the platform does not report it."""
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, OSError, ValueError):
-        return math.inf
 
 
 def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float,
@@ -476,36 +480,36 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarra
 
 def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_BIN_NS,
                        tau_max_ns: float = DEFAULT_TAU_MAX_NS,
-                       pulse_period_ns: float | None = None,
-                       gate_ns: tuple[float, float] = (1000.0, 9000.0),
-                       discard_pulses: int = 20) -> CoincidenceHistogram:
+                       pulse_period_ns: float | None = None) -> CoincidenceHistogram:
     """Cross-correlation histogram of a time-tag stream.
 
     Every inter-detector pair with tau = t1 - t0 in [-E, E), E the outer bin
     edge, is counted once.  Each bin is half-open, [lo, hi), so with integer
     delays and odd-integer edges every bin takes the same number of delays.
-    With pulse_period_ns set, tags are first gated to the window gate_ns
-    within each pulse and the first discard_pulses pulses are dropped,
-    mirroring pulsed probing where the early pulses see an uncooled ensemble.
+    With pulse_period_ns set, tags are first gated to the window
+    PULSE_GATE_NS within each pulse and the first DISCARD_PULSES pulses are
+    dropped, mirroring pulsed probing where the early pulses see an uncooled
+    ensemble; a period shorter than the gate end raises "bad-gate".
     """
     # the stream spans from its earliest to its latest tag on either detector
     nonempty = [c for c in (stream.t0_ns, stream.t1_ns) if c.size]
     t0, t1 = stream.t0_ns, stream.t1_ns
     acq = None
     if pulse_period_ns is not None:
-        if not (0.0 <= gate_ns[0] < gate_ns[1] <= pulse_period_ns):
-            raise ParameterError("bad-gate", "need 0 <= gate start < gate end <= pulse period")
-        start = discard_pulses * pulse_period_ns
+        g_lo, g_hi = PULSE_GATE_NS
+        if not g_hi <= pulse_period_ns:
+            raise ParameterError("bad-gate", f"pulse period must reach the gate end {g_hi:g} ns")
+        start = DISCARD_PULSES * pulse_period_ns
 
         def gate(t):
             phase = np.mod(t, pulse_period_ns)
-            return t[(t >= start) & (phase >= gate_ns[0]) & (phase < gate_ns[1])]
+            return t[(t >= start) & (phase >= g_lo) & (phase < g_hi)]
 
         t0, t1 = gate(t0), gate(t1)
         if nonempty:
             pulses = int(max(c[-1] for c in nonempty) // pulse_period_ns) + 1
-            live = max(pulses - discard_pulses, 0)
-            acq = live * (gate_ns[1] - gate_ns[0]) * 1e-9
+            live = max(pulses - DISCARD_PULSES, 0)
+            acq = live * (g_hi - g_lo) * 1e-9
     elif stream.n_tags > 1:
         span = max(c[-1] for c in nonempty) - min(c[0] for c in nonempty)
         acq = float(span) * 1e-9
@@ -533,16 +537,10 @@ def _fold(hist: CoincidenceHistogram):
     pos = tau > 1e-9
     zero = np.abs(tau) <= 1e-9
     centers = tau[pos]
-    folded = hist.counts[pos].astype(np.int64).copy()
-    neg_centers = -tau[tau < -1e-9][::-1]
-    neg_counts = hist.counts[tau < -1e-9][::-1]
-    # centers are symmetric by construction, so the reversed negative side
-    # lines up with the positive side bin by bin
-    if neg_centers.size == centers.size and np.allclose(neg_centers, centers):
-        folded += neg_counts
-        mult = np.full(centers.size, 2.0)
-    else:
-        raise DataError("bins-not-symmetric", "cannot fold an asymmetric histogram")
+    # CoincidenceHistogram holds symmetric centers only, so the reversed
+    # negative side lines up with the positive side bin by bin
+    folded = hist.counts[pos] + hist.counts[tau < -1e-9][::-1]
+    mult = np.full(centers.size, 2.0)
     if np.any(zero):
         centers = np.concatenate([[0.0], centers])
         folded = np.concatenate([[int(hist.counts[zero][0])], folded])
@@ -570,7 +568,7 @@ def normalize_histogram(hist: CoincidenceHistogram, *, tail_start_ns: float = TA
                         f"need >= {min_tail_counts}")
     level = tail_total / float(mult[tail].sum())
     values = folded / (mult * level)
-    grid = TauGrid(centers, symmetric=True, unit="ns")
+    grid = TauGrid(centers, unit="ns")
     return G2Curve(grid, values, transmission=hist.transmission)
 
 
@@ -892,15 +890,15 @@ def saturation_transmission(beta: float, od0: float, s0) -> np.ndarray:
     return out
 
 
-def fit_beta_saturation(data: SaturationData, od0: float, *,
-                        beta_bounds: tuple[float, float] = (1e-5, 0.49)) -> SaturationFit:
+def fit_beta_saturation(data: SaturationData, od0: float) -> SaturationFit:
     """Least-squares estimate of beta from transmission saturation.
 
     The zero-power optical depth od0 is taken as known (from a weak-drive
     calibration); beta is the only free parameter, entering through the
     saturation parameter beta * s0 of each drive power.  Data that never
     approach saturation, or that are fully saturated throughout, carry no
-    information on beta and are refused.
+    information on beta and are refused.  The search runs over
+    1e-5 <= beta <= 0.49.
     """
     from scipy import optimize  # deferred: importing chiralchain loads no scipy.optimize
     if data.n_points < 5:
@@ -909,7 +907,7 @@ def fit_beta_saturation(data: SaturationData, od0: float, *,
     def resid(b):
         return saturation_transmission(float(b[0]), od0, data.s0) - data.transmission
 
-    res = optimize.least_squares(resid, x0=[0.01], bounds=([beta_bounds[0]], [beta_bounds[1]]),
+    res = optimize.least_squares(resid, x0=[0.01], bounds=([1e-5], [0.49]),
                                  xtol=1e-14, ftol=1e-14)
     if not res.success:
         raise NumericalError("fit-failed", "saturation fit did not converge")

@@ -80,16 +80,15 @@ from .core import (
     ParameterError,
     PhysicalParams,
     TauGrid,
+    _physical_memory_bytes,
     validate_params,
 )
 
 __all__ = [
-    "ChainState",
     "RateReport",
     "transmission_coefficient",
     "od_per_atom",
     "single_atom_g2",
-    "chain_steady_state",
     "chain_transmission",
     "chain_two_photon_amplitude",
     "chain_g2",
@@ -120,34 +119,6 @@ def od_per_atom(beta: float) -> float:
     return -2.0 * math.log(1.0 - 2.0 * beta)
 
 
-@dataclass(frozen=True)
-class ChainState:
-    """Weak-drive steady state amplitudes at alpha = 1.
-
-    single_exc[j] is the one-excitation amplitude of emitter j; double_exc is
-    strictly upper triangular, [j, k] with j < k holding the pair amplitude.
-    """
-
-    vacuum_amp: complex
-    single_exc: np.ndarray
-    double_exc: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.single_exc, dtype=complex)
-        d = np.asarray(self.double_exc, dtype=complex)
-        object.__setattr__(self, "single_exc", e)
-        object.__setattr__(self, "double_exc", d)
-        n = e.size
-        if d.shape != (n, n):
-            raise ParameterError("state-shape", "double_exc must be (n, n) for n emitters")
-        if n and np.max(np.abs(np.tril(d))) != 0.0:
-            raise ParameterError("state-shape", "double_exc must be strictly upper triangular")
-
-    @property
-    def n_atoms(self) -> int:
-        return self.single_exc.size
-
-
 class _SteadyChain:
     """Incrementally grown steady-state amplitudes for one (beta, detuning).
 
@@ -164,7 +135,9 @@ class _SteadyChain:
     j < s/2 < k, so the whole diagonal is one vector step, and each row sum
     still adds its pairs in partner order, as a column-by-column fill would.
     One extension costs O(n) vector steps however few emitters it adds, so
-    callers extend once, to the largest N they need.
+    callers extend once, to the largest N they need.  Raises NumericalError
+    "chain-too-long" before any work when the dense n x n pair matrix would
+    not fit in the installed memory.
     """
 
     def __init__(self, beta: float, detuning: float):
@@ -180,6 +153,12 @@ class _SteadyChain:
         cur = self.e.size
         if n <= cur:
             return
+        if not 16.0 * n * n <= _physical_memory_bytes():
+            raise NumericalError(
+                "chain-too-long",
+                f"a chain of N = {n} needs a {16.0 * n * n:.3g} byte pair matrix, more "
+                "than fits in memory; lower the optical depth or raise beta",
+            )
         sq = math.sqrt(self.beta)
         den1 = -self.delta - 0.5j
         den2 = -2.0 * self.delta - 1.0j
@@ -224,15 +203,6 @@ class _SteadyChain:
 def _chain(beta: float, detuning: float) -> _SteadyChain:
     """The steady chain of one (beta, detuning), shared by every caller."""
     return _SteadyChain(beta, detuning)
-
-
-def chain_steady_state(params: PhysicalParams) -> ChainState:
-    """Weak-drive steady state of the chain (alpha = 1)."""
-    validate_params(params)
-    n = params.n_atoms
-    ch = _chain(params.beta, params.detuning)
-    ch.extend_to(n)
-    return ChainState(1.0 + 0.0j, ch.e[:n].copy(), np.triu(ch.dmat[:n, :n], k=1))
 
 
 def _power_transmission(beta: float, detuning: float, n: int) -> float:

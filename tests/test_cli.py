@@ -167,14 +167,26 @@ def test_sweep_rejects_bad_grid(tmp_path):
     (["simulate", "--od", 3.0, "--spread", "nan"], "bad-spread"),
     (["synth", "--kind", "timetags", "--od", 3.0, "--bin-width-ns", "nan"], "bad-bin-width"),
     (["simulate", "--od", "inf"], "bad-od"),
+    # finite values that size an array or a count beyond what the machine holds
+    (["synth", "--od", 3.0, "--tau-max-ns", 1e15], "bad-tau-max"),
+    (["synth", "--od", 3.0, "--tau-max-ns", 1e30], "bad-tau-max"),
+    (["analyze", "--input", "TAGS", "--tau-max-ns", 1e30], "bad-tau-max"),
+    (["sweep", "--averaged", 0, "--od-step", 1e-12], "bad-od-step"),
+    (["sweep", "--od-step", 1e-300], "bad-od-step"),
+    (["synth", "--od", 3.0, "--duration", 1e30], "counts-overflow"),
 ])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, args, code):
     hist = tmp_path / "hist.csv"
+    tags = tmp_path / "tags.csv"
     if "HIST" in args:
         assert run(tmp_path, "synth", "--od", 3.0, "--output", hist) == 0
+    if "TAGS" in args:
+        assert run(tmp_path, "synth", "--kind", "timetags", "--od", 3.0, "--duration", 1,
+                   "--output", tags) == 0
     out = tmp_path / "out"
     out.mkdir()
-    args = [str(a).replace("HIST", str(hist)).replace("OUT", str(out)) for a in args]
+    args = [str(a).replace("HIST", str(hist)).replace("TAGS", str(tags)).replace("OUT", str(out))
+            for a in args]
     capsys.readouterr()
     assert run(tmp_path, *args, "--output", out / "result") == 2
     assert f"[{code}]" in capsys.readouterr().err
@@ -287,6 +299,17 @@ def test_synth_thinning_overflow_draws_nothing(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "thinning-overflow" in capsys.readouterr().err
     assert peak < 16 * 2**20
+
+
+def test_simulate_chain_too_long_exits_3(tmp_path, monkeypatch, capsys):
+    # N = 300 needs a 1.4 MB pair matrix: refused against 1 MiB of memory
+    # before the chain is built (beta is one no other test builds)
+    from chiralchain import transport
+    monkeypatch.setattr(transport, "_physical_memory_bytes", lambda: float(2**20))
+    out = tmp_path / "curve.csv"
+    assert run(tmp_path, "simulate", "--n-atoms", 300, "--beta", 2.5e-5, "--output", out) == 3
+    assert "[chain-too-long]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_intensity_clipped_exits_3(tmp_path, capsys):

@@ -40,7 +40,6 @@ def test_validate_params_accepts_and_returns():
     PhysicalParams(beta=0.1, n_atoms=2.5),
     PhysicalParams(beta=0.1, n_atoms=True),
     PhysicalParams(beta=0.1, n_atoms=1, detuning=float("inf")),
-    PhysicalParams(beta=0.1, n_atoms=1, drive_photon_rate=-0.1),
 ])
 def test_validate_params_rejects(bad):
     with pytest.raises(ParameterError):
@@ -53,7 +52,6 @@ def test_tau_grid_linear():
     assert g.values[-1] == 10.0
     assert g.values.size == 101
     assert g.unit == "gamma"
-    assert g.symmetric
 
 
 def test_tau_grid_validation():
@@ -74,15 +72,6 @@ def test_tau_grid_validation():
 def test_tau_grid_mirroring():
     g = TauGrid(np.array([0.0, 1.0, 3.0]))
     np.testing.assert_array_equal(g.mirrored_values(), [-3.0, -1.0, 0.0, 1.0, 3.0])
-    one_sided = TauGrid(np.array([0.0, 1.0, 3.0]), symmetric=False)
-    np.testing.assert_array_equal(one_sided.mirrored_values(), [0.0, 1.0, 3.0])
-
-
-def test_tau_grid_dict_round_trip():
-    g = TauGrid.linear(5.0, 11, symmetric=False, unit="ns")
-    g2 = TauGrid.from_dict(g.to_dict())
-    np.testing.assert_array_equal(g.values, g2.values)
-    assert g2.symmetric is False and g2.unit == "ns"
 
 
 def test_g2_curve_validation():
@@ -104,32 +93,18 @@ def test_g2_curve_tail_check_only_for_long_natural_grids():
     G2Curve(TauGrid.linear(60.0, 61, unit="ns"), np.full(61, 1.5))
 
 
-def test_g2_curve_value_at():
+def test_g2_curve_mirrored():
     grid = TauGrid(np.array([0.0, 1.0, 2.0]))
-    c = G2Curve(grid, np.array([0.0, 0.5, 1.0]))
-    assert c.value_at(0.0) == 0.0
-    assert c.value_at(0.5) == pytest.approx(0.25)
-    assert c.value_at(-0.5) == pytest.approx(0.25)  # even in tau
-    assert c.value_at(7.0) == 1.0  # beyond the grid: uncorrelated
-
-
-def test_g2_curve_mirrored_and_dict_round_trip():
-    grid = TauGrid(np.array([0.0, 1.0, 2.0]))
-    c = G2Curve(grid, np.array([0.2, 0.6, 1.0]), transmission=0.5,
-                params=PhysicalParams(beta=0.1, n_atoms=2))
+    c = G2Curve(grid, np.array([0.2, 0.6, 1.0]), transmission=0.5)
     tau, vals = c.mirrored()
     np.testing.assert_array_equal(tau, [-2.0, -1.0, 0.0, 1.0, 2.0])
     np.testing.assert_array_equal(vals, [1.0, 0.6, 0.2, 0.6, 1.0])
-    c2 = G2Curve.from_dict(c.to_dict())
-    np.testing.assert_allclose(c2.values, c.values)
-    assert c2.transmission == c.transmission
-    assert c2.params == c.params
 
 
 def test_complex_curve():
     grid = TauGrid(np.array([0.0, 1.0]))
-    c = ComplexCurve(grid, np.array([1 + 2j, 3 - 1j]))
-    c2 = ComplexCurve.from_dict(c.to_dict())
-    np.testing.assert_allclose(c2.values, c.values)
+    c = ComplexCurve(grid, [1 + 2j, 3 - 1j])
+    np.testing.assert_array_equal(c.values, [1 + 2j, 3 - 1j])
+    assert c.values.dtype == complex
     with pytest.raises(ParameterError):
         ComplexCurve(grid, np.array([np.inf + 0j, 0j]))

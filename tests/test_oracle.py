@@ -17,19 +17,27 @@ from chiralchain import (
     ParameterError,
     PhysicalParams,
     TauGrid,
-    build_cascaded_generator,
     chain_transmission,
     oracle_g2,
-    oracle_steady_state,
-    oracle_transmission,
 )
-from chiralchain.oracle import DensityOperator, _finite_drive_g2, oracle_propagate
+from chiralchain.oracle import (
+    CascadedGenerator,
+    _check_atoms,
+    _check_density,
+    _finite_drive_g2,
+    _steady_state,
+)
 
 
 def _excited(n):
     rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
     rho[-1, -1] = 1.0  # basis is (g, e) per site, so |e...e> is the last index
     return rho
+
+
+def _propagate(gen, rho, t):
+    """rho evolved for time t by the master equation, expm(L t) vec(rho)."""
+    return (scipy.linalg.expm(gen.liouvillian() * t) @ rho.reshape(-1)).reshape(rho.shape)
 
 
 def test_config_validation():
@@ -45,35 +53,35 @@ def test_config_validation():
 
 def test_density_operator_validation():
     with pytest.raises(NumericalError):
-        DensityOperator(np.array([[0.5, 0.1], [0.3, 0.5]]))  # not hermitian
+        _check_density(np.array([[0.5, 0.1], [0.3, 0.5]]))  # not hermitian
     with pytest.raises(NumericalError):
-        DensityOperator(np.diag([0.7, 0.7]))  # trace 1.4
+        _check_density(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(NumericalError):
-        DensityOperator(np.diag([1.5, -0.5]))  # negative eigenvalue
+        _check_density(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
 def test_undriven_excited_atom_decays_exponentially():
-    gen = build_cascaded_generator(PhysicalParams(beta=0.3, n_atoms=1), 0.0)
+    gen = CascadedGenerator(PhysicalParams(beta=0.3, n_atoms=1), 0.0)
     rho = _excited(1)
     for t in (0.5, 1.0, 2.0):
-        out = oracle_propagate(gen, rho, t)
+        out = _propagate(gen, rho, t)
         pop = out[-1, -1].real
         assert pop == pytest.approx(np.exp(-t), rel=1e-8)
 
 
 def test_propagation_preserves_trace_and_positivity():
-    gen = build_cascaded_generator(PhysicalParams(beta=0.2, n_atoms=2, detuning=0.3), 0.05)
+    gen = CascadedGenerator(PhysicalParams(beta=0.2, n_atoms=2, detuning=0.3), 0.05)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    out = oracle_propagate(gen, rho, 3.0)
+    out = _propagate(gen, rho, 3.0)
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
-    DensityOperator(out)  # hermitian, positive within tolerance
+    _check_density(out)  # hermitian, positive within tolerance
 
 
 def test_steady_state_is_stationary():
-    gen = build_cascaded_generator(PhysicalParams(beta=0.15, n_atoms=2), 0.08)
-    rho = oracle_steady_state(gen).matrix
-    later = oracle_propagate(gen, rho, 2.0)
+    gen = CascadedGenerator(PhysicalParams(beta=0.15, n_atoms=2), 0.08)
+    rho = _steady_state(gen.liouvillian(), gen.dim)
+    later = _propagate(gen, rho, 2.0)
     assert np.max(np.abs(later - rho)) < 1e-9
 
 
@@ -83,11 +91,11 @@ def test_stepped_regression_matches_expm_per_point():
     # propagates every delay from tau = 0 on its own
     taus = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(1.5, 30.0, 8), [47.0]])
     params = PhysicalParams(beta=0.3, n_atoms=2, detuning=0.4)
-    gen = build_cascaded_generator(params, math.sqrt(0.004 / (8.0 * params.beta)))
+    gen = CascadedGenerator(params, math.sqrt(0.004 / (8.0 * params.beta)))
     values, n_out = _finite_drive_g2(gen, TauGrid(taus))
 
     lv = gen.liouvillian()
-    rho = oracle_steady_state(gen).matrix
+    rho = _steady_state(lv, gen.dim)
     a = gen.output_op
     ada = a.conj().T @ a
     chi = (a @ rho @ a.conj().T).reshape(-1)
@@ -120,8 +128,8 @@ def test_transmission_matches_amplitude_power_law():
     for params in (PhysicalParams(beta=0.1, n_atoms=1),
                    PhysicalParams(beta=0.3, n_atoms=2, detuning=0.5),
                    PhysicalParams(beta=0.05, n_atoms=3)):
-        assert oracle_transmission(params) == pytest.approx(
-            chain_transmission(params), rel=1e-5)
+        trans = oracle_g2(params, TauGrid.linear(1.0, 2)).curve.transmission
+        assert trans == pytest.approx(chain_transmission(params), rel=1e-5)
 
 
 def test_grid_must_be_natural_units():
@@ -130,6 +138,5 @@ def test_grid_must_be_natural_units():
 
 
 def test_large_chain_warns():
-    from chiralchain.oracle import _check_atoms
     with pytest.warns(RuntimeWarning):
-        _check_atoms(PhysicalParams(beta=0.1, n_atoms=5), OracleConfig())
+        _check_atoms(PhysicalParams(beta=0.1, n_atoms=5))

@@ -1,6 +1,5 @@
 """Measurement chain: synthesis, histogramming, normalization, MLE, saturation."""
 
-from dataclasses import replace
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -147,16 +146,15 @@ def test_time_tag_stream():
     assert err.value.code == "timestamps-not-1d"
 
 
-def test_fit_result_round_trip():
+def test_fit_result_to_dict():
     fit = FitResult(amplitude=0.4, gamma_fit=0.004, g2_zero=0.6, window_ns=30.0,
                     a_err=0.05, n_bootstrap=50, seed=7,
                     gamma_at_edge=True, n_failed=2, n_at_edge=9)
-    again = FitResult.from_dict(fit.to_dict())
-    assert again == fit
-    # reports written before the fit diagnostics existed still load
-    old = {k: v for k, v in fit.to_dict().items()
-           if k not in ("gamma_at_edge", "n_failed", "n_at_edge")}
-    assert FitResult.from_dict(old) == replace(fit, gamma_at_edge=False, n_failed=0, n_at_edge=0)
+    assert fit.to_dict() == {
+        "A": 0.4, "a_err": 0.05, "gamma_fit_per_ns": 0.004, "g2_zero": 0.6,
+        "window_ns": 30.0, "n_bootstrap": 50, "seed": 7,
+        "gamma_at_edge": True, "n_failed": 2, "n_at_edge": 9,
+    }
 
 
 def test_saturation_data_validation():
@@ -179,7 +177,7 @@ def test_curve_values_ns_converts_units():
     taus_ns = np.array([0.0, 10.0, -10.0, 1e6])
     vals = curve_values_ns(curve, taus_ns, gamma_mhz=5.2)
     assert vals[0] == pytest.approx(curve.values[0])
-    assert vals[1] == pytest.approx(curve.value_at(10.0 / scale))
+    assert vals[1] == pytest.approx(np.interp(10.0 / scale, curve.grid.values, curve.values))
     assert vals[2] == vals[1]
     assert vals[3] == 1.0
 
@@ -332,21 +330,24 @@ def test_histogram_timetags_span_covers_both_channels():
 
 
 def test_histogram_timetags_pulse_gating():
-    period, gate = 10_000.0, (1000.0, 9000.0)
+    # the gate is 1000-9000 ns of each pulse, after 20 discarded pulses
+    period = 10_000.0
     # pulse 25, phase 4000-4004: inside gate, past the discarded pulses
     live = TimeTagStream([254_000], [254_004])
-    h = histogram_timetags(live, pulse_period_ns=period, gate_ns=gate)
+    h = histogram_timetags(live, pulse_period_ns=period)
     assert h.total_counts == 1
     # same offsets in pulse 0 are discarded
     early = TimeTagStream([4_000], [4_004])
-    h0 = histogram_timetags(early, pulse_period_ns=period, gate_ns=gate)
+    h0 = histogram_timetags(early, pulse_period_ns=period)
     assert h0.total_counts == 0
     # phase outside the gate is dropped even in a live pulse
     dark = TimeTagStream([250_500], [250_504])
-    hd = histogram_timetags(dark, pulse_period_ns=period, gate_ns=gate)
+    hd = histogram_timetags(dark, pulse_period_ns=period)
     assert hd.total_counts == 0
-    with pytest.raises(ParameterError):
-        histogram_timetags(live, pulse_period_ns=period, gate_ns=(500.0, 12_000.0))
+    # a period that ends before the gate does
+    with pytest.raises(ParameterError) as err:
+        histogram_timetags(live, pulse_period_ns=8_000.0)
+    assert err.value.code == "bad-gate"
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +369,7 @@ def test_normalize_folds_and_scales():
     counts[np.argmin(np.abs(tau))] = 25  # zero-delay bin dips to 1/4
     curve = normalize_histogram(CoincidenceHistogram(tau, counts))
     assert curve.values[0] == pytest.approx(0.25)
-    assert curve.value_at(300.0) == pytest.approx(1.0)
+    assert curve_values_ns(curve, [300.0])[0] == pytest.approx(1.0)
 
 
 def test_normalize_requires_tail():

@@ -16,7 +16,6 @@ from chiralchain import (
     chain_g2_by_length,
     chain_g2_zero,
     chain_g2_zero_by_length,
-    chain_steady_state,
     chain_transmission,
     chain_two_photon_amplitude,
     find_perfect_antibunching,
@@ -25,9 +24,16 @@ from chiralchain import (
     transmission_coefficient,
 )
 from chiralchain.core import ParameterError
-from chiralchain.transport import TRANSMISSION_FLOOR, ChainState, _SteadyChain
+from chiralchain.transport import TRANSMISSION_FLOOR, _SteadyChain
 
 GRID = TauGrid.linear(12.0, 241)
+
+
+def _steady_chain(beta, delta, n):
+    """A fresh steady chain of exactly n emitters."""
+    ch = _SteadyChain(beta, delta)
+    ch.extend_to(n)
+    return ch
 
 
 def test_transmission_coefficient():
@@ -79,18 +85,19 @@ def test_full_coupling_gives_nine():
 
 
 def test_steady_state_single_atom_amplitude():
-    st = chain_steady_state(PhysicalParams(beta=0.09, n_atoms=1))
+    ch = _steady_chain(0.09, 0.0, 1)
     # e = i sqrt(beta) / (-i/2) = -2 sqrt(beta) on resonance
-    assert st.single_exc[0] == pytest.approx(-2.0 * math.sqrt(0.09))
-    assert st.double_exc.shape == (1, 1)
-    assert st.double_exc[0, 0] == 0.0
-    assert st.n_atoms == 1
+    assert ch.e[0] == pytest.approx(-2.0 * math.sqrt(0.09))
+    assert ch.dmat.shape == (1, 1)
+    assert ch.dmat[0, 0] == 0.0
 
 
 def test_steady_state_pair_amplitude_is_upper_triangular():
-    st = chain_steady_state(PhysicalParams(beta=0.1, n_atoms=4))
-    assert np.max(np.abs(np.tril(st.double_exc))) == 0.0
-    assert np.max(np.abs(np.triu(st.double_exc, k=1))) > 0.0
+    # the pairs j < k fill the strict upper triangle; the lower one mirrors it
+    dmat = _steady_chain(0.1, 0.0, 4).dmat
+    assert np.max(np.abs(np.diag(dmat))) == 0.0
+    assert np.array_equal(np.tril(dmat, k=-1), np.triu(dmat, k=1).T)
+    assert np.max(np.abs(np.triu(dmat, k=1))) > 0.0
 
 
 def _dense_steady_state(beta, delta, n):
@@ -125,9 +132,9 @@ def test_pair_amplitudes_match_dense_solve(beta, delta):
     # the anti-diagonal fill against a direct solve of the whole linear system
     for n in (2, 7, 40):
         e, d = _dense_steady_state(beta, delta, n)
-        st = chain_steady_state(PhysicalParams(beta=beta, n_atoms=n, detuning=delta))
-        assert np.max(np.abs(st.single_exc - e)) <= 1e-12 * np.max(np.abs(e))
-        assert np.max(np.abs(st.double_exc - d)) <= 1e-12 * np.max(np.abs(d))
+        ch = _steady_chain(beta, delta, n)
+        assert np.max(np.abs(ch.e - e)) <= 1e-12 * np.max(np.abs(e))
+        assert np.max(np.abs(np.triu(ch.dmat, k=1) - d)) <= 1e-12 * np.max(np.abs(d))
 
 
 def _column_fill(beta, delta, n):
@@ -174,13 +181,6 @@ def test_stepwise_extension_matches_one_extension(beta, delta):
         assert np.array_equal(getattr(steps, name), getattr(once, name)), name
 
 
-def test_chain_state_validation():
-    with pytest.raises(ParameterError):
-        ChainState(1.0, np.zeros(2, complex), np.zeros((3, 3), complex))
-    with pytest.raises(ParameterError):
-        ChainState(1.0, np.zeros(2, complex), np.array([[0, 0], [1, 0]], complex))
-
-
 def test_amplitude_relaxes_to_coherent_product():
     params = PhysicalParams(beta=0.1, n_atoms=3)
     amp = chain_two_photon_amplitude(params, TauGrid.linear(40.0, 81))
@@ -190,10 +190,9 @@ def test_amplitude_relaxes_to_coherent_product():
 
 def _expm_amplitude(beta, delta, n, taus):
     """psi_N(tau) from the dense one-excitation propagator, one expm per tau."""
-    st = chain_steady_state(PhysicalParams(beta=beta, n_atoms=n, detuning=delta))
+    ch = _steady_chain(beta, delta, n)
     t_n = transmission_coefficient(beta, delta) ** n
-    pairs = st.double_exc + st.double_exc.T
-    df = (1.0 - t_n) * st.single_exc + math.sqrt(beta) * pairs.sum(axis=1)
+    df = (1.0 - t_n) * ch.e + math.sqrt(beta) * ch.dmat.sum(axis=1)
     gen = np.tril(np.full((n, n), -beta, dtype=complex), k=-1)
     gen += (1j * delta - 0.5) * np.eye(n)
     return np.array([t_n**2 + math.sqrt(beta) * (scipy.linalg.expm(gen * tau) @ df).sum()
