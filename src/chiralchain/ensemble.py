@@ -205,6 +205,14 @@ def _nominal_loadings(bins: OdBinSpec, loading_gain: float,
 def _campaign_prior(bins: OdBinSpec, beta: float, spread: float,
                     loading_gain: float, loading_max_od: float) -> np.ndarray:
     """Prior over true N for the whole campaign, p[n] on n = 0..nmax."""
+    if not 0.0 <= spread <= 1.0:
+        raise ParameterError("bad-spread",
+                             f"relative spread must be in [0, 1], got {spread}")
+    if not (np.isfinite(loading_gain) and loading_gain >= 0.0):
+        raise ParameterError("bad-loading", "loading gain must be finite and >= 0")
+    if not loading_max_od >= bins.edges[-1]:
+        raise ParameterError("bad-loading",
+                             "loading must reach at least the top of the bin scheme")
     ods, wnom = _nominal_loadings(bins, loading_gain, loading_max_od)
     od_atom = od_per_atom(beta)
     nmax = int(math.ceil((ods[-1] / od_atom) * (1.0 + 6.0 * spread))) + 2
@@ -260,16 +268,14 @@ def build_number_distribution(bins: OdBinSpec, bin_index: int, beta: float,
     if not 0 <= bin_index < bins.n_bins:
         raise ParameterError("bad-bin-index",
                              f"bin index {bin_index} outside 0..{bins.n_bins - 1}")
-    if not 0.0 <= preparation_spread <= 1.0:
-        raise ParameterError("bad-spread",
-                             f"relative spread must be in [0, 1], got {preparation_spread}")
-    if not (np.isfinite(loading_gain) and loading_gain >= 0.0):
-        raise ParameterError("bad-loading", "loading gain must be finite and >= 0")
-    if not loading_max_od >= bins.edges[-1]:
-        raise ParameterError("bad-loading",
-                             "loading must reach at least the top of the bin scheme")
     prior = _campaign_prior(bins, beta, preparation_spread,
                             loading_gain, loading_max_od)
+    return _bin_distribution(prior, bins, bin_index, beta)
+
+
+def _bin_distribution(prior: np.ndarray, bins: OdBinSpec, bin_index: int,
+                      beta: float) -> NumberDistribution:
+    """The campaign prior restricted to the runs sorted into one OD bin."""
     ns = np.arange(prior.size)
     weights = prior * _assignment_prob(ns, beta, bins, bin_index)
     total = weights.sum()
@@ -346,10 +352,12 @@ def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
     n_rounds = [int(round(od_to_atoms(float(od), beta))) for od in od_grid]
     bin_of = [bins.bin_index(float(od)) if averaged and od > 0.0 else None for od in od_grid]
     dists: dict[int, NumberDistribution] = {}
-    for idx in set(bin_of) - {None}:
+    reached = set(bin_of) - {None}
+    prior = _campaign_prior(bins, beta, preparation_spread, loading_gain,
+                            loading_max_od) if reached else None
+    for idx in reached:
         try:
-            dists[idx] = build_number_distribution(
-                bins, idx, beta, preparation_spread, loading_gain, loading_max_od)
+            dists[idx] = _bin_distribution(prior, bins, idx, beta)
         except DataError:
             pass
     # one g2(0) call covers every chain length any row reads

@@ -19,10 +19,15 @@ True weak-drive quantities are obtained from the configured finite drives
 Richardson extrapolation in drive power: each stage cancels one more order
 of the saturation correction, starting with O(|alpha|^2).
 
-Each drive builds its Liouvillian L once.  Its steady state gives both the
-output rate (hence the transmission) and the start of the regression, and
-the correlation is stepped along the delay grid with the exact propagator
-expm(L dtau), computed once per distinct step: the Liouvillian is at most
+Each drive builds its Liouvillian L once, as
+K (x) 1 + 1 (x) K* + sum_c c (x) c* with K = -iH - 1/2 sum_c c^dag c.  The
+steady state is one LU solve of L with its first equation replaced by the
+trace condition; it gives the output rate (hence the transmission) and the
+start of the regression.  The regressed operator chi = a rho a^dag is
+Hermitian, so it is carried by the real vector vec(Re chi + Im chi), whose
+generator is the real matrix L_r = Re L + Im L Pi (Pi transposes vec); the
+correlation is stepped along the delay grid with the exact propagator
+expm(L_r dtau), computed once per distinct step: the Liouvillian is at most
 256 x 256, so there is no integrator step to choose.
 
 This module is the independent check on the perturbative chain solver in
@@ -43,6 +48,7 @@ from .core import (
     ParameterError,
     PhysicalParams,
     TauGrid,
+    _physical_memory_bytes,
     validate_params,
 )
 
@@ -58,6 +64,11 @@ _SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|, basis (g, 
 
 # soft cap on N: the full density matrix is 4^N numbers
 MAX_ATOMS = 4
+# bytes the solver holds per Liouvillian entry (16^N of them) at its peak,
+# with a margin: tracemalloc reads 80 at N = 4 and 5 (the complex L, the
+# steady-state system and its LU copy, then the real generator and expm's
+# work arrays)
+_SOLVER_BYTES_PER_ENTRY = 128
 # allowed change of the extrapolation when the finest drive is dropped,
 # relative to the curve's maximum
 EXTRAPOLATION_TOL = 0.1
@@ -78,7 +89,7 @@ class OracleConfig:
                         chains need very weak probes.
 
     There is no time step to set: delays are propagated exactly, with one
-    expm(L dtau) per distinct grid step.
+    expm(L_r dtau) per distinct grid step.
     """
 
     drive_saturations: tuple = (0.004, 0.001, 0.00025)
@@ -128,15 +139,19 @@ class CascadedGenerator:
         self.output_op = self.alpha * np.eye(self.dim) + j0
 
     def liouvillian(self) -> np.ndarray:
-        """Dense superoperator on row-major vec(rho)."""
-        d = self.dim
-        eye = np.eye(d)
-        h = self.hamiltonian
-        lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for c in [self.waveguide_jump] + self.side_jumps:
-            cdc = c.conj().T @ c
+        """Dense superoperator on row-major vec(rho).
+
+        With K = -iH - 1/2 sum_c c^dag c the master equation reads
+        drho/dt = K rho + rho K^dag + sum_c c rho c^dag, and row-major
+        vec(A X B) = (A kron B^T) vec(X) makes that
+        L = K kron 1 + 1 kron K* + sum_c c kron c*.
+        """
+        eye = np.eye(self.dim)
+        jumps = [self.waveguide_jump] + self.side_jumps
+        k = -1j * self.hamiltonian - 0.5 * sum(c.conj().T @ c for c in jumps)
+        lv = np.kron(k, eye) + np.kron(eye, k.conj())
+        for c in jumps:
             lv += np.kron(c, c.conj())
-            lv -= 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
         return lv
 
 
@@ -158,12 +173,22 @@ def _check_density(m: np.ndarray) -> None:
 
 
 def _steady_state(lv: np.ndarray, dim: int) -> np.ndarray:
-    """Steady state from the Liouvillian null space plus the trace condition."""
-    trace_row = np.eye(dim, dtype=complex).reshape(1, dim * dim)
-    aug = np.vstack([lv, trace_row])
-    rhs = np.zeros(dim * dim + 1, dtype=complex)
-    rhs[-1] = 1.0
-    vec, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
+    """Steady state: L vec(rho) = 0 with Tr rho = 1, by one LU solve.
+
+    The dynamics keep the trace, so the equations for the diagonal entries
+    of rho sum to zero and any one of them is redundant.  The first row of
+    L, the equation for rho[0, 0], is replaced by the trace row, and the
+    square system is solved against e_0.  The raw solution must pass the
+    residual and density-matrix checks before it is symmetrized.
+    """
+    system = lv.copy()
+    system[0] = np.eye(dim).reshape(-1)
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    try:
+        vec = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        raise NumericalError("steady-state", "steady state is not unique") from None
     resid = np.linalg.norm(lv @ vec)
     if resid > 1e-8:
         raise NumericalError("steady-state", f"null-space residual {resid:.2e}")
@@ -183,9 +208,36 @@ def _output_rate(gen: CascadedGenerator, rho: np.ndarray) -> float:
 _SAME_STEP = 1e-12
 
 
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """vec(Re m + Im m): real coordinates of a Hermitian m.
+
+    Re m is the symmetric and Im m the antisymmetric part of the sum, so m
+    can be recovered from it.  For Hermitian A and X, Tr[A X] is the dot
+    product of their real forms: the symmetric-antisymmetric cross terms
+    cancel.
+    """
+    return (m.real + m.imag).reshape(-1)
+
+
+def _real_generator(lv: np.ndarray, dim: int) -> np.ndarray:
+    """L acting on real forms of Hermitian matrices: Re L + Im L Pi.
+
+    Pi is the transpose permutation of vec.  With y the real form of X,
+    vec(X) = (1 + Pi) y / 2 + i (1 - Pi) y / 2, and the real form of
+    L vec(X) is (P + P Pi) y / 2 + (M - M Pi) y / 2 with P = Re L + Im L and
+    M = Re L - Im L, which is the matrix returned.
+    """
+    transpose = np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
+    return lv.real + lv.imag[:, transpose]
+
+
 def _finite_drive_g2(gen: CascadedGenerator, grid: TauGrid) -> tuple[np.ndarray, float]:
     """g2(tau) of the transmitted field at one finite drive, by quantum
-    regression, and the steady output rate it is normalized by."""
+    regression, and the steady output rate it is normalized by.
+
+    The dynamics keep chi = a rho a^dag Hermitian, so chi is propagated as
+    its real form by the real generator (see _real_generator).
+    """
     from scipy.linalg import expm  # deferred: importing chiralchain loads no scipy.linalg
     lv = gen.liouvillian()
     rho = _steady_state(lv, gen.dim)
@@ -193,20 +245,21 @@ def _finite_drive_g2(gen: CascadedGenerator, grid: TauGrid) -> tuple[np.ndarray,
     if n_out <= 0:
         raise NumericalError("no-output", "steady output photon rate vanished")
     a = gen.output_op
-    ada = a.conj().T @ a
-    chi = (a @ rho @ a.conj().T).reshape(-1)
-    ada_vec = ada.T.reshape(-1)  # Tr[ada @ X] = ada_vec . vec(X), row-major
+    readout = _real_form(a.conj().T @ a)
+    y = _real_form(a @ rho @ a.conj().T)
+    lr = _real_generator(lv, gen.dim)
+    del lv  # expm's work arrays need not sit beside L (_SOLVER_BYTES_PER_ENTRY)
 
     taus = grid.values
     out = np.empty(taus.size)
-    out[0] = float(np.real(ada_vec @ chi))
+    out[0] = readout @ y
     step, prop = 0.0, None
     for i in range(1, taus.size):
         dt = taus[i] - taus[i - 1]
         if abs(dt - step) > _SAME_STEP * step:
-            step, prop = dt, expm(lv * dt)
-        chi = prop @ chi
-        out[i] = float(np.real(ada_vec @ chi))
+            step, prop = dt, expm(lr * dt)
+        y = prop @ y
+        out[i] = readout @ y
     return out / n_out**2, n_out
 
 
@@ -228,6 +281,15 @@ def _richardson(curves: list) -> tuple:
 
 
 def _check_atoms(params: PhysicalParams):
+    """Refuse a chain whose solver arrays would not fit in memory; warn
+    above MAX_ATOMS."""
+    need = _SOLVER_BYTES_PER_ENTRY * 16.0 ** params.n_atoms
+    if not need <= _physical_memory_bytes():
+        raise NumericalError(
+            "oracle-too-large",
+            f"the oracle at N = {params.n_atoms} needs about {need:.3g} bytes, more "
+            f"than fits in memory; it is meant for N <= {MAX_ATOMS}",
+        )
     if params.n_atoms > MAX_ATOMS:
         warnings.warn(
             f"oracle with N = {params.n_atoms} emitters builds a {4 ** params.n_atoms}"
@@ -250,7 +312,9 @@ def oracle_g2(params: PhysicalParams, grid: TauGrid, config: OracleConfig = Orac
 
     Runs the full master equation at every configured drive and
     extrapolates the finite-drive correlation curves to zero power by
-    iterated Richardson (see _richardson).  Raises "not-converged" when
+    iterated Richardson (see _richardson).  Raises "oracle-too-large"
+    before any work when the dense Liouvillian and the solver's arrays
+    would not fit in the installed memory, and "not-converged" when
     dropping the finest drive moves the extrapolation by more than
     EXTRAPOLATION_TOL relative to the curve's maximum, i.e. when the probes
     are too strong for the power series the extrapolation assumes.  The

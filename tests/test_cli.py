@@ -312,6 +312,22 @@ def test_simulate_chain_too_long_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_oracle_too_large_exits_3(tmp_path, monkeypatch, capsys):
+    # N = 3 needs about 0.5 MB of solver arrays: refused against 64 KiB of
+    # memory before any generator is built
+    from chiralchain import oracle
+
+    def build(*args):
+        raise AssertionError("generator built before the memory check")
+
+    monkeypatch.setattr(oracle, "_physical_memory_bytes", lambda: 64.0 * 2**10)
+    monkeypatch.setattr(oracle, "CascadedGenerator", build)
+    out = tmp_path / "orc.csv"
+    assert run(tmp_path, "oracle", "--n-atoms", 3, "--output", out) == 3
+    assert "[oracle-too-large]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_intensity_clipped_exits_3(tmp_path, capsys):
     # at 3e7/s the detector-0 tags of OD 6.75 leave no uncorrelated level
     out = tmp_path / "tags.csv"

@@ -2,7 +2,8 @@
 
 The full chain-vs-oracle equivalence sweep lives in test_acceptance; here the
 oracle is validated on its own terms (decay law, trace preservation, stepped
-propagation, drive extrapolation) so a disagreement there can be attributed.
+propagation, the real Hermitian form, steady-state accuracy, drive
+extrapolation) so a disagreement there can be attributed.
 """
 
 import math
@@ -25,6 +26,8 @@ from chiralchain.oracle import (
     _check_atoms,
     _check_density,
     _finite_drive_g2,
+    _real_form,
+    _real_generator,
     _steady_state,
 )
 
@@ -103,6 +106,54 @@ def test_stepped_regression_matches_expm_per_point():
     ref = np.array([np.trace(ada @ (scipy.linalg.expm(lv * tau) @ chi).reshape(rho.shape)).real
                     for tau in taus]) / n_out**2
     np.testing.assert_allclose(values, ref, rtol=1e-10)
+
+
+def test_real_form_matches_complex_liouvillian():
+    # for Hermitian X the real generator maps vec(Re X + Im X) to the same
+    # coordinates of L vec(X), and the readout gives Tr[a^dag a X]
+    params = PhysicalParams(beta=0.3, n_atoms=2, detuning=0.4)
+    gen = CascadedGenerator(params, math.sqrt(0.004 / (8.0 * params.beta)))
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    x = m + m.conj().T
+    lv = gen.liouvillian()
+    lx = (lv @ x.reshape(-1)).reshape(4, 4)
+    y = (x.real + x.imag).reshape(-1)
+    np.testing.assert_allclose(_real_generator(lv, gen.dim) @ y,
+                               (lx.real + lx.imag).reshape(-1), rtol=0, atol=1e-13)
+    a = gen.output_op
+    ada = a.conj().T @ a
+    assert abs(_real_form(ada) @ y - np.trace(ada @ x).real) <= 1e-13
+
+
+def test_steady_state_matches_multiprecision_solve():
+    # finite-drive g2(0) from the double-precision LU steady state against a
+    # 40-digit solve of the same 64 x 64 system (trace row in place of row 0)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    params = PhysicalParams(beta=0.3, n_atoms=3)
+    for s in OracleConfig().drive_saturations:
+        gen = CascadedGenerator(params, math.sqrt(s / (8.0 * params.beta)))
+        dim = gen.dim
+        g2_0 = _finite_drive_g2(gen, TauGrid.linear(1.0, 2))[0][0]
+
+        system = gen.liouvillian()
+        system[0] = np.eye(dim).reshape(-1)
+        with mp.workdps(40):
+            vec = mp.lu_solve(mp.matrix(system.tolist()), mp.matrix([1] + [0] * (dim * dim - 1)))
+            rho = mp.matrix(dim, dim)
+            for i in range(dim):
+                for j in range(dim):
+                    rho[i, j] = vec[i * dim + j]
+            a = mp.matrix(gen.output_op.tolist())
+            ad = a.transpose_conj()
+            ada = ad * a
+
+            def trace(x):
+                return mp.re(sum(x[i, i] for i in range(dim)))
+
+            exact = trace(ada * a * rho * ad) / trace(ada * rho) ** 2
+            assert abs(g2_0 - exact) <= 1e-10 * abs(exact), (s, g2_0, exact)
 
 
 def test_extrapolation_order_in_drive_power():
