@@ -1,7 +1,6 @@
 """Photon correlations of light transmitted through a chirally coupled emitter chain."""
 
 from .core import (
-    ComplexCurve,
     DataError,
     G2Curve,
     NumericalError,
@@ -18,16 +17,12 @@ from .transport import (
     chain_g2_zero,
     chain_g2_zero_by_length,
     chain_transmission,
-    chain_two_photon_amplitude,
     find_perfect_antibunching,
     od_per_atom,
     single_atom_g2,
     transmission_coefficient,
 )
-from .oracle import (
-    OracleConfig,
-    oracle_g2,
-)
+from .oracle import oracle_g2
 from .ensemble import (
     NumberDistribution,
     OdBinSpec,

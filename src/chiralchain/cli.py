@@ -40,7 +40,7 @@ from .core import (
     time_unit_ns,
 )
 from .transport import chain_g2, od_per_atom
-from .oracle import OracleConfig, oracle_g2
+from .oracle import oracle_g2
 from .ensemble import (
     OdBinSpec,
     LOADING_GAIN,
@@ -274,10 +274,6 @@ def read_timetags_csv(path: str) -> ps.TimeTagStream:
     return ps.TimeTagStream(ts[ids == 0], ts[ids == 1])
 
 
-def write_saturation_csv(path: str, data: ps.SaturationData):
-    _write_csv(path, ["s0", "transmission"], data.s0, data.transmission)
-
-
 def read_saturation_csv(path: str) -> ps.SaturationData:
     s0, tr = _read_table(path, ["s0", "transmission"], "bad-saturation-file")
     return ps.SaturationData(s0, tr)
@@ -443,7 +439,7 @@ _ORACLE = [
 def cmd_oracle(values, prov) -> int:
     params = PhysicalParams(beta=values["beta"], n_atoms=values["n_atoms"],
                             detuning=values["detuning"])
-    result = oracle_g2(params, _grid_from(values), OracleConfig())
+    result = oracle_g2(params, _grid_from(values))
     curve = result.curve
     path = values["output"]
     write_curve_csv(path, curve, values["gamma_mhz"])

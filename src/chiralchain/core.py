@@ -26,7 +26,6 @@ __all__ = [
     "PhysicalParams",
     "TauGrid",
     "G2Curve",
-    "ComplexCurve",
     "validate_params",
     "time_unit_ns",
 ]
@@ -133,6 +132,12 @@ class TauGrid:
 
     @classmethod
     def linear(cls, tau_max: float, n_points: int, unit: str = "gamma"):
+        """n_points evenly spaced delays from 0 to tau_max, checked before allocation."""
+        if n_points < 2:
+            raise ParameterError("grid-too-small", "tau grid needs at least 2 points")
+        if not 8.0 * n_points <= _physical_memory_bytes():
+            raise ParameterError("bad-n-points",
+                                 f"a grid of {n_points} points does not fit in memory")
         return cls(np.linspace(0.0, tau_max, n_points), unit=unit)
 
     def mirrored_values(self) -> np.ndarray:
@@ -145,13 +150,11 @@ class G2Curve:
     """Normalized second-order correlation on a TauGrid.
 
     transmission  resonant power transmission of the configuration (optional)
-    params        generating parameters, when the curve came from the model
     """
 
     grid: TauGrid
     values: np.ndarray
     transmission: float | None = None
-    params: PhysicalParams | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -171,19 +174,3 @@ class G2Curve:
     def mirrored(self) -> tuple[np.ndarray, np.ndarray]:
         """(tau, g2) over the full symmetric range, for output."""
         return self.grid.mirrored_values(), np.concatenate([self.values[:0:-1], self.values])
-
-
-@dataclass(frozen=True)
-class ComplexCurve:
-    """Complex amplitude on a TauGrid (e.g. the two-photon detection amplitude)."""
-
-    grid: TauGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", v)
-        if v.shape != self.grid.values.shape:
-            raise ParameterError("curve-shape-mismatch", "values and grid must have equal length")
-        if not np.all(np.isfinite(v)):
-            raise ParameterError("curve-not-finite", "amplitude values must be finite")

@@ -14,8 +14,8 @@ with J0 = sqrt(beta Gamma) sum_j sigma_j the collective waveguide jump
 operator and upstream emitters (lower index) feeding downstream ones.  The
 transmitted field in normally ordered correlators is a_out = alpha + J0.
 
-True weak-drive quantities are obtained from the configured finite drives
-(three by default), with consecutive amplitude ratio 2 : 1, by iterated
+True weak-drive quantities are obtained from the three finite drives
+DRIVE_SATURATIONS, with consecutive amplitude ratio 2 : 1, by iterated
 Richardson extrapolation in drive power: each stage cancels one more order
 of the saturation correction, starting with O(|alpha|^2).
 
@@ -55,7 +55,7 @@ from .core import (
 __all__ = [
     "MAX_ATOMS",
     "EXTRAPOLATION_TOL",
-    "OracleConfig",
+    "DRIVE_SATURATIONS",
     "CascadedGenerator",
     "oracle_g2",
 ]
@@ -72,41 +72,11 @@ _SOLVER_BYTES_PER_ENTRY = 128
 # allowed change of the extrapolation when the finest drive is dropped,
 # relative to the curve's maximum
 EXTRAPOLATION_TOL = 0.1
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Settings of the brute-force reference.
-
-    drive_saturations   first-atom saturation parameters s = 8 beta |alpha|^2
-                        of the probe drives, consecutive power ratio 4:1
-                        (amplitude 2:1).  Two drives give the plain two-point
-                        Richardson elimination of the O(power) correction;
-                        with more drives the elimination is iterated to the
-                        next orders.  The defaults look tiny but the
-                        saturation correction to g2 is amplified by the
-                        inverse chain transmission, so strongly coupled
-                        chains need very weak probes.
-
-    There is no time step to set: delays are propagated exactly, with one
-    expm(L_r dtau) per distinct grid step.
-    """
-
-    drive_saturations: tuple = (0.004, 0.001, 0.00025)
-
-    def __post_init__(self):
-        s = tuple(float(x) for x in self.drive_saturations)
-        object.__setattr__(self, "drive_saturations", s)
-        if len(s) < 2:
-            raise ParameterError("oracle-drives", "need at least two drive strengths")
-        if any(x <= 0 for x in s):
-            raise ParameterError("oracle-drives", "drive saturations must be > 0")
-        if max(s) >= 0.2:
-            raise ParameterError("oracle-drives", "probe drives must stay below saturation 0.2")
-        srt = sorted(s)
-        for lo, hi in zip(srt, srt[1:]):
-            if not math.isclose(hi / lo, 4.0, rel_tol=1e-9):
-                raise ParameterError("oracle-drives", "consecutive drives must have power ratio 4:1")
+# first-atom saturation parameters s = 8 beta |alpha|^2 of the probe drives,
+# strongest first, consecutive power ratio 4:1 (amplitude 2:1).  They look
+# tiny, but the saturation correction to g2 is amplified by the inverse chain
+# transmission, so strongly coupled chains need very weak probes.
+DRIVE_SATURATIONS = (0.004, 0.001, 0.00025)
 
 
 class CascadedGenerator:
@@ -117,7 +87,6 @@ class CascadedGenerator:
         n = params.n_atoms
         if n < 1:
             raise ParameterError("n-atoms-negative", "oracle needs at least one emitter")
-        self.params = params
         self.alpha = float(drive_amplitude)
         self.dim = 2 ** n
 
@@ -300,17 +269,16 @@ def _check_atoms(params: PhysicalParams):
 
 @dataclass(frozen=True)
 class OracleG2Result:
-    """Extrapolated curve plus the finite-drive raw material."""
+    """Extrapolated curve and the change of the extrapolation without the finest drive."""
 
     curve: G2Curve
-    drive_saturations: tuple
     extrapolation_gap: float
 
 
-def oracle_g2(params: PhysicalParams, grid: TauGrid, config: OracleConfig = OracleConfig()) -> OracleG2Result:
+def oracle_g2(params: PhysicalParams, grid: TauGrid) -> OracleG2Result:
     """Weak-drive g2(tau) of the transmitted light, by brute force.
 
-    Runs the full master equation at every configured drive and
+    Runs the full master equation at each drive of DRIVE_SATURATIONS and
     extrapolates the finite-drive correlation curves to zero power by
     iterated Richardson (see _richardson).  Raises "oracle-too-large"
     before any work when the dense Liouvillian and the solver's arrays
@@ -324,9 +292,7 @@ def oracle_g2(params: PhysicalParams, grid: TauGrid, config: OracleConfig = Orac
     _check_atoms(params)
     if grid.unit != "gamma":
         raise ParameterError("grid-bad-unit", "oracle grids are in units of 1/Gamma")
-    # probe amplitudes, strongest first
-    amps = [math.sqrt(s / (8.0 * params.beta))
-            for s in sorted(config.drive_saturations, reverse=True)]
+    amps = [math.sqrt(s / (8.0 * params.beta)) for s in DRIVE_SATURATIONS]
     curves, rates = zip(*(_finite_drive_g2(CascadedGenerator(params, amp), grid)
                           for amp in amps))
     g0, g_without_finest = _richardson(curves)
@@ -343,5 +309,4 @@ def oracle_g2(params: PhysicalParams, grid: TauGrid, config: OracleConfig = Orac
     g0 = np.clip(g0, 0.0, None)
     # weak-drive power transmission: the extrapolated rate / |alpha|^2
     trans, _ = _richardson([r / a**2 for r, a in zip(rates, amps)])
-    curve = G2Curve(grid, g0, transmission=float(trans), params=params)
-    return OracleG2Result(curve, tuple(sorted(config.drive_saturations)), gap)
+    return OracleG2Result(G2Curve(grid, g0, transmission=float(trans)), gap)

@@ -820,12 +820,19 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
     that did not fail; n_failed counts the failed refits and n_at_edge the
     others whose decay stopped on an edge of GAMMA_FIT_BAND.  More than
     max_failures of failed refits, or fewer than two that did not fail,
-    raises NumericalError "unstable-fit".
+    raises NumericalError "unstable-fit".  ParameterError "too-many-samples"
+    is raised before drawing when the profile scan's work array, one float
+    per sample, scan point and bin, would not fit in the installed memory.
     """
     if n_samples < 2:
         raise ParameterError("too-few-samples", "need at least 2 bootstrap samples")
     mask = _likelihood_mask(hist, fit.window_ns, tail_start_ns)
     tau = hist.tau_ns[mask]
+    scan_bytes = 8.0 * n_samples * _LOG_GAMMA_SCAN.size * tau.size
+    if not scan_bytes <= _physical_memory_bytes():
+        raise ParameterError("too-many-samples",
+                             f"{n_samples} bootstrap samples need a {scan_bytes:.3g} byte "
+                             "work array, more than fits in memory")
     cts = hist.counts[mask]
     ctot = int(cts.sum())
     if ctot == 0:

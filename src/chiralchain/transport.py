@@ -66,7 +66,7 @@ lives in ``oracle``, which is kept algorithmically independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import functools
 import math
 import warnings
@@ -74,7 +74,6 @@ import warnings
 import numpy as np
 
 from .core import (
-    ComplexCurve,
     G2Curve,
     NumericalError,
     ParameterError,
@@ -90,7 +89,6 @@ __all__ = [
     "od_per_atom",
     "single_atom_g2",
     "chain_transmission",
-    "chain_two_photon_amplitude",
     "chain_g2",
     "chain_g2_zero",
     "chain_g2_by_length",
@@ -272,6 +270,9 @@ def _two_photon_amplitudes(beta: float, detuning: float, ns: list[int],
     """psi_N(taus) at alpha = 1, one row per chain length in ascending ns (1 at N = 0).
 
     Transmission never rises with N, so the longest chain alone meets the floor.
+    Raises NumericalError "grid-too-large" after the chain is built and
+    before the propagator table is allocated, when the table would not fit
+    in the installed memory.
     """
     psi = np.ones((len(ns), taus.size), dtype=complex)
     lit = ns[ns.count(0):]
@@ -281,6 +282,13 @@ def _two_photon_amplitudes(beta: float, detuning: float, ns: list[int],
     ch = _chain(beta, detuning)
     n_max = lit[-1]
     ch.extend_to(n_max)
+    table_bytes = 8.0 * n_max * taus.size
+    if not table_bytes <= _physical_memory_bytes():
+        raise NumericalError(
+            "grid-too-large",
+            f"N = {n_max} on {taus.size} delays needs a {table_bytes:.3g} byte propagator "
+            "table, more than fits in memory; use fewer delay points",
+        )
     sq = math.sqrt(beta)
 
     # row i holds df of chain lit[i] reversed, so that row @ table sums
@@ -303,18 +311,6 @@ def _two_photon_amplitudes(beta: float, detuning: float, ns: list[int],
     return psi
 
 
-def chain_two_photon_amplitude(params: PhysicalParams, grid: TauGrid) -> ComplexCurve:
-    """Transmitted two-photon detection amplitude psi_N(tau) at alpha = 1.
-
-    psi_N relaxes to t^2N at large delay (two independent coherent photons);
-    zeros at finite tau are the quantum-beat anticorrelations.
-    """
-    validate_params(params)
-    _check_grid(grid)
-    amp = _two_photon_amplitudes(params.beta, params.detuning, [params.n_atoms], grid.values)
-    return ComplexCurve(grid, amp[0])
-
-
 def chain_g2_by_length(params: PhysicalParams, ns, grid: TauGrid) -> list[G2Curve]:
     """chain_g2 for each of the ascending chain lengths ns, from one propagator table.
 
@@ -329,8 +325,7 @@ def chain_g2_by_length(params: PhysicalParams, ns, grid: TauGrid) -> list[G2Curv
     curves = []
     for n, row in zip(ns, psi):
         trans = _power_transmission(params.beta, params.detuning, n)
-        curves.append(G2Curve(grid, np.abs(row) ** 2 / trans**2, transmission=trans,
-                              params=replace(params, n_atoms=n)))
+        curves.append(G2Curve(grid, np.abs(row) ** 2 / trans**2, transmission=trans))
     return curves
 
 
@@ -382,8 +377,7 @@ def single_atom_g2(beta: float, grid: TauGrid, detuning: float = 0.0) -> G2Curve
     _check_transmission(float(abs(t) ** 2))
     _check_grid(grid)
     psi = t**2 - (1.0 - t) ** 2 * np.exp((1j * detuning - 0.5) * grid.values)
-    return G2Curve(grid, np.abs(psi) ** 2 / abs(t) ** 4, transmission=float(abs(t) ** 2),
-                   params=PhysicalParams(beta=beta, n_atoms=1, detuning=detuning))
+    return G2Curve(grid, np.abs(psi) ** 2 / abs(t) ** 4, transmission=float(abs(t) ** 2))
 
 
 @dataclass(frozen=True)
@@ -393,32 +387,26 @@ class RateReport:
     n_star                  chain length minimizing g2(0)
     g2_zero_at_n_star       the minimum itself
     transmission_at_n_star  weak-drive power transmission there
-    n_in                    assumed input photon rate, units of Gamma
-    n_out                   n_in * transmission_at_n_star
-    single_emitter_rate     beta/2, the peak rate of one chirally coupled
-                            emitter, for comparison
+    n_in                    input photon rate 0.1/beta, units of Gamma: the
+                            drive that saturates the first emitter to s ~ 1
     """
 
     n_star: int
     g2_zero_at_n_star: float
     transmission_at_n_star: float
     n_in: float
-    n_out: float
-    single_emitter_rate: float
 
     def __post_init__(self):
         if not 0.0 < self.transmission_at_n_star < 1.0:
             raise NumericalError("rate-report", "transmission at n_star must be in (0, 1)")
 
 
-def find_perfect_antibunching(beta: float, detuning: float = 0.0, n_max: int = 400,
-                              n_in: float | None = None) -> RateReport:
-    """Scan chain length for the deepest g2(0) and report achievable rates.
+def find_perfect_antibunching(beta: float, detuning: float = 0.0, n_max: int = 400) -> RateReport:
+    """Scan chain length for the deepest g2(0) and report its operating point.
 
-    n_in defaults to 0.1/beta (the drive that saturates the first emitter to
-    s ~ 1).  Raises "not-bracketed" when no interior minimum below 0.5 exists
-    within n_max.  Output rates use the weak-drive transmission; the
-    finite-drive enhancement of T is beyond this model.
+    Raises "not-bracketed" when no interior minimum below 0.5 exists within
+    n_max.  The transmission is the weak-drive one; the finite-drive
+    enhancement of T is beyond this model.
     """
     if n_max < 2:
         raise ParameterError("n-max", "n_max must be >= 2")
@@ -440,15 +428,9 @@ def find_perfect_antibunching(beta: float, detuning: float = 0.0, n_max: int = 4
             "output rates are essentially zero in this coupling regime",
             RuntimeWarning,
         )
-    if n_in is None:
-        n_in = 0.1 / beta
-    if n_in < 0:
-        raise ParameterError("drive-rate-out-of-range", "n_in must be >= 0")
     return RateReport(
         n_star=n_star,
         g2_zero_at_n_star=float(g2z[n_star]),
         transmission_at_n_star=trans,
-        n_in=float(n_in),
-        n_out=float(n_in * trans),
-        single_emitter_rate=beta / 2.0,
+        n_in=0.1 / beta,
     )

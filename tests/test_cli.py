@@ -174,6 +174,10 @@ def test_sweep_rejects_bad_grid(tmp_path):
     (["sweep", "--averaged", 0, "--od-step", 1e-12], "bad-od-step"),
     (["sweep", "--od-step", 1e-300], "bad-od-step"),
     (["synth", "--od", 3.0, "--duration", 1e30], "counts-overflow"),
+    (["simulate", "--od", 3.0, "--n-points", 10**12], "bad-n-points"),
+    (["oracle", "--n-atoms", 2, "--n-points", 10**12], "bad-n-points"),
+    (["simulate", "--od", 3.0, "--n-points", -5], "grid-too-small"),
+    (["analyze", "--input", "HIST", "--n-bootstrap", 10**12], "too-many-samples"),
 ])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, args, code):
     hist = tmp_path / "hist.csv"
@@ -312,6 +316,17 @@ def test_simulate_chain_too_long_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_simulate_grid_too_large_exits_3(tmp_path, monkeypatch, capsys):
+    # N = 10 on 10**6 delays needs an 80 MB propagator table: refused against
+    # 16 MiB of memory before the table is filled
+    from chiralchain import transport
+    monkeypatch.setattr(transport, "_physical_memory_bytes", lambda: float(2**24))
+    out = tmp_path / "curve.csv"
+    assert run(tmp_path, "simulate", "--n-atoms", 10, "--n-points", 10**6, "--output", out) == 3
+    assert "[grid-too-large]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_too_large_exits_3(tmp_path, monkeypatch, capsys):
     # N = 3 needs about 0.5 MB of solver arrays: refused against 64 KiB of
     # memory before any generator is built
@@ -384,11 +399,11 @@ def test_header_only_timetag_file(tmp_path, capsys):
 
 def test_fit_beta_command(tmp_path):
     from chiralchain import synth_saturation_data
-    from chiralchain.cli import write_saturation_csv
+    from chiralchain.cli import _write_csv
     sat = tmp_path / "sat.csv"
     data = synth_saturation_data(0.0083, 4.0, np.geomspace(10.0, 1000.0, 12),
                                  rel_noise=0.02, seed=42)
-    write_saturation_csv(str(sat), data)
+    _write_csv(str(sat), ["s0", "transmission"], data.s0, data.transmission)
     rep = tmp_path / "beta.json"
     assert run(tmp_path, "fit-beta", "--input", sat, "--od0", 4.0,
                "--output", rep) == 0
@@ -524,9 +539,8 @@ def test_reader_skips_every_header_line(tmp_path, capsys):
 
 def test_table_readers_match_csv_module(tmp_path):
     from chiralchain import synth_histogram, synth_saturation_data
-    from chiralchain.cli import (_read_points_csv, read_histogram_csv,
-                                 read_saturation_csv, write_histogram_csv,
-                                 write_saturation_csv)
+    from chiralchain.cli import (_read_points_csv, _write_csv, read_histogram_csv,
+                                 read_saturation_csv, write_histogram_csv)
     curve = chain_g2(PhysicalParams(0.0081, 100), TauGrid.linear(12.0, 481))
     hist_path = tmp_path / "h.csv"
     write_histogram_csv(str(hist_path), synth_histogram(curve, 4e4, 4e4, 30.0, 3))
@@ -537,8 +551,9 @@ def test_table_readers_match_csv_module(tmp_path):
     assert hist.bin_width_ns == tau[1] - tau[0]
 
     sat_path = tmp_path / "sat.csv"
-    write_saturation_csv(str(sat_path), synth_saturation_data(
-        0.0083, 4.0, np.geomspace(10.0, 1000.0, 12), rel_noise=0.02, seed=42))
+    sat_data = synth_saturation_data(0.0083, 4.0, np.geomspace(10.0, 1000.0, 12),
+                                     rel_noise=0.02, seed=42)
+    _write_csv(str(sat_path), ["s0", "transmission"], sat_data.s0, sat_data.transmission)
     sat = read_saturation_csv(str(sat_path))
     s0, tr = _csv_columns(sat_path)
     assert np.array_equal(sat.s0, s0) and np.array_equal(sat.transmission, tr)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from chiralchain import (
-    ComplexCurve,
     G2Curve,
     NumericalError,
     ParameterError,
@@ -99,12 +98,3 @@ def test_g2_curve_mirrored():
     tau, vals = c.mirrored()
     np.testing.assert_array_equal(tau, [-2.0, -1.0, 0.0, 1.0, 2.0])
     np.testing.assert_array_equal(vals, [1.0, 0.6, 0.2, 0.6, 1.0])
-
-
-def test_complex_curve():
-    grid = TauGrid(np.array([0.0, 1.0]))
-    c = ComplexCurve(grid, [1 + 2j, 3 - 1j])
-    np.testing.assert_array_equal(c.values, [1 + 2j, 3 - 1j])
-    assert c.values.dtype == complex
-    with pytest.raises(ParameterError):
-        ComplexCurve(grid, np.array([np.inf + 0j, 0j]))

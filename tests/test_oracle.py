@@ -8,13 +8,13 @@ extrapolation) so a disagreement there can be attributed.
 
 import math
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
 
 from chiralchain import (
     NumericalError,
-    OracleConfig,
     ParameterError,
     PhysicalParams,
     TauGrid,
@@ -22,12 +22,14 @@ from chiralchain import (
     oracle_g2,
 )
 from chiralchain.oracle import (
+    DRIVE_SATURATIONS,
     CascadedGenerator,
     _check_atoms,
     _check_density,
     _finite_drive_g2,
     _real_form,
     _real_generator,
+    _richardson,
     _steady_state,
 )
 
@@ -41,17 +43,6 @@ def _excited(n):
 def _propagate(gen, rho, t):
     """rho evolved for time t by the master equation, expm(L t) vec(rho)."""
     return (scipy.linalg.expm(gen.liouvillian() * t) @ rho.reshape(-1)).reshape(rho.shape)
-
-
-def test_config_validation():
-    with pytest.raises(ParameterError):
-        OracleConfig(drive_saturations=(0.01,))
-    with pytest.raises(ParameterError):
-        OracleConfig(drive_saturations=(0.01, 0.005))  # power ratio must be 4
-    with pytest.raises(ParameterError):
-        OracleConfig(drive_saturations=(0.4, 0.1))
-    with pytest.raises(TypeError):  # delays are propagated exactly; there is no step
-        OracleConfig(rk4_step=0.005)
 
 
 def test_density_operator_validation():
@@ -132,7 +123,7 @@ def test_steady_state_matches_multiprecision_solve():
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     params = PhysicalParams(beta=0.3, n_atoms=3)
-    for s in OracleConfig().drive_saturations:
+    for s in DRIVE_SATURATIONS:
         gen = CascadedGenerator(params, math.sqrt(s / (8.0 * params.beta)))
         dim = gen.dim
         g2_0 = _finite_drive_g2(gen, TauGrid.linear(1.0, 2))[0][0]
@@ -156,6 +147,16 @@ def test_steady_state_matches_multiprecision_solve():
             assert abs(g2_0 - exact) <= 1e-10 * abs(exact), (s, g2_0, exact)
 
 
+def _ladder(params, grid, saturations):
+    """Extrapolated curve and gap, as oracle_g2 forms them, for the drive
+    ladder ``saturations`` (strongest first)."""
+    curves = [_finite_drive_g2(CascadedGenerator(params, math.sqrt(s / (8.0 * params.beta))),
+                               grid)[0] for s in saturations]
+    g0, g_without_finest = _richardson(curves)
+    gap = float(np.max(np.abs(g0 - g_without_finest)) / max(float(np.max(g0)), 1.0))
+    return np.clip(g0, 0.0, None), gap
+
+
 def test_extrapolation_order_in_drive_power():
     # two-point Richardson leaves an O(P^2) residual: quartering the probe
     # power must shrink the distance to the iterated three-drive ladder by
@@ -164,15 +165,34 @@ def test_extrapolation_order_in_drive_power():
     grid = TauGrid.linear(4.0, 21)
     ref = oracle_g2(params, grid).curve.values
     scale = max(float(np.max(ref)), 1.0)
-    quart3 = oracle_g2(params, grid,
-                       OracleConfig(drive_saturations=(0.001, 0.00025, 0.0000625)))
-    assert np.max(np.abs(quart3.curve.values - ref)) < 2e-5 * scale
-    strong2 = oracle_g2(params, grid, OracleConfig(drive_saturations=(0.004, 0.001)))
-    weak2 = oracle_g2(params, grid, OracleConfig(drive_saturations=(0.001, 0.00025)))
-    r_strong = np.max(np.abs(strong2.curve.values - ref))
-    r_weak = np.max(np.abs(weak2.curve.values - ref))
+    quart3, _ = _ladder(params, grid, (0.001, 0.00025, 0.0000625))
+    assert np.max(np.abs(quart3 - ref)) < 2e-5 * scale
+    strong2, strong2_gap = _ladder(params, grid, (0.004, 0.001))
+    weak2, weak2_gap = _ladder(params, grid, (0.001, 0.00025))
+    r_strong = np.max(np.abs(strong2 - ref))
+    r_weak = np.max(np.abs(weak2 - ref))
     assert r_weak < r_strong / 8.0
-    assert strong2.extrapolation_gap > weak2.extrapolation_gap
+    assert strong2_gap > weak2_gap
+
+
+_COEF = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g0=_COEF, c1=_COEF, c2=_COEF, p0=st.floats(1e-6, 1e-2))
+@example(g0=0.0, c1=1.1125369292536007e-308, c2=0.0, p0=1e-6)  # subnormal terms
+def test_richardson_is_exact_on_quadratics(g0, c1, c2, p0):
+    # three drives at power ratio 4 cancel the P and P^2 terms exactly; the
+    # value without the finest drive is the two-point extrapolation of the
+    # two strongest, which is exact for linear g.  Rounding is relative to
+    # the terms' scale, and absolute, a few ulp(0), for subnormal terms.
+    powers = [p0, p0 / 4.0, p0 / 16.0]
+    tol = 1e-14 * (abs(g0) + abs(c1) * p0 + abs(c2) * p0**2) + 64 * math.ulp(0.0)
+    g = [g0 + c1 * p + c2 * p * p for p in powers]
+    full, without_finest = _richardson(g)
+    assert abs(full - g0) <= tol
+    assert abs(without_finest - (4.0 * g[1] - g[0]) / 3.0) <= tol
+    assert abs(_richardson([g0 + c1 * p for p in powers])[1] - g0) <= tol
 
 
 def test_transmission_matches_amplitude_power_law():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import chiralchain
@@ -15,3 +16,13 @@ def test_package_imports_are_in_submodule_all():
         module = importlib.import_module(f"chiralchain.{node.module}")
         missing = [a.name for a in node.names if a.name not in module.__all__]
         assert not missing, f"chiralchain.{node.module}.__all__ lacks {missing}"
+
+
+def test_submodule_all_names_exist():
+    # a stale entry would break ``from chiralchain.<module> import *``
+    names = [info.name for info in pkgutil.iter_modules(chiralchain.__path__)]
+    assert "oracle" in names
+    for name in names:
+        module = importlib.import_module(f"chiralchain.{name}")
+        stale = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not stale, f"chiralchain.{name}.__all__ names {stale}, which it lacks"

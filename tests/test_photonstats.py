@@ -652,6 +652,22 @@ def test_saturation_transmission_limits():
     assert np.max(np.abs(resid)) < 1e-10
 
 
+@settings(max_examples=100, deadline=None)
+@given(beta=st.floats(1e-4, 0.49), od0=st.floats(0.01, 6.5),
+       s0=st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=20).map(sorted))
+def test_saturation_transmission_root_properties(beta, od0, s0):
+    # the root of ln T + beta s0 (T - 1) = -od0 bleaches monotonically with
+    # the drive, from just above the weak-drive exp(-od0) up to at most 1.
+    # brentq stops within 1e-15 + 1e-14 T of the root, which moves the left
+    # side by at most (1/T + beta s0) times that: below 1e-12 while
+    # od0 <= 6.5 and beta s0 <= 49 (at beta s0 ~ 960 it reached 1.01e-12)
+    s0 = np.array(s0)
+    t = saturation_transmission(beta, od0, s0)
+    assert np.all(np.diff(t) >= 0)
+    assert np.all((t > math.exp(-od0)) & (t <= 1.0))
+    assert np.max(np.abs(np.log(t) + beta * s0 * (t - 1.0) + od0)) <= 1e-12
+
+
 def test_saturation_transmission_validation():
     with pytest.raises(ParameterError):
         saturation_transmission(0.6, 4.0, 1.0)
