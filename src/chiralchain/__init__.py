@@ -37,11 +37,9 @@ from .ensemble import (
 from .photonstats import (
     CoincidenceHistogram,
     FitResult,
-    RunRecord,
     SaturationData,
     SaturationFit,
     TimeTagStream,
-    bin_runs_by_od,
     bootstrap_error,
     curve_values_ns,
     fit_beta_saturation,

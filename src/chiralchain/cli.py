@@ -401,16 +401,18 @@ def cmd_sweep(values, prov) -> int:
                           detuning=values["detuning"],
                           loading_gain=values["loading_gain"],
                           loading_max_od=values["loading_max_od"])
-    path = values["output"]
-    _write_csv(path, ["od", "n_mean", "g2_0_ideal", "g2_0_averaged"],
-               [r.od for r in rows], [r.n_mean for r in rows],
-               [r.g2_0_ideal for r in rows], [r.g2_0_averaged for r in rows])
     extra = {}
     if values["fit_points"] is not None:
+        # fit before writing, so bad points leave no files behind
         od_pts, g2_pts = _read_points_csv(values["fit_points"])
         beta_hat, beta_err = fit_beta_to_g2_points(od_pts, g2_pts, values["detuning"])
         extra["beta_fit"] = {"beta": beta_hat, "beta_err": beta_err,
                              "n_points": int(od_pts.size)}
+    path = values["output"]
+    _write_csv(path, ["od", "n_mean", "g2_0_ideal", "g2_0_averaged"],
+               [r.od for r in rows], [r.n_mean for r in rows],
+               [r.g2_0_ideal for r in rows], [r.g2_0_averaged for r in rows])
+    if extra:
         _write_json(path + ".betafit.json", extra["beta_fit"])
         print(f"beta fit to {od_pts.size} points: {beta_hat:.5f} +- {beta_err:.5f}")
     _sidecar(path, "sweep", values, prov, extra or None)

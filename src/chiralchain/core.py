@@ -131,14 +131,14 @@ class TauGrid:
             raise ParameterError("grid-bad-unit", f"unit must be 'gamma' or 'ns', got {self.unit!r}")
 
     @classmethod
-    def linear(cls, tau_max: float, n_points: int, unit: str = "gamma"):
-        """n_points evenly spaced delays from 0 to tau_max, checked before allocation."""
+    def linear(cls, tau_max: float, n_points: int):
+        """n_points delays from 0 to tau_max in units of 1/Gamma, checked before allocation."""
         if n_points < 2:
             raise ParameterError("grid-too-small", "tau grid needs at least 2 points")
         if not 8.0 * n_points <= _physical_memory_bytes():
             raise ParameterError("bad-n-points",
                                  f"a grid of {n_points} points does not fit in memory")
-        return cls(np.linspace(0.0, tau_max, n_points), unit=unit)
+        return cls(np.linspace(0.0, tau_max, n_points))
 
     def mirrored_values(self) -> np.ndarray:
         """Full two-sided grid (negative delays prepended) for output."""

@@ -315,10 +315,9 @@ def averaged_g2(dist: NumberDistribution, params: PhysicalParams,
     return G2Curve(grid, values, transmission=trans)
 
 
-def averaged_g2_zero(dist: NumberDistribution, beta: float,
-                     detuning: float = 0.0) -> float:
-    """Equal-time version of averaged_g2, cheap enough for OD sweeps."""
-    return float(_rate_weighted_mean(dist, chain_g2_zero_by_length(beta, dist.support, detuning)))
+def averaged_g2_zero(dist: NumberDistribution, beta: float) -> float:
+    """Equal-time version of averaged_g2 on resonance, cheap enough for OD sweeps."""
+    return float(_rate_weighted_mean(dist, chain_g2_zero_by_length(beta, dist.support)))
 
 
 @dataclass(frozen=True)
@@ -384,11 +383,14 @@ def fit_beta_to_g2_points(od, g2_0, detuning: float = 0.0) -> tuple[float, float
     round(N(od)) makes the model piecewise in beta, so the 1d minimum is
     found by bounded scalar search rather than a gradient method; the error
     comes from the SSR curvature sampled wide enough to span several steps.
+    ODs outside [0, 8] or non-finite g2(0) values raise a DataError.
     """
     from scipy import optimize  # deferred: importing chiralchain loads no scipy.optimize
     od_pts, g2_pts = np.asarray(od, dtype=float), np.asarray(g2_0, dtype=float)
-    if np.any(od_pts < 0) or np.any(od_pts > 8.0):
+    if not np.all((od_pts >= 0) & (od_pts <= 8.0)):
         raise DataError("od-out-of-range", "measured ODs must lie in [0, 8]")
+    if not np.all(np.isfinite(g2_pts)):
+        raise DataError("g2-not-finite", "measured g2(0) values must be finite")
 
     def model(beta):
         ns = np.array([int(round(od_to_atoms(float(od), beta))) for od in od_pts])

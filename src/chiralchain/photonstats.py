@@ -3,9 +3,8 @@
 Measurement side of the toolkit: coincidence histograms between the two
 detectors of a beamsplitter correlator, normalization of a histogram to
 g2(tau), a maximum-likelihood estimate of the equal-time value g2(0) with
-bootstrap error bars, pooling of runs into OD bins, and the
-transmission-saturation fit that gives an independent estimate of the
-coupling beta.
+bootstrap error bars, and the transmission-saturation fit that gives an
+independent estimate of the coupling beta.
 
 Conventions:
 
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import math
-import warnings
 
 import numpy as np
 
@@ -36,7 +34,6 @@ from .core import (
     _physical_memory_bytes,
     time_unit_ns,
 )
-from .ensemble import OdBinSpec
 
 __all__ = [
     "DEFAULT_GAMMA_MHZ",
@@ -50,7 +47,6 @@ __all__ = [
     "FitResult",
     "SaturationData",
     "SaturationFit",
-    "RunRecord",
     "curve_values_ns",
     "synth_histogram",
     "synth_timetags",
@@ -58,7 +54,6 @@ __all__ = [
     "normalize_histogram",
     "mle_fit_g2",
     "bootstrap_error",
-    "bin_runs_by_od",
     "saturation_transmission",
     "fit_beta_saturation",
     "synth_saturation_data",
@@ -70,6 +65,8 @@ DEFAULT_TAU_MAX_NS = 320.0
 TAIL_START_NS = 200.0
 # largest share of detector-1 tags that clipping may add in synth_timetags
 CLIP_BIAS_BOUND = 0.02
+# largest share of failed refits that bootstrap_error accepts
+MAX_FAILED_SHARE = 0.2
 # pulsed time-tag correlation: the live window within each pulse, in ns,
 # and the number of leading pulses dropped (they see an uncooled ensemble)
 PULSE_GATE_NS = (1000.0, 9000.0)
@@ -83,18 +80,11 @@ class CoincidenceHistogram:
     tau_ns          bin centers in ns, uniformly spaced, symmetric about 0
     counts          coincidences per bin (nonnegative integers)
     bin_width_ns    bin width in ns
-    rate1, rate2    singles rates on the two detectors in 1/s (optional)
-    acquisition_s   effective acquisition time in s (optional)
-    transmission    resonant power transmission of the run (optional)
     """
 
     tau_ns: np.ndarray
     counts: np.ndarray
     bin_width_ns: float = DEFAULT_BIN_NS
-    rate1: float | None = None
-    rate2: float | None = None
-    acquisition_s: float | None = None
-    transmission: float | None = None
 
     def __post_init__(self):
         tau = np.asarray(self.tau_ns, dtype=float)
@@ -125,37 +115,6 @@ class CoincidenceHistogram:
     @property
     def total_counts(self) -> int:
         return int(self.counts.sum())
-
-    @classmethod
-    def pooled(cls, histograms) -> "CoincidenceHistogram":
-        """Sum coincidences of runs taken on the same binning.
-
-        Acquisition times add; rates and transmission are averaged with
-        acquisition-time weights when available, plain means otherwise.
-        """
-        hists = list(histograms)
-        if not hists:
-            raise DataError("no-histograms", "cannot pool an empty list")
-        first = hists[0]
-        for h in hists[1:]:
-            if h.n_bins != first.n_bins or not np.allclose(h.tau_ns, first.tau_ns):
-                raise DataError("bins-incompatible", "pooled histograms must share bin centers")
-        counts = np.sum([h.counts for h in hists], axis=0)
-        acqs = [h.acquisition_s for h in hists]
-        acq = sum(acqs) if all(a is not None for a in acqs) else None
-        wgt = np.array([a if a is not None else 1.0 for a in acqs], dtype=float)
-        wgt /= wgt.sum()
-
-        def avg(vals):
-            if any(v is None for v in vals):
-                return None
-            return float(np.dot(wgt, np.asarray(vals, dtype=float)))
-
-        return cls(first.tau_ns, counts, first.bin_width_ns,
-                   rate1=avg([h.rate1 for h in hists]),
-                   rate2=avg([h.rate2 for h in hists]),
-                   acquisition_s=acq,
-                   transmission=avg([h.transmission for h in hists]))
 
 
 @dataclass(frozen=True)
@@ -285,14 +244,6 @@ class SaturationFit:
                 "od0": self.od0, "residual_rms": self.residual_rms}
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One experimental run: its transmission and its coincidence histogram."""
-
-    transmission: float
-    histogram: CoincidenceHistogram
-
-
 def curve_values_ns(curve: G2Curve, tau_ns: np.ndarray, gamma_mhz: float = DEFAULT_GAMMA_MHZ) -> np.ndarray:
     """g2 of a model curve evaluated at |tau| in ns (1 beyond the grid)."""
     scale = 1.0 if curve.grid.unit == "ns" else time_unit_ns(gamma_mhz)
@@ -344,9 +295,7 @@ def synth_histogram(curve: G2Curve, rate1: float, rate2: float, acquisition_s: f
         )
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mean)
-    return CoincidenceHistogram(centers, counts, bin_width_ns,
-                                rate1=rate1, rate2=rate2, acquisition_s=acquisition_s,
-                                transmission=curve.transmission)
+    return CoincidenceHistogram(centers, counts, bin_width_ns)
 
 
 def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float,
@@ -491,10 +440,7 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
     dropped, mirroring pulsed probing where the early pulses see an uncooled
     ensemble; a period shorter than the gate end raises "bad-gate".
     """
-    # the stream spans from its earliest to its latest tag on either detector
-    nonempty = [c for c in (stream.t0_ns, stream.t1_ns) if c.size]
     t0, t1 = stream.t0_ns, stream.t1_ns
-    acq = None
     if pulse_period_ns is not None:
         g_lo, g_hi = PULSE_GATE_NS
         if not g_hi <= pulse_period_ns:
@@ -506,13 +452,6 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
             return t[(t >= start) & (phase >= g_lo) & (phase < g_hi)]
 
         t0, t1 = gate(t0), gate(t1)
-        if nonempty:
-            pulses = int(max(c[-1] for c in nonempty) // pulse_period_ns) + 1
-            live = max(pulses - DISCARD_PULSES, 0)
-            acq = live * (g_hi - g_lo) * 1e-9
-    elif stream.n_tags > 1:
-        span = max(c[-1] for c in nonempty) - min(c[0] for c in nonempty)
-        acq = float(span) * 1e-9
 
     centers = _symmetric_centers(bin_width_ns, tau_max_ns)
     edges = np.concatenate([centers - bin_width_ns / 2.0, [centers[-1] + bin_width_ns / 2.0]])
@@ -521,11 +460,7 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
     i, j = _pairs_within(t0, t1, math.floor(edges[-1]))
     tau = t1[j] - t0[i]
     counts = np.histogram(tau[tau < edges[-1]], edges)[0].astype(np.int64)
-
-    r1 = t0.size / acq if acq else None
-    r2 = t1.size / acq if acq else None
-    return CoincidenceHistogram(centers, counts, bin_width_ns,
-                                rate1=r1, rate2=r2, acquisition_s=acq)
+    return CoincidenceHistogram(centers, counts, bin_width_ns)
 
 
 def _fold(hist: CoincidenceHistogram):
@@ -569,7 +504,7 @@ def normalize_histogram(hist: CoincidenceHistogram, *, tail_start_ns: float = TA
     level = tail_total / float(mult[tail].sum())
     values = folded / (mult * level)
     grid = TauGrid(centers, unit="ns")
-    return G2Curve(grid, values, transmission=hist.transmission)
+    return G2Curve(grid, values)
 
 
 def _likelihood_mask(hist: CoincidenceHistogram, window_ns: float,
@@ -809,8 +744,7 @@ def mle_fit_g2(hist: CoincidenceHistogram, *, window_ns: float | None = None,
 
 
 def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: int = 50,
-                    seed: int = 0, max_failures: float = 0.2,
-                    tail_start_ns: float = TAIL_START_NS) -> FitResult:
+                    seed: int = 0, tail_start_ns: float = TAIL_START_NS) -> FitResult:
     """Bootstrap standard error of the fitted contrast.
 
     n_samples synthetic datasets are drawn at once from the fitted model over
@@ -818,9 +752,9 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
     total count, and refit together as the rows of one _fit_window_counts
     call.  a_err is the sample standard deviation of the refitted amplitudes
     that did not fail; n_failed counts the failed refits and n_at_edge the
-    others whose decay stopped on an edge of GAMMA_FIT_BAND.  More than
-    max_failures of failed refits, or fewer than two that did not fail,
-    raises NumericalError "unstable-fit".  ParameterError "too-many-samples"
+    others whose decay stopped on an edge of GAMMA_FIT_BAND.  Failed refits
+    above MAX_FAILED_SHARE (20 %), or fewer than two that did not fail,
+    raise NumericalError "unstable-fit".  ParameterError "too-many-samples"
     is raised before drawing when the profile scan's work array, one float
     per sample, scan point and bin, would not fit in the installed memory.
     """
@@ -844,35 +778,13 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
     amps, _, _, at_edge = _fit_window_counts(tau, counts)
     ok = np.isfinite(amps)
     failures = n_samples - int(ok.sum())
-    # a standard error needs two amplitudes, whatever max_failures allows
-    if failures > max_failures * n_samples or failures > n_samples - 2:
+    # a standard error needs two amplitudes, whatever MAX_FAILED_SHARE allows
+    if failures > MAX_FAILED_SHARE * n_samples or failures > n_samples - 2:
         raise NumericalError("unstable-fit",
                              f"{failures}/{n_samples} bootstrap refits failed")
     a_err = float(np.std(amps[ok], ddof=1))
     return replace(fit, a_err=a_err, n_bootstrap=n_samples, seed=seed,
                    n_failed=failures, n_at_edge=int(at_edge.sum()))
-
-
-def bin_runs_by_od(runs, bins: OdBinSpec | None = None) -> dict[int, CoincidenceHistogram]:
-    """Pool run histograms into OD bins via OD = -ln(transmission).
-
-    Returns a dict from bin index to the pooled histogram.  Runs with
-    non-positive transmission cannot be assigned an OD and land in the
-    overflow entry (key -1) with a warning, as do runs outside the binning
-    scheme.
-    """
-    if bins is None:
-        bins = OdBinSpec.default()
-    groups: dict[int, list] = {}
-    for run in runs:
-        t = run.transmission
-        if not (isinstance(t, (int, float)) and math.isfinite(t)) or t <= 0:
-            warnings.warn(f"run with non-positive transmission {t!r} sent to overflow bin")
-            idx = -1
-        else:
-            idx = bins.bin_index(-math.log(t))
-        groups.setdefault(idx, []).append(run.histogram)
-    return {idx: CoincidenceHistogram.pooled(hists) for idx, hists in sorted(groups.items())}
 
 
 def saturation_transmission(beta: float, od0: float, s0) -> np.ndarray:

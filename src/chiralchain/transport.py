@@ -97,6 +97,8 @@ __all__ = [
 ]
 
 TRANSMISSION_FLOOR = 1e-12
+# longest chain find_perfect_antibunching scans
+ANTIBUNCHING_N_MAX = 400
 _RESCALE = 2.0**300  # column size at which the propagator recurrence is rescaled
 
 
@@ -401,25 +403,24 @@ class RateReport:
             raise NumericalError("rate-report", "transmission at n_star must be in (0, 1)")
 
 
-def find_perfect_antibunching(beta: float, detuning: float = 0.0, n_max: int = 400) -> RateReport:
-    """Scan chain length for the deepest g2(0) and report its operating point.
+def find_perfect_antibunching(beta: float) -> RateReport:
+    """Scan chain length for the deepest resonant g2(0) and report its operating point.
 
     Raises "not-bracketed" when no interior minimum below 0.5 exists within
-    n_max.  The transmission is the weak-drive one; the finite-drive
-    enhancement of T is beyond this model.
+    ANTIBUNCHING_N_MAX atoms.  The transmission is the weak-drive one; the
+    finite-drive enhancement of T is beyond this model.
     """
-    if n_max < 2:
-        raise ParameterError("n-max", "n_max must be >= 2")
-    t = transmission_coefficient(beta, detuning)
-    ns = np.arange(n_max + 1)
+    t = transmission_coefficient(beta)
+    ns = np.arange(ANTIBUNCHING_N_MAX + 1)
     dark = np.flatnonzero(abs(t) ** (2 * ns) < TRANSMISSION_FLOOR)
-    last = int(dark[0]) - 1 if dark.size else n_max
-    g2z = chain_g2_zero_by_length(beta, ns[: last + 1], detuning)
+    last = int(dark[0]) - 1 if dark.size else ANTIBUNCHING_N_MAX
+    g2z = chain_g2_zero_by_length(beta, ns[: last + 1])
     n_star = int(np.argmin(g2z))
     if g2z[n_star] >= 0.5 or n_star == 0 or n_star >= last:
         raise NumericalError(
             "not-bracketed",
-            f"no interior g2(0) minimum below 0.5 for beta = {beta} within N <= {n_max}",
+            f"no interior g2(0) minimum below 0.5 for beta = {beta} "
+            f"within N <= {ANTIBUNCHING_N_MAX}",
         )
     trans = float(abs(t) ** (2 * n_star))
     if trans < 0.01:

@@ -418,11 +418,20 @@ def test_fit_beta_command(tmp_path):
     assert run(tmp_path, "fit-beta", "--input", short_row, "--od0", 4.0) == 4
 
 
-def test_fit_points_short_row(tmp_path):
+@pytest.mark.parametrize("last_row, code", [
+    ("3.0", "malformed-value"),
+    ("nan,0.8", "od-out-of-range"),
+    ("3.0,nan", "g2-not-finite"),
+    ("3.0,inf", "g2-not-finite"),
+], ids=["short-row", "nan-od", "nan-g2", "inf-g2"])
+def test_fit_points_short_row(tmp_path, capsys, last_row, code):
+    # each bad point exits 4 before the sweep table is written
     pts = tmp_path / "points.csv"
-    pts.write_text("od,g2_0\n1.0,0.95\n2.0,0.9\n3.0\n")
+    pts.write_text(f"od,g2_0\n1.0,0.95\n2.0,0.9\n{last_row}\n")
     assert run(tmp_path, "sweep", "--od-min", 1, "--od-max", 1, "--averaged", 0,
                "--fit-points", pts, "--output", tmp_path / "s.csv") == 4
+    assert f"[{code}]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("s.csv*"))
 
 
 def _csv_write_timetags(path, stream):

@@ -89,7 +89,7 @@ def test_g2_curve_tail_check_only_for_long_natural_grids():
         G2Curve(long_grid, np.full(61, 1.5))
     # short grids and physical-time grids may end anywhere
     G2Curve(TauGrid.linear(10.0, 11), np.full(11, 1.5))
-    G2Curve(TauGrid.linear(60.0, 61, unit="ns"), np.full(61, 1.5))
+    G2Curve(TauGrid(np.linspace(0.0, 60.0, 61), unit="ns"), np.full(61, 1.5))
 
 
 def test_g2_curve_mirrored():

@@ -205,7 +205,7 @@ def test_transmission_matches_amplitude_power_law():
 
 def test_grid_must_be_natural_units():
     with pytest.raises(ParameterError):
-        oracle_g2(PhysicalParams(beta=0.1, n_atoms=1), TauGrid.linear(5.0, 6, unit="ns"))
+        oracle_g2(PhysicalParams(beta=0.1, n_atoms=1), TauGrid(np.linspace(0.0, 5.0, 6), unit="ns"))
 
 
 def test_large_chain_warns():

@@ -26,3 +26,14 @@ def test_submodule_all_names_exist():
         module = importlib.import_module(f"chiralchain.{name}")
         stale = [n for n in module.__all__ if not hasattr(module, n)]
         assert not stale, f"chiralchain.{name}.__all__ names {stale}, which it lacks"
+
+
+def test_photonstats_imports_only_core():
+    # the measurement layer knows nothing of the model layers, OD binning included
+    from chiralchain import photonstats
+    tree = ast.parse(Path(photonstats.__file__).read_text())
+    package = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1}
+    absolute = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and "chiralchain" in ast.unparse(node)]
+    assert package == {"core"} and not absolute

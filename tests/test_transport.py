@@ -353,9 +353,9 @@ def test_find_perfect_antibunching_reference_values(beta, n_star, g2_zero, trans
 
 
 def test_find_perfect_antibunching_needs_bracketed_minimum():
-    # at this coupling the dip sits near N ~ 180; a 50-atom cap cannot see it
+    # at this weak coupling the dip lies beyond the 400-atom scan
     with pytest.raises(NumericalError) as err:
-        find_perfect_antibunching(0.0081, n_max=50)
+        find_perfect_antibunching(0.002)
     assert err.value.code == "not-bracketed"
 
 
