@@ -383,10 +383,18 @@ def fit_beta_to_g2_points(od, g2_0, detuning: float = 0.0) -> tuple[float, float
     round(N(od)) makes the model piecewise in beta, so the 1d minimum is
     found by bounded scalar search rather than a gradient method; the error
     comes from the SSR curvature sampled wide enough to span several steps.
-    ODs outside [0, 8] or non-finite g2(0) values raise a DataError.
+    od and g2_0 must be 1d and of equal length ("points-shape-mismatch"),
+    with at least 2 points ("too-few-points"); ODs outside [0, 8] or
+    non-finite g2(0) values raise a DataError too.
     """
     from scipy import optimize  # deferred: importing chiralchain loads no scipy.optimize
     od_pts, g2_pts = np.asarray(od, dtype=float), np.asarray(g2_0, dtype=float)
+    if od_pts.ndim != 1 or od_pts.shape != g2_pts.shape:
+        raise DataError("points-shape-mismatch",
+                        f"od and g2(0) must be 1d of equal length, got shapes "
+                        f"{od_pts.shape} and {g2_pts.shape}")
+    if od_pts.size < 2:
+        raise DataError("too-few-points", f"need at least 2 points, got {od_pts.size}")
     if not np.all((od_pts >= 0) & (od_pts <= 8.0)):
         raise DataError("od-out-of-range", "measured ODs must lie in [0, 8]")
     if not np.all(np.isfinite(g2_pts)):

@@ -67,7 +67,6 @@ lives in ``oracle``, which is kept algorithmically independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import math
 import warnings
 
@@ -119,90 +118,64 @@ def od_per_atom(beta: float) -> float:
     return -2.0 * math.log(1.0 - 2.0 * beta)
 
 
-class _SteadyChain:
-    """Incrementally grown steady-state amplitudes for one (beta, detuning).
+def _steady_pairs(beta: float, detuning: float, n: int, lengths=()):
+    """Steady-state amplitudes of a chain of n emitters, reduced to what g2 reads.
 
-    Extending the chain by one emitter never changes the upstream amplitudes
-    (the coupling is purely downstream), so scans over N share one build.
+    Returns (e, sum_d, rows): the single amplitudes e_k (k < n), the pair
+    sums sum_d[L] = sum_{j<k<L} d_jk (L <= n), and for each length L <= n in
+    the ascending ``lengths`` the partial pair row sums
+    rows[i, k] = sum_{j<L} d_kj for k < L (zero beyond).
 
-    The pair amplitudes are filled by anti-diagonal s = j + k (see the
-    module docstring).  With rowsum[i] the running sum of the filled pairs
-    of emitter i,
+    The pairs are filled by anti-diagonal s = j + k (see the module
+    docstring) and never stored.  With rowsum[i] the running sum of the
+    filled pairs of emitter i,
 
         d_jk = c2 (rowsum[j] + rowsum[k]) + i sqrt(beta) (e_j + e_k) / den2,
 
     after which rowsum[j] and rowsum[k] grow by d_jk.  On one anti-diagonal
-    j < s/2 < k, so the whole diagonal is one vector step, and each row sum
-    still adds its pairs in partner order, as a column-by-column fill would.
-    One extension costs O(n) vector steps however few emitters it adds, so
-    callers extend once, to the largest N they need.  Raises NumericalError
-    "chain-too-long" before any work when the dense n x n pair matrix would
-    not fit in the installed memory.
+    j < s/2 < k, and j and k = s - j each run over a contiguous range, so the
+    whole diagonal is one vector step on slices.  Each row sum adds its pairs
+    in partner order, as a column-by-column fill would, so row k holds
+    sum_{j<L} d_kj right after anti-diagonal L - 1 + k, and is copied for
+    length L there.  Memory is O(n) besides rows; callers bound the work
+    with _check_chain_length first.
     """
+    sq = math.sqrt(beta)
+    den1 = -detuning - 0.5j
+    den2 = -2.0 * detuning - 1.0j
+    c1 = 1j * beta / den1
+    c2 = 1j * beta / den2
 
-    def __init__(self, beta: float, detuning: float):
-        self.beta = beta
-        self.delta = detuning
-        self.t = transmission_coefficient(beta, detuning)
-        self.e = np.zeros(0, dtype=complex)
-        self.dmat = np.zeros((0, 0), dtype=complex)  # symmetric storage, zero diagonal
-        self.rowsum = np.zeros(0, dtype=complex)  # rowsum[j] = sum_k dmat[j, k]
-        self.sum_d = np.zeros(1, dtype=complex)  # sum over pairs, per chain length
+    e = np.empty(n, dtype=complex)
+    for k in range(n):
+        e[k] = c1 * e[:k].sum() + 1j * sq / den1
+    rowsum = np.zeros(n, dtype=complex)  # rowsum[i] = sum of the filled d_ij
+    colsum = np.zeros(n, dtype=complex)  # colsum[k] = sum_{j<k} d_jk
+    lens = np.asarray(lengths, dtype=np.int64)
+    rows = np.zeros((lens.size, n), dtype=complex)
+    # lengths L < n are copied on anti-diagonals L - 1 <= s <= 2 L - 2; the
+    # rest are the finished row sums
+    n_short = int(np.searchsorted(lens, n))
+    diags = np.arange(2 * n - 2)
+    first = np.searchsorted(lens[:n_short], (diags + 3) // 2).tolist()
+    last = np.searchsorted(lens[:n_short], diags + 1, side="right").tolist()
+    at = np.arange(n_short)
 
-    def extend_to(self, n: int):
-        cur = self.e.size
-        if n <= cur:
-            return
-        if not 16.0 * n * n <= _physical_memory_bytes():
-            raise NumericalError(
-                "chain-too-long",
-                f"a chain of N = {n} needs a {16.0 * n * n:.3g} byte pair matrix, more "
-                "than fits in memory; lower the optical depth or raise beta",
-            )
-        sq = math.sqrt(self.beta)
-        den1 = -self.delta - 0.5j
-        den2 = -2.0 * self.delta - 1.0j
-        c1 = 1j * self.beta / den1
-        c2 = 1j * self.beta / den2
-
-        e = np.empty(n, dtype=complex)
-        e[:cur] = self.e
-        for k in range(cur, n):
-            e[k] = c1 * e[:k].sum() + 1j * sq / den1
-        dmat = np.zeros((n, n), dtype=complex)
-        dmat[:cur, :cur] = self.dmat
-        rowsum = np.zeros(n, dtype=complex)
-        rowsum[:cur] = self.rowsum
-        colsum = np.zeros(n, dtype=complex)  # colsum[k] = sum_{j<k} d_jk
-
-        # new pairs are those with k >= cur; on anti-diagonal s their
-        # downstream emitter runs over max(cur, s // 2 + 1) <= k <= min(n - 1, s)
-        for s in range(cur, 2 * n - 2):
-            k = np.arange(max(cur, s // 2 + 1), min(n - 1, s) + 1)
-            j = s - k
-            d = c2 * (rowsum[j] + rowsum[k]) + 1j * sq * (e[j] + e[k]) / den2
-            dmat[j, k] = d
-            dmat[k, j] = d
-            rowsum[j] += d
-            rowsum[k] += d
-            colsum[k] += d
-
-        acc = np.concatenate(([self.sum_d[-1]], colsum[cur:]))
-        self.sum_d = np.concatenate((self.sum_d[:-1], np.cumsum(acc)))
-        self.e, self.dmat, self.rowsum = e, dmat, rowsum
-
-    def g2_zero(self, ns) -> np.ndarray:
-        """Equal-time g2 for each chain length in ns (1 at N = 0)."""
-        ns = np.asarray(ns, dtype=np.int64)
-        self.extend_to(int(ns.max(initial=0)))
-        psi = 2.0 * self.t**ns - 1.0 + 2.0 * self.beta * self.sum_d[ns]
-        return np.where(ns == 0, 1.0, np.abs(psi) ** 2 / abs(self.t) ** (4 * ns))
-
-
-@functools.lru_cache(maxsize=16)
-def _chain(beta: float, detuning: float) -> _SteadyChain:
-    """The steady chain of one (beta, detuning), shared by every caller."""
-    return _SteadyChain(beta, detuning)
+    for s in range(2 * n - 2):
+        lo, hi = s // 2 + 1, min(n - 1, s)
+        # k runs down over [lo, hi], so that j = s - k runs up
+        j, k = slice(s - hi, s - lo + 1), slice(hi, lo - 1, -1)
+        d = c2 * (rowsum[j] + rowsum[k]) + 1j * sq * (e[j] + e[k]) / den2
+        rowsum[j] += d
+        rowsum[k] += d
+        colsum[k] += d
+        a, b = first[s], last[s]
+        if a < b:
+            done = s + 1 - lens[a:b]
+            rows[at[a:b], done] = rowsum[done]
+    rows[n_short:] = rowsum
+    sum_d = np.cumsum(np.concatenate(([0j], colsum)))
+    return e, sum_d, rows
 
 
 def _power_transmission(beta: float, detuning: float, n: int) -> float:
@@ -221,6 +194,17 @@ def _check_transmission(trans: float) -> None:
             "vanishing-transmission",
             f"power transmission {trans:.3e} below floor {TRANSMISSION_FLOOR:.1e}; g2 of "
             "the transmitted light is ill-conditioned",
+        )
+
+
+def _check_chain_length(n: int) -> None:
+    """Refuse a chain whose n^2 / 2 pair amplitudes, at 16 n^2 bytes, would not
+    fit in the installed memory: the fill computes each of them once."""
+    if not 16.0 * n * n <= _physical_memory_bytes():
+        raise NumericalError(
+            "chain-too-long",
+            f"a chain of N = {n} has {n * (n - 1) / 2:.3g} pair amplitudes, more than "
+            "the installed memory could hold; lower the optical depth or raise beta",
         )
 
 
@@ -272,18 +256,17 @@ def _two_photon_amplitudes(beta: float, detuning: float, ns: list[int],
     """psi_N(taus) at alpha = 1, one row per chain length in ascending ns (1 at N = 0).
 
     Transmission never rises with N, so the longest chain alone meets the floor.
-    Raises NumericalError "grid-too-large" after the chain is built and
-    before the propagator table is allocated, when the table would not fit
-    in the installed memory.
+    Raises NumericalError "chain-too-long", then "grid-too-large" when the
+    propagator table would not fit in the installed memory, both before the
+    chain is filled.
     """
     psi = np.ones((len(ns), taus.size), dtype=complex)
     lit = ns[ns.count(0):]
     if not lit:
         return psi
-    _check_transmission(_power_transmission(beta, detuning, lit[-1]))
-    ch = _chain(beta, detuning)
     n_max = lit[-1]
-    ch.extend_to(n_max)
+    _check_transmission(_power_transmission(beta, detuning, n_max))
+    _check_chain_length(n_max)
     table_bytes = 8.0 * n_max * taus.size
     if not table_bytes <= _physical_memory_bytes():
         raise NumericalError(
@@ -291,20 +274,16 @@ def _two_photon_amplitudes(beta: float, detuning: float, ns: list[int],
             f"N = {n_max} on {taus.size} delays needs a {table_bytes:.3g} byte propagator "
             "table, more than fits in memory; use fewer delay points",
         )
+    e, _, rows = _steady_pairs(beta, detuning, n_max, lit)
+    t = transmission_coefficient(beta, detuning)
     sq = math.sqrt(beta)
 
-    # row i holds df of chain lit[i] reversed, so that row @ table sums
-    # df_k C_{N-1-k}; the pair row sums sum_j d_kj grow column by column
+    # row i holds df of chain lit[i] reversed, so that row @ table sums df_k C_{N-1-k}
     weights = np.zeros((len(lit), n_max), dtype=complex)
     carrier = np.empty(len(lit), dtype=complex)
-    rowsum = np.zeros(n_max, dtype=complex)
-    prev = 0
     for i, n in enumerate(lit):
-        rowsum[:n] += ch.dmat[:n, prev:n].sum(axis=1)
-        rowsum[prev:n] += ch.dmat[prev:n, :prev].sum(axis=1)
-        prev = n
-        t_n = ch.t**n
-        weights[i, n - 1::-1] = (1.0 - t_n) * ch.e[:n] + sq * rowsum[:n]
+        t_n = t**n
+        weights[i, n - 1::-1] = (1.0 - t_n) * e[:n] + sq * rows[i, :n]
         carrier[i] = t_n**2
 
     phase = np.exp(1j * detuning * taus)
@@ -343,15 +322,20 @@ def chain_g2(params: PhysicalParams, grid: TauGrid) -> G2Curve:
 def chain_g2_zero_by_length(beta: float, ns, detuning: float = 0.0) -> np.ndarray:
     """Equal-time g2(0) for each of the ascending chain lengths ns (1 at N = 0).
 
-    Same model as chain_g2 at tau = 0, read off the cached steady chain, so
-    a scan over N costs one chain extension, to the longest N.  No floor
-    applies: g2(0) needs no propagator table.  Raises "vanishing-transmission"
-    naming the first N whose g2(0) is not finite (|t|^4N too small to divide by).
+    Same model as chain_g2 at tau = 0, read off the pair sums of one chain
+    fill, to the longest N.  No floor applies: g2(0) needs no propagator
+    table.  Raises "vanishing-transmission" naming the first N whose g2(0)
+    is not finite (|t|^4N too small to divide by).
     """
     validate_params(PhysicalParams(beta=beta, n_atoms=0, detuning=detuning))
-    ns = _lengths(ns)
+    ns = np.array(_lengths(ns), dtype=np.int64)
+    n_max = int(ns.max(initial=0))
+    _check_chain_length(n_max)
+    _, sum_d, _ = _steady_pairs(beta, detuning, n_max)
+    t = transmission_coefficient(beta, detuning)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g2 = _chain(beta, detuning).g2_zero(ns)
+        psi = 2.0 * t**ns - 1.0 + 2.0 * beta * sum_d[ns]
+        g2 = np.where(ns == 0, 1.0, np.abs(psi) ** 2 / abs(t) ** (4 * ns))
     bad = np.flatnonzero(~np.isfinite(g2))
     if bad.size:
         raise NumericalError(

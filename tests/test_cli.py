@@ -306,8 +306,8 @@ def test_synth_thinning_overflow_draws_nothing(tmp_path, monkeypatch, capsys):
 
 
 def test_simulate_chain_too_long_exits_3(tmp_path, monkeypatch, capsys):
-    # N = 300 needs a 1.4 MB pair matrix: refused against 1 MiB of memory
-    # before the chain is built (beta is one no other test builds)
+    # the pair amplitudes of N = 300 count as 16 N^2 = 1.4 MB: refused against
+    # 1 MiB of memory before the chain is filled
     from chiralchain import transport
     monkeypatch.setattr(transport, "_physical_memory_bytes", lambda: float(2**20))
     out = tmp_path / "curve.csv"

@@ -233,3 +233,15 @@ def test_fit_beta_to_g2_points_recovers_beta():
     with pytest.raises(DataError) as err:
         fit_beta_to_g2_points([1.0, 9.0], [0.95, 0.9])
     assert err.value.code == "od-out-of-range"
+
+
+@pytest.mark.parametrize("od,g2,code", [
+    ([1.0, 2.0, 3.0], [0.9, 0.8], "points-shape-mismatch"),
+    ([[1.0, 2.0], [3.0, 4.0]], [[0.9, 0.8], [0.7, 0.6]], "points-shape-mismatch"),
+    ([], [], "too-few-points"),
+    ([1.0], [0.9], "too-few-points"),
+])
+def test_fit_beta_to_g2_points_checks_point_shapes(od, g2, code):
+    with pytest.raises(DataError) as err:
+        fit_beta_to_g2_points(od, g2)
+    assert err.value.code == code

@@ -1,6 +1,7 @@
 """Weak-drive chain solver: transmission, steady state, g2(tau)."""
 
 import math
+import tracemalloc
 import warnings
 
 from hypothesis import given, settings, strategies as st
@@ -23,16 +24,9 @@ from chiralchain import (
     transmission_coefficient,
 )
 from chiralchain.core import ParameterError
-from chiralchain.transport import TRANSMISSION_FLOOR, _SteadyChain, _two_photon_amplitudes
+from chiralchain.transport import TRANSMISSION_FLOOR, _steady_pairs, _two_photon_amplitudes
 
 GRID = TauGrid.linear(12.0, 241)
-
-
-def _steady_chain(beta, delta, n):
-    """A fresh steady chain of exactly n emitters."""
-    ch = _SteadyChain(beta, delta)
-    ch.extend_to(n)
-    return ch
 
 
 def test_transmission_coefficient():
@@ -84,19 +78,23 @@ def test_full_coupling_gives_nine():
 
 
 def test_steady_state_single_atom_amplitude():
-    ch = _steady_chain(0.09, 0.0, 1)
+    e, sum_d, rows = _steady_pairs(0.09, 0.0, 1, [1])
     # e = i sqrt(beta) / (-i/2) = -2 sqrt(beta) on resonance
-    assert ch.e[0] == pytest.approx(-2.0 * math.sqrt(0.09))
-    assert ch.dmat.shape == (1, 1)
-    assert ch.dmat[0, 0] == 0.0
+    assert e[0] == pytest.approx(-2.0 * math.sqrt(0.09))
+    # one emitter has no pairs
+    assert sum_d.tolist() == [0.0, 0.0]
+    assert rows.tolist() == [[0.0]]
 
 
 def test_steady_state_pair_amplitude_is_upper_triangular():
-    # the pairs j < k fill the strict upper triangle; the lower one mirrors it
-    dmat = _steady_chain(0.1, 0.0, 4).dmat
-    assert np.max(np.abs(np.diag(dmat))) == 0.0
-    assert np.array_equal(np.tril(dmat, k=-1), np.triu(dmat, k=1).T)
-    assert np.max(np.abs(np.triu(dmat, k=1))) > 0.0
+    # each pair j < k enters the row sums of both its emitters, so the row
+    # sums of a length add up to twice its pair sum; rows end at the length
+    _, sum_d, rows = _steady_pairs(0.1, 0.0, 4, [1, 2, 3, 4])
+    for length, row in zip(range(1, 5), rows):
+        assert np.all(row[length:] == 0.0)
+        assert abs(row.sum() - 2.0 * sum_d[length]) <= 1e-14 * np.max(np.abs(sum_d))
+    assert np.all(rows[0] == 0.0)
+    assert np.min(np.abs(rows[1:, 0])) > 0.0
 
 
 def _dense_steady_state(beta, delta, n):
@@ -125,59 +123,76 @@ def _dense_steady_state(beta, delta, n):
     return e, d
 
 
+def _close(got, want, rel):
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("beta", [0.0081, 0.3, 1.0])
 @pytest.mark.parametrize("delta", [0.0, 0.5, -0.4])
 def test_pair_amplitudes_match_dense_solve(beta, delta):
     # the anti-diagonal fill against a direct solve of the whole linear system
     for n in (2, 7, 40):
-        e, d = _dense_steady_state(beta, delta, n)
-        ch = _steady_chain(beta, delta, n)
-        assert np.max(np.abs(ch.e - e)) <= 1e-12 * np.max(np.abs(e))
-        assert np.max(np.abs(np.triu(ch.dmat, k=1) - d)) <= 1e-12 * np.max(np.abs(d))
+        e_ref, d = _dense_steady_state(beta, delta, n)
+        lengths = sorted({1, n // 2, n})
+        e, sum_d, rows = _steady_pairs(beta, delta, n, lengths)
+        sym = d + d.T
+        rows_ref = np.array([np.concatenate((sym[:m, :m].sum(axis=1), np.zeros(n - m)))
+                             for m in lengths])
+        sum_ref = np.concatenate(([0.0], np.cumsum(d.sum(axis=0))))
+        assert _close(e, e_ref, 1e-12)
+        assert _close(sum_d, sum_ref, 1e-12)
+        assert _close(rows, rows_ref, 1e-12)
 
 
-def _column_fill(beta, delta, n):
-    """Pair amplitudes and per-length pair sums filled one column k at a time,
-    each column by a sequential prefix sum over j < k."""
+def _column_fill(beta, delta, n, lengths):
+    """Single amplitudes, per-length pair sums and the pair row sums at each
+    of the ascending lengths, filled one column k at a time, each column by
+    a sequential prefix sum over j < k."""
     sq = math.sqrt(beta)
     den1, den2 = -delta - 0.5j, -2.0 * delta - 1.0j
     e = np.empty(n, dtype=complex)
-    d = np.zeros((n, n), dtype=complex)
     rowsum = np.zeros(n, dtype=complex)
     sum_d = [0.0j]
+    rows = np.zeros((len(lengths), n), dtype=complex)
     for k in range(n):
         e[k] = 1j * beta / den1 * e[:k].sum() + 1j * sq / den1
+        col = np.zeros(k, dtype=complex)
         col_acc = 0.0j
         for j in range(k):
-            d[j, k] = 1j * beta / den2 * (rowsum[j] + col_acc) + 1j * sq * (e[j] + e[k]) / den2
-            col_acc += d[j, k]
-        rowsum[:k] += d[:k, k]
+            col[j] = 1j * beta / den2 * (rowsum[j] + col_acc) + 1j * sq * (e[j] + e[k]) / den2
+            col_acc += col[j]
+        rowsum[:k] += col
         rowsum[k] = col_acc
         sum_d.append(sum_d[-1] + col_acc)
-    return e, d + d.T, np.array(sum_d)
+        # after column k every row sum holds the partners j <= k
+        for i, m in enumerate(lengths):
+            if m == k + 1:
+                rows[i, :m] = rowsum[:m]
+    return e, np.array(sum_d), rows
 
 
 @pytest.mark.parametrize("beta", [0.0081, 0.3, 1.0])
 @pytest.mark.parametrize("delta", [0.0, 0.5, -0.4])
 def test_anti_diagonal_fill_matches_column_loop(beta, delta):
     # same sums in another order: agreement to rounding, ~450 float64 ulps
-    e, d, sum_d = _column_fill(beta, delta, 120)
-    ch = _SteadyChain(beta, delta)
-    ch.extend_to(120)
-    assert np.array_equal(ch.e, e)
-    assert np.max(np.abs(ch.dmat - d)) <= 1e-13 * np.max(np.abs(d))
-    assert np.max(np.abs(ch.sum_d - sum_d)) <= 1e-13 * np.max(np.abs(sum_d))
+    lengths = [1, 60, 120]
+    e_ref, sum_ref, rows_ref = _column_fill(beta, delta, 120, lengths)
+    e, sum_d, rows = _steady_pairs(beta, delta, 120, lengths)
+    assert np.array_equal(e, e_ref)
+    assert _close(sum_d, sum_ref, 1e-13)
+    assert _close(rows, rows_ref, 1e-13)
 
 
-@pytest.mark.parametrize("beta,delta", [(0.0081, 0.0), (0.3, 0.5), (1.0, -0.4)])
-def test_stepwise_extension_matches_one_extension(beta, delta):
-    steps = _SteadyChain(beta, delta)
-    for n in (1, 2, 7, 50, 51, 180):
-        steps.extend_to(n)
-    once = _SteadyChain(beta, delta)
-    once.extend_to(180)
-    for name in ("e", "dmat", "rowsum", "sum_d"):
-        assert np.array_equal(getattr(steps, name), getattr(once, name)), name
+def test_g2_zero_scan_keeps_no_pair_matrix():
+    # the fill holds O(N) amplitudes: a stored 2000 x 2000 pair matrix
+    # would take 61 MiB
+    tracemalloc.start()
+    try:
+        chain_g2_zero_by_length(5e-4, [0, 2000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_amplitude_relaxes_to_coherent_product():
@@ -188,9 +203,9 @@ def test_amplitude_relaxes_to_coherent_product():
 
 def _expm_amplitude(beta, delta, n, taus):
     """psi_N(tau) from the dense one-excitation propagator, one expm per tau."""
-    ch = _steady_chain(beta, delta, n)
+    e, _, rows = _steady_pairs(beta, delta, n, [n])
     t_n = transmission_coefficient(beta, delta) ** n
-    df = (1.0 - t_n) * ch.e + math.sqrt(beta) * ch.dmat.sum(axis=1)
+    df = (1.0 - t_n) * e + math.sqrt(beta) * rows[0]
     gen = np.tril(np.full((n, n), -beta, dtype=complex), k=-1)
     gen += (1j * delta - 0.5) * np.eye(n)
     return np.array([t_n**2 + math.sqrt(beta) * (scipy.linalg.expm(gen * tau) @ df).sum()
@@ -289,8 +304,8 @@ def test_batched_g2_zero_matches_single_lengths(beta, detuning, lengths):
 
 
 def test_curve_and_zero_paths_agree():
-    # chain_g2 builds the full delay curve, chain_g2_zero uses the cached
-    # equal-time amplitudes; they must agree at tau = 0
+    # chain_g2 builds the full delay curve, chain_g2_zero only the pair sums
+    # of the equal-time amplitudes; they must agree at tau = 0
     for beta, n in [(0.0081, 150), (0.05, 20), (0.3, 3)]:
         params = PhysicalParams(beta=beta, n_atoms=n)
         curve = chain_g2(params, TauGrid.linear(1.0, 3))
