@@ -8,7 +8,6 @@ from .core import (
     PhysicalParams,
     TauGrid,
     time_unit_ns,
-    validate_params,
 )
 from .transport import (
     RateReport,

@@ -306,28 +306,31 @@ def _grid_from(values) -> TauGrid:
     return TauGrid.linear(values["tau_max"], values["n_points"])
 
 
-def _distribution(values, od):
-    bins = OdBinSpec.default(values["budget"])
+def _campaign(values) -> OdBinSpec:
+    """The default bin scheme with the campaign flags; refuses bad values."""
+    return OdBinSpec.default(values["budget"], values["spread"],
+                             values["loading_gain"], values["loading_max_od"])
+
+
+def _distribution(bins: OdBinSpec, beta: float, od: float):
     idx = bins.bin_index(od)
     if idx < 0:
         raise ParameterError("od-outside-scheme", f"OD {od:g} is outside the binning scheme")
-    return build_number_distribution(
-        bins, idx, values["beta"], preparation_spread=values["spread"],
-        loading_gain=values["loading_gain"], loading_max_od=values["loading_max_od"])
+    return build_number_distribution(bins, idx, beta)
 
 
-def _model_curve(values, kind: str, od: float | None = None,
+def _model_curve(values, bins: OdBinSpec, kind: str, od: float | None = None,
                  n_atoms: int | None = None) -> tuple[int, G2Curve]:
     """Chain length and ideal or averaged model curve at one OD or atom number."""
     beta = values["beta"]
     n = int(n_atoms) if od is None else int(round(od_to_atoms(od, beta)))
-    params = PhysicalParams(beta=beta, n_atoms=n, detuning=values["detuning"])
     grid = _grid_from(values)
+    params = PhysicalParams(beta=beta, n_atoms=n, detuning=values["detuning"])
     if kind == "ideal":
         return n, chain_g2(params, grid)
     if od is None:
         od = n * od_per_atom(beta)
-    return n, averaged_g2(_distribution(values, od), params, grid)
+    return n, averaged_g2(_distribution(bins, beta, od), params, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +360,12 @@ def cmd_simulate(values, prov) -> int:
         targets = [(f"od{od:g}", od, None) for od in ods]
     else:
         targets = [(f"n{n}", None, n) for n in natoms]
+    bins = _campaign(values)
 
     multi = len(targets) > 1 or len(kinds) > 1
     for label, od, n_atoms in targets:
         for kind in kinds:
-            n, curve = _model_curve(values, kind, od, n_atoms)
+            n, curve = _model_curve(values, bins, kind, od, n_atoms)
             if multi:
                 stem = values["output"]
                 stem = stem[:-4] if stem.endswith(".csv") else stem
@@ -395,12 +399,8 @@ def cmd_sweep(values, prov) -> int:
     grid = np.arange(values["od_min"], values["od_max"] + 1e-9, values["od_step"])
     if grid.size == 0:
         raise ParameterError("empty-od-grid", "the requested OD grid is empty")
-    rows = sweep_g2_vs_od(values["beta"], grid, bins=OdBinSpec.default(values["budget"]),
-                          preparation_spread=values["spread"],
-                          averaged=bool(values["averaged"]),
-                          detuning=values["detuning"],
-                          loading_gain=values["loading_gain"],
-                          loading_max_od=values["loading_max_od"])
+    rows = sweep_g2_vs_od(values["beta"], grid, bins=_campaign(values),
+                          averaged=bool(values["averaged"]), detuning=values["detuning"])
     extra = {}
     if values["fit_points"] is not None:
         # fit before writing, so bad points leave no files behind
@@ -439,9 +439,10 @@ _ORACLE = [
 
 
 def cmd_oracle(values, prov) -> int:
+    grid = _grid_from(values)
     params = PhysicalParams(beta=values["beta"], n_atoms=values["n_atoms"],
                             detuning=values["detuning"])
-    result = oracle_g2(params, _grid_from(values))
+    result = oracle_g2(params, grid)
     curve = result.curve
     path = values["output"]
     write_curve_csv(path, curve, values["gamma_mhz"])
@@ -474,7 +475,8 @@ def cmd_synth(values, prov) -> int:
         raise ParameterError("bad-kind", f"kind must be histogram or timetags, got {values['kind']!r}")
     if (values["od"] is None) == (values["n_atoms"] is None):
         raise ParameterError("no-configuration", "give exactly one of --od or --n-atoms")
-    _, curve = _model_curve(values, "averaged" if values["averaged"] else "ideal",
+    _, curve = _model_curve(values, _campaign(values),
+                            "averaged" if values["averaged"] else "ideal",
                             values["od"], values["n_atoms"])
     path = values["output"]
     if values["kind"] == "histogram":

@@ -26,7 +26,6 @@ __all__ = [
     "PhysicalParams",
     "TauGrid",
     "G2Curve",
-    "validate_params",
     "time_unit_ns",
 ]
 
@@ -77,33 +76,30 @@ def _physical_memory_bytes() -> float:
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Parameters of the driven emitter chain.
+    """Parameters of the driven emitter chain, checked when built.
 
-    beta      fraction of emission into the forward waveguide mode
-    n_atoms   number of emitters in the chain
-    detuning  drive detuning from atomic resonance, units of Gamma
+    beta      fraction of emission into the forward waveguide mode, in (0, 1]
+    n_atoms   number of emitters in the chain, an integer >= 0
+    detuning  drive detuning from atomic resonance, units of Gamma, finite
     """
 
     beta: float
     n_atoms: int
     detuning: float = 0.0
 
-
-def validate_params(params: PhysicalParams) -> PhysicalParams:
-    """Check a PhysicalParams against its domain; returns it unchanged."""
-    b = params.beta
-    if not (isinstance(b, (int, float)) and math.isfinite(b)):
-        raise ParameterError("beta-not-finite", f"beta must be finite, got {b!r}")
-    if not 0.0 < b <= 1.0:
-        raise ParameterError("beta-out-of-range", f"beta must be in (0, 1], got {b}")
-    n = params.n_atoms
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)):
-        raise ParameterError("n-atoms-not-integer", f"n_atoms must be an integer, got {n!r}")
-    if n < 0:
-        raise ParameterError("n-atoms-negative", f"n_atoms must be >= 0, got {n}")
-    if not math.isfinite(params.detuning):
-        raise ParameterError("detuning-not-finite", f"detuning must be finite, got {params.detuning!r}")
-    return params
+    def __post_init__(self):
+        b = self.beta
+        if not (isinstance(b, (int, float)) and math.isfinite(b)):
+            raise ParameterError("beta-not-finite", f"beta must be finite, got {b!r}")
+        if not 0.0 < b <= 1.0:
+            raise ParameterError("beta-out-of-range", f"beta must be in (0, 1], got {b}")
+        n = self.n_atoms
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)):
+            raise ParameterError("n-atoms-not-integer", f"n_atoms must be an integer, got {n!r}")
+        if n < 0:
+            raise ParameterError("n-atoms-negative", f"n_atoms must be >= 0, got {n}")
+        if not math.isfinite(self.detuning):
+            raise ParameterError("detuning-not-finite", f"detuning must be finite, got {self.detuning!r}")
 
 
 @dataclass(frozen=True)

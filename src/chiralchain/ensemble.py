@@ -23,6 +23,8 @@ of a measurement campaign used here has three ingredients:
     but their photon-pair rate does not attenuate, so they dominate the
     pooled coincidences of that bin.
 
+``OdBinSpec`` carries the whole campaign and checks it when built.
+
 Pooled coincidence histograms weight every run by its pair rate, i.e. by the
 square of the transmitted rate, so distribution averages use w_N * T_N**2
 weights rather than bare probabilities.
@@ -76,14 +78,21 @@ def _scheme_edges() -> np.ndarray:
 
 @dataclass(frozen=True)
 class OdBinSpec:
-    """OD histogram scheme plus the photon budget behind each OD estimate.
+    """A measurement campaign: OD histogram scheme, OD estimate and loadings.
 
     ``photon_budget`` is the expected number of detected probe photons per
     run at unit transmission; np.inf turns the estimator noiseless.
+    ``preparation_spread`` is the relative width of the atom number about
+    each nominal loading, in [0, 1].  The run density grows like
+    exp(loading_gain * OD) up to the saturation OD ``loading_max_od``,
+    which must reach the top of the scheme.
     """
 
     edges: np.ndarray
     photon_budget: float = 1000.0
+    preparation_spread: float = 0.1
+    loading_gain: float = LOADING_GAIN
+    loading_max_od: float = LOADING_MAX_OD
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
@@ -92,11 +101,22 @@ class OdBinSpec:
         if not self.photon_budget > 0:
             raise ParameterError("bad-photon-budget",
                                  f"photon budget must be > 0, got {self.photon_budget}")
+        if not 0.0 <= self.preparation_spread <= 1.0:
+            raise ParameterError("bad-spread", "relative spread must be in [0, 1], "
+                                 f"got {self.preparation_spread}")
+        if not (np.isfinite(self.loading_gain) and self.loading_gain >= 0.0):
+            raise ParameterError("bad-loading", "loading gain must be finite and >= 0")
+        if not self.loading_max_od >= edges[-1]:
+            raise ParameterError("bad-loading",
+                                 "loading must reach at least the top of the bin scheme")
         object.__setattr__(self, "edges", edges)
 
     @classmethod
-    def default(cls, photon_budget: float = 1000.0) -> "OdBinSpec":
-        return cls(_scheme_edges(), photon_budget)
+    def default(cls, photon_budget: float = 1000.0, preparation_spread: float = 0.1,
+                loading_gain: float = LOADING_GAIN,
+                loading_max_od: float = LOADING_MAX_OD) -> "OdBinSpec":
+        return cls(_scheme_edges(), photon_budget, preparation_spread,
+                   loading_gain, loading_max_od)
 
     @property
     def n_bins(self) -> int:
@@ -131,36 +151,26 @@ class OdBinSpec:
 
 @dataclass(frozen=True)
 class NumberDistribution:
-    """Distribution of true atom number behind one OD bin.
-
-    ``rate_weights`` are the per-N transmitted rate factors (resonant power
-    transmissions), kept separate from the probabilities because coincidence
-    averages weight runs by rate squared.
-    """
+    """Distribution of true atom number behind one OD bin."""
 
     support: np.ndarray
     weights: np.ndarray
-    rate_weights: np.ndarray
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=int)
         weights = np.asarray(self.weights, dtype=float)
-        rates = np.asarray(self.rate_weights, dtype=float)
         if support.ndim != 1 or support.size == 0:
             raise DataError("empty-support", "number distribution has empty support")
         if np.any(np.diff(support) <= 0) or np.any(support < 0):
             raise ParameterError("bad-support",
                                  "support must be strictly increasing nonnegative ints")
-        if weights.shape != support.shape or rates.shape != support.shape:
+        if weights.shape != support.shape:
             raise ParameterError("bad-weights", "weights must align with support")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ParameterError("bad-weights",
                                  "weights must be nonnegative and sum to 1")
-        if np.any(rates <= 0):
-            raise ParameterError("bad-weights", "rate weights must be positive")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "rate_weights", rates)
 
     @property
     def mean(self) -> float:
@@ -186,34 +196,25 @@ def _preparation_pmf(center: float, spread: float) -> tuple[np.ndarray, np.ndarr
     return ns, pmf / pmf.sum()
 
 
-def _nominal_loadings(bins: OdBinSpec, loading_gain: float,
-                      loading_max_od: float) -> tuple[np.ndarray, np.ndarray]:
+def _nominal_loadings(bins: OdBinSpec) -> tuple[np.ndarray, np.ndarray]:
     """Campaign settings (nominal OD, run fraction): one per scheme bin,
     continued at 0.5 OD pitch up to the loading saturation OD."""
     ods = list(bins.centers)
     widths = list(np.diff(bins.edges))
     od = float(bins.edges[-1]) + 0.25
-    while od <= loading_max_od + 1e-9:
+    while od <= bins.loading_max_od + 1e-9:
         ods.append(od)
         widths.append(0.5)
         od += 0.5
     ods = np.asarray(ods)
-    wgt = np.exp(loading_gain * ods) * np.asarray(widths)
+    wgt = np.exp(bins.loading_gain * ods) * np.asarray(widths)
     return ods, wgt / wgt.sum()
 
 
-def _campaign_prior(bins: OdBinSpec, beta: float, spread: float,
-                    loading_gain: float, loading_max_od: float) -> np.ndarray:
+def _campaign_prior(bins: OdBinSpec, beta: float) -> np.ndarray:
     """Prior over true N for the whole campaign, p[n] on n = 0..nmax."""
-    if not 0.0 <= spread <= 1.0:
-        raise ParameterError("bad-spread",
-                             f"relative spread must be in [0, 1], got {spread}")
-    if not (np.isfinite(loading_gain) and loading_gain >= 0.0):
-        raise ParameterError("bad-loading", "loading gain must be finite and >= 0")
-    if not loading_max_od >= bins.edges[-1]:
-        raise ParameterError("bad-loading",
-                             "loading must reach at least the top of the bin scheme")
-    ods, wnom = _nominal_loadings(bins, loading_gain, loading_max_od)
+    spread = bins.preparation_spread
+    ods, wnom = _nominal_loadings(bins)
     od_atom = od_per_atom(beta)
     nmax = int(math.ceil((ods[-1] / od_atom) * (1.0 + 6.0 * spread))) + 2
     prior = np.zeros(nmax + 1)
@@ -253,11 +254,8 @@ def _assignment_prob(ns: np.ndarray, beta: float, bins: OdBinSpec,
     return prob
 
 
-def build_number_distribution(bins: OdBinSpec, bin_index: int, beta: float,
-                              preparation_spread: float = 0.1,
-                              loading_gain: float = LOADING_GAIN,
-                              loading_max_od: float = LOADING_MAX_OD,
-                              ) -> NumberDistribution:
+def build_number_distribution(bins: OdBinSpec, bin_index: int,
+                              beta: float) -> NumberDistribution:
     """Atom-number distribution of the runs sorted into one OD bin.
 
     Multiplies the campaign prior over true N (nominal loadings convolved
@@ -268,9 +266,7 @@ def build_number_distribution(bins: OdBinSpec, bin_index: int, beta: float,
     if not 0 <= bin_index < bins.n_bins:
         raise ParameterError("bad-bin-index",
                              f"bin index {bin_index} outside 0..{bins.n_bins - 1}")
-    prior = _campaign_prior(bins, beta, preparation_spread,
-                            loading_gain, loading_max_od)
-    return _bin_distribution(prior, bins, bin_index, beta)
+    return _bin_distribution(_campaign_prior(bins, beta), bins, bin_index, beta)
 
 
 def _bin_distribution(prior: np.ndarray, bins: OdBinSpec, bin_index: int,
@@ -284,18 +280,17 @@ def _bin_distribution(prior: np.ndarray, bins: OdBinSpec, bin_index: int,
                         f"no campaign run reaches OD bin {bin_index}")
     keep = weights > 1e-15 * weights.max()
     ns, weights = ns[keep], weights[keep]
-    weights = weights / weights.sum()
-    rates = np.exp(-ns * od_per_atom(beta))
-    return NumberDistribution(ns, weights, rates)
+    return NumberDistribution(ns, weights / weights.sum())
 
 
-def _rate_weighted_mean(dist: NumberDistribution, values: np.ndarray):
+def _rate_weighted_mean(dist: NumberDistribution, beta: float, values: np.ndarray):
     """sum_N w_N r_N^2 values[N] / sum_N w_N r_N^2, values[i] at N = support[i].
 
-    Pooled coincidences weight each run by its pair rate, w_N r_N^2.  The
+    Pooled coincidences weight each run by its pair rate, w_N r_N^2, with
+    r_N = exp(-N od_per_atom(beta)) the resonant power transmission.  The
     rows of 2d values are added one after another, in support order.
     """
-    wr = dist.weights * dist.rate_weights**2
+    wr = dist.weights * np.exp(-dist.support * od_per_atom(beta))**2
     wr = wr.reshape((-1,) + (1,) * (values.ndim - 1))
     return (wr * values).sum(axis=0) / wr.sum()
 
@@ -308,7 +303,7 @@ def averaged_g2(dist: NumberDistribution, params: PhysicalParams,
     ``params`` is ignored; the distribution supplies N.
     """
     curves = chain_g2_by_length(params, dist.support, grid)
-    values = _rate_weighted_mean(dist, np.array([c.values for c in curves]))
+    values = _rate_weighted_mean(dist, params.beta, np.array([c.values for c in curves]))
     trans = 0.0
     for w, curve in zip(dist.weights, curves):
         trans += w * curve.transmission
@@ -317,7 +312,7 @@ def averaged_g2(dist: NumberDistribution, params: PhysicalParams,
 
 def averaged_g2_zero(dist: NumberDistribution, beta: float) -> float:
     """Equal-time version of averaged_g2 on resonance, cheap enough for OD sweeps."""
-    return float(_rate_weighted_mean(dist, chain_g2_zero_by_length(beta, dist.support)))
+    return float(_rate_weighted_mean(dist, beta, chain_g2_zero_by_length(beta, dist.support)))
 
 
 @dataclass(frozen=True)
@@ -329,9 +324,7 @@ class SweepRow:
 
 
 def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
-                   preparation_spread: float = 0.1, averaged: bool = True,
-                   detuning: float = 0.0, loading_gain: float = LOADING_GAIN,
-                   loading_max_od: float = LOADING_MAX_OD) -> list[SweepRow]:
+                   averaged: bool = True, detuning: float = 0.0) -> list[SweepRow]:
     """Ideal and distribution-averaged g2(0) along an OD grid.
 
     The ideal column evaluates the chain at round(N(od)); the averaged
@@ -352,8 +345,7 @@ def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
     bin_of = [bins.bin_index(float(od)) if averaged and od > 0.0 else None for od in od_grid]
     dists: dict[int, NumberDistribution] = {}
     reached = set(bin_of) - {None}
-    prior = _campaign_prior(bins, beta, preparation_spread, loading_gain,
-                            loading_max_od) if reached else None
+    prior = _campaign_prior(bins, beta) if reached else None
     for idx in reached:
         try:
             dists[idx] = _bin_distribution(prior, bins, idx, beta)
@@ -369,7 +361,7 @@ def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
         if averaged and od == 0.0:
             n_mean, g2_avg = 0.0, 1.0
         elif dist is not None:
-            n_mean, g2_avg = dist.mean, float(_rate_weighted_mean(dist, g2z[dist.support]))
+            n_mean, g2_avg = dist.mean, float(_rate_weighted_mean(dist, beta, g2z[dist.support]))
         else:
             n_mean, g2_avg = od_to_atoms(float(od), beta), None
         rows.append(SweepRow(float(od), n_mean, float(g2z[n_round]), g2_avg))

@@ -49,7 +49,6 @@ from .core import (
     PhysicalParams,
     TauGrid,
     _physical_memory_bytes,
-    validate_params,
 )
 
 __all__ = [
@@ -83,7 +82,6 @@ class CascadedGenerator:
     """Liouvillian of the displaced-frame cascaded chain at one drive."""
 
     def __init__(self, params: PhysicalParams, drive_amplitude: float):
-        validate_params(params)
         n = params.n_atoms
         if n < 1:
             raise ParameterError("n-atoms-negative", "oracle needs at least one emitter")
@@ -288,7 +286,6 @@ def oracle_g2(params: PhysicalParams, grid: TauGrid) -> OracleG2Result:
     are too strong for the power series the extrapolation assumes.  The
     curve's transmission is the same extrapolation of the output rates.
     """
-    validate_params(params)
     _check_atoms(params)
     if grid.unit != "gamma":
         raise ParameterError("grid-bad-unit", "oracle grids are in units of 1/Gamma")

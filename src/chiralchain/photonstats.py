@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import math
 
 import numpy as np
+from scipy import special
 
 from .core import (
     DataError,
@@ -788,25 +789,22 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
 
 
 def saturation_transmission(beta: float, od0: float, s0) -> np.ndarray:
-    """Transmission of a saturable chain versus drive power.
+    """Transmission of a saturable chain versus drive power s0 > 0.
 
     Solves ln T + beta * s0 * (T - 1) = -od0 for T at each power; the
     left side is strictly increasing in T so the root in (0, 1) is unique.
-    At weak drive this reduces to T = exp(-od0).
+    With k = beta * s0, x = k T solves x + ln x = ln k + k - od0, so
+    T = W(ln k + k - od0) / k with W the Wright omega function.  At weak
+    drive this reduces to T = exp(-od0).
     """
-    from scipy import optimize  # deferred: importing chiralchain loads no scipy.optimize
     if not (math.isfinite(beta) and 0.0 < beta < 0.5):
         raise ParameterError("beta-out-of-range", f"beta must be in (0, 0.5), got {beta}")
     if not (math.isfinite(od0) and od0 > 0):
         raise ParameterError("od0-not-positive", f"od0 must be > 0, got {od0!r}")
-    s = np.atleast_1d(np.asarray(s0, dtype=float))
-    out = np.empty(s.size)
-    lo = min(1e-12, math.exp(-od0) * 1e-3)
-    for i, si in enumerate(s):
-        k = beta * si
-        out[i] = optimize.brentq(lambda t: math.log(t) + k * (t - 1.0) + od0,
-                                 lo, 1.0, xtol=1e-15, rtol=1e-14)
-    return out
+    k = beta * np.atleast_1d(np.asarray(s0, dtype=float))
+    if not np.all((k > 0) & np.isfinite(k)):
+        raise ParameterError("power-not-positive", "drive powers must be finite and > 0")
+    return special.wrightomega(np.log(k) + k - od0) / k
 
 
 def fit_beta_saturation(data: SaturationData, od0: float) -> SaturationFit:

@@ -79,7 +79,6 @@ from .core import (
     PhysicalParams,
     TauGrid,
     _physical_memory_bytes,
-    validate_params,
 )
 
 __all__ = [
@@ -184,7 +183,6 @@ def _power_transmission(beta: float, detuning: float, n: int) -> float:
 
 def chain_transmission(params: PhysicalParams) -> float:
     """Weak-drive power transmission |t(Delta)|^(2N)."""
-    validate_params(params)
     return _power_transmission(params.beta, params.detuning, params.n_atoms)
 
 
@@ -299,7 +297,6 @@ def chain_g2_by_length(params: PhysicalParams, ns, grid: TauGrid) -> list[G2Curv
     Raises "vanishing-transmission" when the longest chain is below the
     transmission floor.
     """
-    validate_params(params)
     _check_grid(grid)
     ns = _lengths(ns)
     psi = _two_photon_amplitudes(params.beta, params.detuning, ns, grid.values)
@@ -327,7 +324,7 @@ def chain_g2_zero_by_length(beta: float, ns, detuning: float = 0.0) -> np.ndarra
     table.  Raises "vanishing-transmission" naming the first N whose g2(0)
     is not finite (|t|^4N too small to divide by).
     """
-    validate_params(PhysicalParams(beta=beta, n_atoms=0, detuning=detuning))
+    PhysicalParams(beta=beta, n_atoms=0, detuning=detuning)  # checks beta and detuning
     ns = np.array(_lengths(ns), dtype=np.int64)
     n_max = int(ns.max(initial=0))
     _check_chain_length(n_max)
@@ -351,7 +348,6 @@ def chain_g2_zero(params: PhysicalParams) -> float:
 
     Raises "vanishing-transmission" as chain_g2 does.
     """
-    validate_params(params)
     n = params.n_atoms
     _check_transmission(_power_transmission(params.beta, params.detuning, n))
     return float(chain_g2_zero_by_length(params.beta, [n], params.detuning)[0])

@@ -197,6 +197,27 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, args, code):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--od", 5.13, "--kind", "ideal"],
+    ["sweep", "--averaged", 0],
+    ["synth", "--od", 5.13],
+])
+@pytest.mark.parametrize("campaign,code", [
+    (["--spread", 5], "bad-spread"),
+    (["--budget", -1], "bad-photon-budget"),
+    (["--loading-gain", -1], "bad-loading"),
+    (["--loading-max-od", 3], "bad-loading"),
+])
+def test_out_of_range_campaign_exits_2(tmp_path, capsys, command, campaign, code):
+    # the campaign flags are checked on every command that takes them, also
+    # where no averaged curve is computed, and before any file is written
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(tmp_path, *command, *campaign, "--output", out / "result") == 2
+    assert f"[{code}]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_json_outputs_are_strict(tmp_path, capsys):
     from chiralchain.cli import _COMMANDS, _NOT_FINITE, _write_json
     floats = {p.name for params, _, _ in _COMMANDS.values() for p in params if p.ptype is float}

@@ -1,4 +1,4 @@
-"""Shared types: grids, curves, parameter validation, unit conversion."""
+"""Shared types: grids, curves, self-checking parameters, unit conversion."""
 
 import math
 
@@ -12,7 +12,6 @@ from chiralchain import (
     PhysicalParams,
     TauGrid,
     time_unit_ns,
-    validate_params,
 )
 
 
@@ -26,23 +25,26 @@ def test_time_unit_ns():
 
 
 def test_validate_params_accepts_and_returns():
+    # PhysicalParams checks itself when built and keeps the values it is given
     p = PhysicalParams(beta=0.1, n_atoms=3, detuning=0.5)
-    assert validate_params(p) is p
-    validate_params(PhysicalParams(beta=1.0, n_atoms=0))
+    assert (p.beta, p.n_atoms, p.detuning) == (0.1, 3, 0.5)
+    assert PhysicalParams(beta=1.0, n_atoms=np.int64(0)).n_atoms == 0
 
 
 @pytest.mark.parametrize("bad", [
-    PhysicalParams(beta=0.0, n_atoms=1),
-    PhysicalParams(beta=1.2, n_atoms=1),
-    PhysicalParams(beta=float("nan"), n_atoms=1),
-    PhysicalParams(beta=0.1, n_atoms=-1),
-    PhysicalParams(beta=0.1, n_atoms=2.5),
-    PhysicalParams(beta=0.1, n_atoms=True),
-    PhysicalParams(beta=0.1, n_atoms=1, detuning=float("inf")),
+    (dict(beta=0.0, n_atoms=1), "beta-out-of-range"),
+    (dict(beta=1.2, n_atoms=1), "beta-out-of-range"),
+    (dict(beta=float("nan"), n_atoms=1), "beta-not-finite"),
+    (dict(beta=0.1, n_atoms=-1), "n-atoms-negative"),
+    (dict(beta=0.1, n_atoms=2.5), "n-atoms-not-integer"),
+    (dict(beta=0.1, n_atoms=True), "n-atoms-not-integer"),
+    (dict(beta=0.1, n_atoms=1, detuning=float("inf")), "detuning-not-finite"),
 ])
 def test_validate_params_rejects(bad):
-    with pytest.raises(ParameterError):
-        validate_params(bad)
+    kwargs, code = bad
+    with pytest.raises(ParameterError) as err:
+        PhysicalParams(**kwargs)
+    assert err.value.code == code
 
 
 def test_tau_grid_linear():

@@ -16,6 +16,7 @@ from chiralchain import (
     build_number_distribution,
     chain_g2,
     chain_g2_zero,
+    chain_g2_zero_by_length,
     chain_transmission,
     fit_beta_to_g2_points,
     od_per_atom,
@@ -69,8 +70,7 @@ def test_bin_spec_validation():
 
 
 def test_number_distribution_mean():
-    d = NumberDistribution(np.array([3, 4, 5]), np.array([0.2, 0.5, 0.3]),
-                           np.array([0.9, 0.8, 0.7]))
+    d = NumberDistribution(np.array([3, 4, 5]), np.array([0.2, 0.5, 0.3]))
     assert d.mean == pytest.approx(4.1)
 
 
@@ -84,19 +84,14 @@ def test_distribution_is_normalized_and_centered():
         # number must stay within the distribution's central region
         n_bin = od_to_atoms(bins.centers[idx], BETA)
         assert abs(dist.mean - n_bin) < 0.25 * n_bin
-        # rate weights are the resonant transmissions of the support
-        np.testing.assert_allclose(
-            dist.rate_weights,
-            [chain_transmission(PhysicalParams(BETA, int(n))) for n in dist.support],
-            rtol=1e-12)
 
 
 def test_noiseless_narrow_preparation_collapses_support():
     # with no preparation spread and a noiseless OD estimate a run can only
     # land in the bin its true atom number belongs to
-    bins = OdBinSpec.default(photon_budget=np.inf)
+    bins = OdBinSpec.default(photon_budget=np.inf, preparation_spread=0.0)
     idx = bins.bin_index(3.0)
-    dist = build_number_distribution(bins, idx, BETA, preparation_spread=0.0)
+    dist = build_number_distribution(bins, idx, BETA)
     lo, hi = bins.edges[idx], bins.edges[idx + 1]
     ods = dist.support * od_per_atom(BETA)
     assert np.all((ods > lo) & (ods <= hi))
@@ -114,16 +109,19 @@ def test_build_number_distribution_validation():
     bins = OdBinSpec.default()
     with pytest.raises(ParameterError):
         build_number_distribution(bins, -1, BETA)
-    with pytest.raises(ParameterError):
-        build_number_distribution(bins, 0, BETA, preparation_spread=1.5)
-    with pytest.raises(ParameterError):
-        build_number_distribution(bins, 0, BETA, loading_max_od=2.0)
+    # the campaign is refused when built, before any distribution
+    for campaign, code in ((dict(preparation_spread=1.5), "bad-spread"),
+                           (dict(loading_gain=-1.0), "bad-loading"),
+                           (dict(loading_max_od=2.0), "bad-loading")):
+        with pytest.raises(ParameterError) as err:
+            OdBinSpec.default(**campaign)
+        assert err.value.code == code
 
 
 def test_averaged_g2_reduces_to_chain_on_delta_distribution():
     params = PhysicalParams(beta=BETA, n_atoms=150)
     t150 = chain_transmission(params)
-    dist = NumberDistribution(np.array([150]), np.array([1.0]), np.array([t150]))
+    dist = NumberDistribution(np.array([150]), np.array([1.0]))
     grid = TauGrid.linear(10.0, 51)
     avg = averaged_g2(dist, params, grid)
     np.testing.assert_allclose(avg.values, chain_g2(params, grid).values, rtol=1e-12)
@@ -134,7 +132,7 @@ def test_averaged_g2_matches_manual_rate_weighting():
     support = np.array([140, 150, 160])
     weights = np.array([0.25, 0.5, 0.25])
     rates = np.array([chain_transmission(PhysicalParams(BETA, int(n))) for n in support])
-    dist = NumberDistribution(support, weights, rates)
+    dist = NumberDistribution(support, weights)
     wr = weights * rates**2
     manual = sum(w * chain_g2_zero(PhysicalParams(BETA, int(n)))
                  for w, n in zip(wr, support)) / wr.sum()
@@ -154,8 +152,7 @@ def test_averaged_g2_matches_manual_rate_weighting():
 def test_averaged_g2_raises_when_support_reaches_the_transmission_floor():
     # at beta = 0.4 the power transmission 0.04^N drops below 1e-12 at N = 9
     support = np.arange(1, 51)
-    dist = NumberDistribution(support, np.full(support.size, 1.0 / support.size),
-                              0.04 ** support.astype(float))
+    dist = NumberDistribution(support, np.full(support.size, 1.0 / support.size))
     with pytest.raises(NumericalError) as err:
         averaged_g2(dist, PhysicalParams(beta=0.4, n_atoms=1), TauGrid.linear(2.0, 5))
     assert err.value.code == "vanishing-transmission"
@@ -196,6 +193,38 @@ def test_averaging_washes_out_the_deep_dip():
     avg = averaged_g2_zero(dist, BETA)
     ideal = chain_g2_zero(PhysicalParams(BETA, int(round(od_to_atoms(5.88, BETA)))))
     assert avg > 5 * ideal
+
+
+def test_campaign_monte_carlo_matches_averaged_g2_zero():
+    # the campaign run by run, without the model's assignment probabilities.
+    # N is drawn uniformly on the prior's support and each run weighted by the
+    # prior: drawn from the prior itself, the shallow bins would get about 2
+    # runs in 4e5 under the exp(1.7 OD) loading law.  Each run's probe count
+    # is Poisson(budget T_N); od_hat = -ln(count / budget) is binned (lo, hi],
+    # and zero counts go to the bin holding ln(budget).
+    from chiralchain import ensemble
+
+    bins = OdBinSpec.default()
+    budget = bins.photon_budget
+    prior = ensemble._campaign_prior(bins, BETA)
+    rng = np.random.default_rng(5)
+    n_batches, n_runs = 20, 400_000
+    ns = rng.integers(0, prior.size, n_runs)
+    trans = np.exp(-ns * od_per_atom(BETA))
+    counts = rng.poisson(budget * trans)
+    with np.errstate(divide="ignore"):
+        od_hat = -np.log(counts / budget)
+    binned = np.searchsorted(bins.edges, od_hat, side="left") - 1
+    binned[counts == 0] = bins.bin_index(np.log(budget))
+    # pooled coincidences weight each run by its pair rate
+    pair_weight = prior[ns] * trans**2
+    g2 = chain_g2_zero_by_length(BETA, np.arange(prior.size))[ns]
+    for idx in (31, 42, 44, 47):
+        w = np.where(binned == idx, pair_weight, 0.0).reshape(n_batches, -1)
+        num, den = (w * g2.reshape(n_batches, -1)).sum(axis=1), w.sum(axis=1)
+        batch_err = np.std(num / den, ddof=1) / np.sqrt(n_batches)
+        want = averaged_g2_zero(build_number_distribution(bins, idx, BETA), BETA)
+        assert abs(num.sum() / den.sum() - want) < 4.0 * batch_err, idx
 
 
 def test_assignment_prob_matches_scipy_stats_poisson(monkeypatch):

@@ -588,9 +588,9 @@ def test_saturation_transmission_limits():
 def test_saturation_transmission_root_properties(beta, od0, s0):
     # the root of ln T + beta s0 (T - 1) = -od0 bleaches monotonically with
     # the drive, from just above the weak-drive exp(-od0) up to at most 1.
-    # brentq stops within 1e-15 + 1e-14 T of the root, which moves the left
-    # side by at most (1/T + beta s0) times that: below 1e-12 while
-    # od0 <= 6.5 and beta s0 <= 49 (at beta s0 ~ 960 it reached 1.01e-12)
+    # The Wright omega closed form leaves a residual of about 1e-14 over
+    # od0 <= 6.5 and beta s0 <= 49; 1e-12 is the bound the earlier bracketing
+    # root finder met there
     s0 = np.array(s0)
     t = saturation_transmission(beta, od0, s0)
     assert np.all(np.diff(t) >= 0)
@@ -603,6 +603,10 @@ def test_saturation_transmission_validation():
         saturation_transmission(0.6, 4.0, 1.0)
     with pytest.raises(ParameterError):
         saturation_transmission(0.008, -1.0, 1.0)
+    for s0 in ([0.0, 1.0], [1.0, np.inf], [-1.0]):
+        with pytest.raises(ParameterError) as err:
+            saturation_transmission(0.008, 4.0, s0)
+        assert err.value.code == "power-not-positive"
 
 
 def test_fit_beta_saturation_exact_round_trip():
