@@ -222,6 +222,7 @@ def read_histogram_csv(path: str) -> ps.CoincidenceHistogram:
 
 
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # a magnitude >= 10**k has > k digits
+_ROWS_PER_WRITE = 2**16  # rows formatted per write, about 1 MiB of text
 
 
 def _tag_rows(ids: np.ndarray, mag: np.ndarray, ndig: int, neg: bool) -> np.ndarray:
@@ -246,7 +247,8 @@ def write_timetags_csv(path: str, stream: ps.TimeTagStream):
     The two channels are merged in time order, detector 0 first on equal
     timestamps, and the bytes are those of a csv.writer loop.  Merged rows
     of one sign and digit count are contiguous; each such block is
-    formatted as one uint8 matrix and written at once.
+    formatted and written as uint8 matrices of up to _ROWS_PER_WRITE rows,
+    so the text never sits in memory whole.
     """
     ts = np.concatenate([stream.t0_ns, stream.t1_ns])
     order = np.argsort(ts, kind="stable")
@@ -260,7 +262,9 @@ def write_timetags_csv(path: str, stream: ps.TimeTagStream):
     with open(path, "wb") as fh:
         fh.write(b"detector_id,timestamp_ns\r\n")
         for a, b in zip(starts, np.append(starts[1:], ids.size)):
-            fh.write(_tag_rows(ids[a:b], mag[a:b], int(ndig[a]), bool(neg[a])))
+            for lo in range(a, b, _ROWS_PER_WRITE):
+                hi = min(lo + _ROWS_PER_WRITE, b)
+                fh.write(_tag_rows(ids[lo:hi], mag[lo:hi], int(ndig[a]), bool(neg[a])))
 
 
 def read_timetags_csv(path: str) -> ps.TimeTagStream:

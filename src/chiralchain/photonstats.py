@@ -21,7 +21,9 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 import math
+import os
 
 import numpy as np
 from scipy import special
@@ -72,6 +74,16 @@ MAX_FAILED_SHARE = 0.2
 # and the number of leading pulses dropped (they see an uncooled ensemble)
 PULSE_GATE_NS = (1000.0, 9000.0)
 DISCARD_PULSES = 20
+# a-tags per block of the pair search; a block's slices stay cache sized
+_PAIR_BLOCK = 2**16
+# bytes the time-tag chain holds at its peak, with a margin, per drawn tag
+# (detector-0 tags plus detector-1 candidates) and per tag pair within the
+# curve support: tracemalloc of synth_timetags then histogram_timetags, with
+# and without pulse gating, reads at most 24.5 per tag at 3e4/s (2-60 s,
+# OD 3.15 and 5.13, rates 3e4-3e5/s) and 71 per pair beyond that at
+# 1e6-5e6/s (OD 3.15 and 6.75)
+_TAG_BYTES = 32
+_PAIR_BYTES = 96
 
 
 @dataclass(frozen=True)
@@ -334,9 +346,11 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     Raises NumericalError "intensity-clipped" when f exceeds
     CLIP_BIAS_BOUND (2 %), and before any draw when R >= 1, where the
     baseline vanishes.  Raises "thinning-overflow" before any draw when
-    the expected number of candidates,
-    rate2 * T * (1 - R + rate1 * int 2 env dtau), as float64, would not fit
-    in the installed memory.
+    the synthesis and the histogram of its tags would not fit in the
+    installed memory: _TAG_BYTES per drawn tag, the rate1 * T detector-0
+    tags plus the rate2 * T * (1 - R + rate1 * int 2 env dtau) expected
+    candidates, and _PAIR_BYTES per expected pair of a candidate and a
+    detector-0 tag within S (none when R >= 1).
     """
     if not all(math.isfinite(x) and x > 0 for x in (rate1, rate2, duration_s)):
         raise ParameterError("rates-not-positive", "rates and duration must be finite and > 0")
@@ -352,11 +366,16 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     env_ns = 2.0 * float(cum[-1])
     level = 1.0 - rate1 * 1e-9 * 2.0 * float(np.trapezoid(excess, tau_ns))
     n_expected = rate2 * duration_s * (level + rate1 * 1e-9 * env_ns)
-    if not (math.isfinite(n_expected) and 8.0 * n_expected <= _physical_memory_bytes()):
+    # a candidate pairs with the detector-0 tags within S, a window one also with
+    # its owner; R >= 1 is refused below, before any pair is formed
+    n_pairs = (rate1 * 1e-9 * (n_expected * 2.0 * support_ns + rate2 * duration_s * env_ns)
+               if level > 0.0 else 0.0)
+    need = _TAG_BYTES * (rate1 * duration_s + n_expected) + _PAIR_BYTES * n_pairs
+    if not (math.isfinite(need) and need <= _physical_memory_bytes()):
         raise NumericalError(
             "thinning-overflow",
-            f"thinning needs ~{n_expected:.3g} candidate tags, more than fit in memory; "
-            "shorten the duration or lower the rates",
+            f"thinning needs ~{n_expected:.3g} candidate tags (~{need:.3g} bytes), "
+            "more than fit in memory; shorten the duration or lower the rates",
         )
     if level <= 0.0:
         raise NumericalError(
@@ -367,7 +386,8 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     rng = np.random.default_rng(seed)
     span_ns = duration_s * 1e9
 
-    t0 = np.sort(rng.uniform(0.0, span_ns, rng.poisson(rate1 * duration_s)))
+    t0 = rng.uniform(0.0, span_ns, rng.poisson(rate1 * duration_s))
+    t0.sort()
 
     # window candidates: pick an owner tag, a side and a cell by area, then
     # a uniform delay inside the cell (inverse CDF of the step envelope)
@@ -379,8 +399,8 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     extra = t0[rng.integers(0, t0.size, n_extra)] + np.copysign(delay, u)
     extra = extra[(extra >= 0.0) & (extra < span_ns)]
 
-    tc = np.sort(np.concatenate([
-        rng.uniform(0.0, span_ns, rng.poisson(rate2 * duration_s * level)), extra]))
+    tc = np.concatenate([rng.uniform(0.0, span_ns, rng.poisson(rate2 * duration_s * level)), extra])
+    tc.sort()
 
     i, j = _pairs_within(t0, tc, support_ns)
     d = np.abs(tc[j] - t0[i])
@@ -404,28 +424,73 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
             "lower the rates",
         )
 
-    return TimeTagStream(np.round(t0).astype(np.int64), np.round(tc[keep]).astype(np.int64))
+    t1 = tc[keep]
+    del tc, keep  # freed before the int64 copies are made
+    return TimeTagStream(np.round(t0, out=t0).astype(np.int64),
+                         np.round(t1, out=t1).astype(np.int64))
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) with |b[j] - a[i]| <= reach, for sorted a and b.
 
-    A searchsorted of a - reach finds each a-tag's first partner; the walk
-    then goes forward one partner rank per numpy pass, keeping only the
-    tags still pairing.
+    The a-tags are cut into blocks of _PAIR_BLOCK.  Each block first finds
+    the slice of b it can reach, from its first tag - reach to its last
+    tag + reach; within that slice a searchsorted of a - reach finds each
+    tag's first partner, and the walk then goes forward one partner rank
+    per numpy pass, keeping only the tags still pairing.  Input of more
+    than one block is spread over a thread per CPU the process may use,
+    capped at the number of blocks: numpy runs the searches and gathers
+    of the cache-sized slices without the interpreter lock.
+
+    The pairs come out pass-major: the first partners of every a-tag in
+    order, then the second partners, and so on, whatever the block size
+    or thread count.
     """
-    i = np.arange(a.size)
-    j = np.searchsorted(b, a - reach, side="left")
-    pairs_i, pairs_j = [i[:0]], [j[:0]]
-    while i.size:
-        more = j < b.size
-        i, j = i[more], j[more]
-        near = b[j] - a[i] <= reach
-        i, j = i[near], j[near]
-        pairs_i.append(i)
-        pairs_j.append(j)
-        j = j + 1
-    return np.concatenate(pairs_i), np.concatenate(pairs_j)
+    def block(lo):
+        ab = a[lo:lo + _PAIR_BLOCK]
+        b_lo = int(b.searchsorted(ab[0] - reach, side="left"))
+        # when the last b-tag is in reach, ab[-1] + reach is not formed: it
+        # could wrap past the int64 maximum
+        b_hi = (b.size if b[-1] - ab[-1] <= reach
+                else int(b.searchsorted(ab[-1] + reach, side="right")))
+        bb = b[b_lo:b_hi]
+        if not bb.size:
+            return []
+        j = bb.searchsorted(ab - reach, side="left")
+        near = (j < bb.size) & (bb[np.minimum(j, bb.size - 1)] - ab <= reach)
+        i, j = np.flatnonzero(near), j[near]
+        passes = []
+        while i.size:
+            passes.append((i + lo, j + b_lo))
+            j = j + 1
+            more = j < bb.size
+            i, j = i[more], j[more]
+            near = bb[j] - ab[i] <= reach
+            i, j = i[near], j[near]
+        return passes
+
+    starts = range(0, a.size if b.size else 0, _PAIR_BLOCK)
+    n_workers = min(_worker_count(), len(starts))
+    if n_workers <= 1:
+        parts = [block(lo) for lo in starts]
+    else:
+        # deferred: only input of more than one block needs it
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(n_workers) as pool:
+            parts = list(pool.map(block, starts))
+    # pass-major: the first pass of every block in block order, then the second
+    merged = [p for rank in zip_longest(*parts) for p in rank if p is not None]
+    empty = np.zeros(0, dtype=np.intp)
+    return (np.concatenate([empty, *(i for i, _ in merged)]),
+            np.concatenate([empty, *(j for _, j in merged)]))
 
 
 def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_BIN_NS,

@@ -479,8 +479,8 @@ def _digit_boundaries():
     return np.array([-(2**63), *(-t for t in reversed(pos) if t), *pos], dtype=np.int64)
 
 
-def test_timetag_writer_matches_csv_writer(tmp_path):
-    from chiralchain import synth_timetags
+def test_timetag_writer_matches_csv_writer(tmp_path, monkeypatch):
+    from chiralchain import cli, synth_timetags
     from chiralchain.cli import read_timetags_csv, write_timetags_csv
     from chiralchain.photonstats import TimeTagStream
     curve = chain_g2(PhysicalParams(0.0081, 100), TauGrid.linear(12.0, 481))
@@ -496,9 +496,12 @@ def test_timetag_writer_matches_csv_writer(tmp_path):
     assert streams["synth"].n_tags > 10**4
     for name, stream in streams.items():
         new, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
-        write_timetags_csv(str(new), stream)
         _csv_write_timetags(ref, stream)
-        assert new.read_bytes() == ref.read_bytes(), name
+        # 7 rows per write splits every block of one sign and digit count
+        for rows in (cli._ROWS_PER_WRITE, 7):
+            monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
+            write_timetags_csv(str(new), stream)
+            assert new.read_bytes() == ref.read_bytes(), (name, rows)
         back = read_timetags_csv(str(new))
         assert np.array_equal(back.t0_ns, stream.t0_ns), name
         assert np.array_equal(back.t1_ns, stream.t1_ns), name
@@ -626,4 +629,18 @@ def test_cli_import_loads_only_scipy_special():
     code = ("import sys, chiralchain.cli; "
             "sys.exit(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.special')"
             " if m in sys.modules) != ['scipy.special'])")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_defers_concurrent_futures():
+    # numpy.testing, which scipy.special loads, imports concurrent.futures
+    # itself; blocked after those two, it must not be needed by chiralchain
+    import chiralchain
+    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    code = ("import sys, numpy, scipy.special\n"
+            "for m in [m for m in sys.modules if m.split('.')[0] == 'concurrent']:\n"
+            "    sys.modules[m] = None\n"
+            "import chiralchain.cli")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,12 +1,15 @@
 """Measurement chain: synthesis, histogramming, normalization, MLE, saturation."""
 
 import math
+import tracemalloc
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy import optimize
 
+from chiralchain import photonstats
 from chiralchain import (
     CoincidenceHistogram,
     DataError,
@@ -214,17 +217,75 @@ def test_synth_timetags_refuses_clipped_intensity():
         assert err.value.code == "intensity-clipped"
 
 
+@pytest.mark.parametrize("block", [1, 3, photonstats._PAIR_BLOCK], ids=["block1", "block3", "default"])
 @settings(max_examples=200, deadline=None)
 @given(a=st.lists(st.integers(-40, 40), max_size=25), b=st.lists(st.integers(-40, 40), max_size=25),
-       reach=st.integers(0, 12))
-def test_pairs_within_matches_all_pairs(a, b, reach):
-    # a narrow value range makes ties within and across the two sides common
+       reach=st.integers(0, 12), as_float=st.booleans())
+@example(a=[], b=[0], reach=3, as_float=False)
+@example(a=[0], b=[], reach=3, as_float=False)
+@example(a=[-2, -2, 5, 5], b=[-2, 5, 5], reach=0, as_float=False)
+# the outer blocks of a one-tag block size reach no b-tag
+@example(a=[-40, 0, 0, 40], b=[-1, 0, 1], reach=1, as_float=True)
+def test_pairs_within_matches_all_pairs(block, a, b, reach, as_float):
+    # a narrow value range makes ties within and across the two sides common;
+    # quarter-ns floats keep every difference exact
     a, b = np.sort(np.array(a, np.int64)), np.sort(np.array(b, np.int64))
-    i, j = _pairs_within(a, b, reach)
+    if as_float:
+        a, b, reach = a * 0.25, b * 0.25, reach * 0.25
+    # more workers than blocks or CPUs, so the thread pool runs on any machine
+    with mock.patch.object(photonstats, "_PAIR_BLOCK", block), \
+            mock.patch.object(photonstats, "_worker_count", lambda: 3):
+        i, j = _pairs_within(a, b, reach)
     got = list(zip(i.tolist(), j.tolist()))
-    want = {(p, q) for p in range(a.size) for q in range(b.size)
-            if abs(int(b[q]) - int(a[p])) <= reach}
+    want = {(p, q) for p in range(a.size) for q in range(b.size) if abs(b[q] - a[p]) <= reach}
     assert len(got) == len(set(got)) and set(got) == want
+    # serial pass-major order: every a-tag's first partner in a order, then
+    # every second partner, and so on (an a-tag's partners are consecutive in b)
+    first = {}
+    for p, q in sorted(want):
+        first.setdefault(p, q)
+    assert got == sorted(want, key=lambda pq: (pq[1] - first[pq[0]], pq[0]))
+
+
+def test_timetags_do_not_depend_on_worker_count(monkeypatch):
+    # 6e4 tags per detector: one block at the default size, so the reference
+    # runs inline; blocks of 2**10 cut the same stream into about 60
+    curve = _chain_curve(5.13)
+    ref = synth_timetags(curve, 3e4, 3e4, 2.0, seed=7)
+    periods = (None, 10_000.0)
+    ref_counts = [histogram_timetags(ref, pulse_period_ns=p).counts for p in periods]
+    assert ref.t0_ns.size < photonstats._PAIR_BLOCK
+    monkeypatch.setattr(photonstats, "_PAIR_BLOCK", 2**10)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(photonstats, "_worker_count", lambda: workers)
+        stream = synth_timetags(curve, 3e4, 3e4, 2.0, seed=7)
+        assert np.array_equal(stream.t0_ns, ref.t0_ns)
+        assert np.array_equal(stream.t1_ns, ref.t1_ns)
+        for period, counts in zip(periods, ref_counts):
+            assert np.array_equal(histogram_timetags(stream, pulse_period_ns=period).counts, counts)
+
+
+@pytest.mark.parametrize("rate, duration_s", [(3e4, 2.0), (2e6, 0.2)])
+def test_thinning_guard_matches_measured_peak(monkeypatch, rate, duration_s):
+    # the guard's byte count lies between the traced peak of synthesis plus
+    # histogramming and twice that peak: tag arrays dominate at 3e4/s, the
+    # pairs within the curve support at 2e6/s
+    curve = _chain_curve(5.13)
+    tracemalloc.start()
+    try:
+        stream = synth_timetags(curve, rate, rate, duration_s, seed=1)
+        histogram_timetags(stream)
+        histogram_timetags(stream, pulse_period_ns=10_000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del stream
+    monkeypatch.setattr(photonstats, "_physical_memory_bytes", lambda: 2.0 * peak)
+    synth_timetags(curve, rate, rate, duration_s, seed=1)
+    monkeypatch.setattr(photonstats, "_physical_memory_bytes", lambda: float(peak))
+    with pytest.raises(NumericalError) as err:
+        synth_timetags(curve, rate, rate, duration_s, seed=1)
+    assert err.value.code == "thinning-overflow"
 
 
 def test_histogram_timetags_places_pairs():
@@ -234,6 +295,10 @@ def test_histogram_timetags_places_pairs():
     assert h.counts[h.tau_ns == 6.0] == 1  # tau = +5 ns falls in the [5, 7) bin
     far = TimeTagStream([0], [10_000_000])
     assert histogram_timetags(far, tau_max_ns=10.0).total_counts == 0
+    # the same delay 4 ns below the int64 maximum, where t0 + reach would wrap
+    top = TimeTagStream([2**63 - 9], [2**63 - 4])
+    h = histogram_timetags(top, bin_width_ns=2.0, tau_max_ns=10.0)
+    assert h.total_counts == 1 and h.counts[h.tau_ns == 6.0] == 1
 
 
 def test_histogram_timetags_matches_all_pairs_reference():
