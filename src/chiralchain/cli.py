@@ -215,10 +215,7 @@ def read_histogram_csv(path: str) -> ps.CoincidenceHistogram:
     # counts are truncated toward zero, as int(float(x)) does
     if not np.all(np.abs(counts) < 2.0**63):
         raise DataError("malformed-value", f"{path}: counts must be finite and below 2**63")
-    if tau.size < 3:
-        raise DataError("histogram-too-small", f"{path}: need at least 3 bins")
-    return ps.CoincidenceHistogram(tau, np.trunc(counts).astype(np.int64),
-                                   bin_width_ns=float(tau[1] - tau[0]))
+    return ps.CoincidenceHistogram(tau, np.trunc(counts).astype(np.int64))
 
 
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # a magnitude >= 10**k has > k digits
@@ -408,7 +405,7 @@ def cmd_sweep(values, prov) -> int:
     extra = {}
     if values["fit_points"] is not None:
         # fit before writing, so bad points leave no files behind
-        od_pts, g2_pts = _read_points_csv(values["fit_points"])
+        od_pts, g2_pts = _read_table(values["fit_points"], ["od", "g2_0"], "bad-points-file")
         beta_hat, beta_err = fit_beta_to_g2_points(od_pts, g2_pts, values["detuning"])
         extra["beta_fit"] = {"beta": beta_hat, "beta_err": beta_err,
                              "n_points": int(od_pts.size)}
@@ -422,13 +419,6 @@ def cmd_sweep(values, prov) -> int:
     _sidecar(path, "sweep", values, prov, extra or None)
     print(f"wrote {path}: {len(rows)} rows")
     return 0
-
-
-def _read_points_csv(path: str):
-    od, g2 = _read_table(path, ["od", "g2_0"], "bad-points-file")
-    if od.size < 2:
-        raise DataError("too-few-points", f"{path}: need at least 2 points")
-    return od, g2
 
 
 _ORACLE = [

@@ -47,6 +47,7 @@ from .core import (
 from .transport import chain_g2_by_length, chain_g2_zero_by_length, od_per_atom
 
 __all__ = [
+    "OD_BIN_EDGES",
     "OdBinSpec",
     "NumberDistribution",
     "od_to_atoms",
@@ -76,9 +77,14 @@ def _scheme_edges() -> np.ndarray:
     return np.asarray(edges)
 
 
+# the OD histogram scheme every campaign bins its runs into
+OD_BIN_EDGES = _scheme_edges()
+OD_BIN_EDGES.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class OdBinSpec:
-    """A measurement campaign: OD histogram scheme, OD estimate and loadings.
+    """A measurement campaign over the OD_BIN_EDGES scheme: OD estimate and loadings.
 
     ``photon_budget`` is the expected number of detected probe photons per
     run at unit transmission; np.inf turns the estimator noiseless.
@@ -88,16 +94,12 @@ class OdBinSpec:
     which must reach the top of the scheme.
     """
 
-    edges: np.ndarray
     photon_budget: float = 1000.0
     preparation_spread: float = 0.1
     loading_gain: float = LOADING_GAIN
     loading_max_od: float = LOADING_MAX_OD
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ParameterError("bad-bin-edges", "edges must be strictly increasing")
         if not self.photon_budget > 0:
             raise ParameterError("bad-photon-budget",
                                  f"photon budget must be > 0, got {self.photon_budget}")
@@ -106,34 +108,28 @@ class OdBinSpec:
                                  f"got {self.preparation_spread}")
         if not (np.isfinite(self.loading_gain) and self.loading_gain >= 0.0):
             raise ParameterError("bad-loading", "loading gain must be finite and >= 0")
-        if not self.loading_max_od >= edges[-1]:
+        if not self.loading_max_od >= OD_BIN_EDGES[-1]:
             raise ParameterError("bad-loading",
                                  "loading must reach at least the top of the bin scheme")
-        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def default(cls, photon_budget: float = 1000.0, preparation_spread: float = 0.1,
                 loading_gain: float = LOADING_GAIN,
                 loading_max_od: float = LOADING_MAX_OD) -> "OdBinSpec":
-        return cls(_scheme_edges(), photon_budget, preparation_spread,
-                   loading_gain, loading_max_od)
+        return cls(photon_budget, preparation_spread, loading_gain, loading_max_od)
 
     @property
     def n_bins(self) -> int:
-        return self.edges.size - 1
+        return OD_BIN_EDGES.size - 1
 
     @property
     def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
+        return 0.5 * (OD_BIN_EDGES[:-1] + OD_BIN_EDGES[1:])
 
     def bin_index(self, od: float) -> int:
-        """Index of the (lo, hi] bin containing od, or -1 when off scheme."""
-        if not np.isfinite(od):
-            return -1
-        i = int(np.searchsorted(self.edges, od, side="left")) - 1
-        if i < 0 or i >= self.n_bins or od <= self.edges[0]:
-            return -1
-        return i
+        """Index of the (lo, hi] bin containing od, or -1 when off scheme or nan."""
+        i = int(np.searchsorted(OD_BIN_EDGES, od, side="left")) - 1
+        return i if 0 <= i < self.n_bins else -1
 
     def zero_count_bin(self) -> int:
         """Bin receiving zero-count runs: the one containing ln(budget).
@@ -144,7 +140,7 @@ class OdBinSpec:
         """
         if np.isinf(self.photon_budget):
             return -1
-        od_top = min(math.log(self.photon_budget), float(self.edges[-1]))
+        od_top = min(math.log(self.photon_budget), float(OD_BIN_EDGES[-1]))
         idx = self.bin_index(od_top)
         return 0 if idx < 0 else idx
 
@@ -200,8 +196,8 @@ def _nominal_loadings(bins: OdBinSpec) -> tuple[np.ndarray, np.ndarray]:
     """Campaign settings (nominal OD, run fraction): one per scheme bin,
     continued at 0.5 OD pitch up to the loading saturation OD."""
     ods = list(bins.centers)
-    widths = list(np.diff(bins.edges))
-    od = float(bins.edges[-1]) + 0.25
+    widths = list(np.diff(OD_BIN_EDGES))
+    od = float(OD_BIN_EDGES[-1]) + 0.25
     while od <= bins.loading_max_od + 1e-9:
         ods.append(od)
         widths.append(0.5)
@@ -235,7 +231,7 @@ def _poisson_cdf(k: int, mu: np.ndarray) -> np.ndarray:
 def _assignment_prob(ns: np.ndarray, beta: float, bins: OdBinSpec,
                      bin_index: int) -> np.ndarray:
     """P(run with true N lands in the given OD bin) under Poisson counting."""
-    lo, hi = bins.edges[bin_index], bins.edges[bin_index + 1]
+    lo, hi = OD_BIN_EDGES[bin_index], OD_BIN_EDGES[bin_index + 1]
     budget = bins.photon_budget
     od_atom = od_per_atom(beta)
     if np.isinf(budget):

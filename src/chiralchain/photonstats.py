@@ -76,6 +76,7 @@ PULSE_GATE_NS = (1000.0, 9000.0)
 DISCARD_PULSES = 20
 # a-tags per block of the pair search; a block's slices stay cache sized
 _PAIR_BLOCK = 2**16
+_INT64 = np.iinfo(np.int64)
 # bytes the time-tag chain holds at its peak, with a margin, per drawn tag
 # (detector-0 tags plus detector-1 candidates) and per tag pair within the
 # curve support: tracemalloc of synth_timetags then histogram_timetags, with
@@ -90,14 +91,13 @@ _PAIR_BYTES = 96
 class CoincidenceHistogram:
     """Raw coincidence counts versus detector time difference.
 
-    tau_ns          bin centers in ns, uniformly spaced, symmetric about 0
-    counts          coincidences per bin (nonnegative integers)
-    bin_width_ns    bin width in ns
+    tau_ns   bin centers in ns, rising in uniform steps (the bin width),
+             symmetric about 0
+    counts   coincidences per bin (nonnegative integers)
     """
 
     tau_ns: np.ndarray
     counts: np.ndarray
-    bin_width_ns: float = DEFAULT_BIN_NS
 
     def __post_init__(self):
         tau = np.asarray(self.tau_ns, dtype=float)
@@ -112,14 +112,16 @@ class CoincidenceHistogram:
         if np.any(np.asarray(cts, dtype=float) != np.floor(np.asarray(cts, dtype=float))):
             raise DataError("counts-not-integer", "counts must be integers")
         object.__setattr__(self, "counts", np.asarray(cts, dtype=np.int64))
-        w = self.bin_width_ns
-        if not (math.isfinite(w) and w > 0):
-            raise DataError("bad-bin-width", f"bin_width_ns must be > 0, got {w!r}")
         d = np.diff(tau)
-        if not np.allclose(d, w, rtol=1e-9, atol=1e-9):
-            raise DataError("bins-not-uniform", "bin centers must be uniformly spaced by bin_width_ns")
+        # a finite first step bounds every other step, so every center is finite
+        if not (0.0 < d[0] < math.inf and np.allclose(d, d[0], rtol=1e-9, atol=1e-9)):
+            raise DataError("bins-not-uniform", "bin centers must rise in uniform steps")
         if not np.allclose(tau, -tau[::-1], atol=1e-9):
             raise DataError("bins-not-symmetric", "bin centers must be symmetric about tau = 0")
+
+    @property
+    def bin_width_ns(self) -> float:
+        return float(self.tau_ns[1] - self.tau_ns[0])
 
     @property
     def n_bins(self) -> int:
@@ -187,14 +189,20 @@ class FitResult:
 
     amplitude: float
     gamma_fit: float
-    g2_zero: float
     window_ns: float
     a_err: float | None = None
     n_bootstrap: int = 0
     seed: int | None = None
-    gamma_at_edge: bool = False
     n_failed: int = 0
     n_at_edge: int = 0
+
+    @property
+    def g2_zero(self) -> float:
+        return 1.0 - self.amplitude
+
+    @property
+    def gamma_at_edge(self) -> bool:
+        return self.gamma_fit in GAMMA_FIT_BAND
 
     def to_dict(self) -> dict:
         return {
@@ -308,7 +316,7 @@ def synth_histogram(curve: G2Curve, rate1: float, rate2: float, acquisition_s: f
         )
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mean)
-    return CoincidenceHistogram(centers, counts, bin_width_ns)
+    return CoincidenceHistogram(centers, counts)
 
 
 def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float,
@@ -450,22 +458,32 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarra
     capped at the number of blocks: numpy runs the searches and gathers
     of the cache-sized slices without the interpreter lock.
 
+    Integer tags (integer reach) are compared so that nothing wraps at the
+    int64 range; float tags, as synth_timetags draws them, by b[j] - a[i].
+
     The pairs come out pass-major: the first partners of every a-tag in
     order, then the second partners, and so on, whatever the block size
     or thread count.
     """
+    exact = np.issubdtype(a.dtype, np.integer)
+
+    def lower(x):  # x - reach, saturating at the int64 minimum for integers
+        return np.maximum(x, _INT64.min + reach) - reach if exact else x - reach
+
+    def within(x, y):  # x <= y + reach
+        return lower(x) <= y if exact else x - y <= reach
+
     def block(lo):
         ab = a[lo:lo + _PAIR_BLOCK]
-        b_lo = int(b.searchsorted(ab[0] - reach, side="left"))
-        # when the last b-tag is in reach, ab[-1] + reach is not formed: it
-        # could wrap past the int64 maximum
-        b_hi = (b.size if b[-1] - ab[-1] <= reach
+        b_lo = int(b.searchsorted(lower(ab[0]), side="left"))
+        # past the last b-tag in reach, ab[-1] + reach < b[-1] cannot wrap
+        b_hi = (b.size if within(b[-1], ab[-1])
                 else int(b.searchsorted(ab[-1] + reach, side="right")))
         bb = b[b_lo:b_hi]
         if not bb.size:
             return []
-        j = bb.searchsorted(ab - reach, side="left")
-        near = (j < bb.size) & (bb[np.minimum(j, bb.size - 1)] - ab <= reach)
+        j = bb.searchsorted(lower(ab), side="left")
+        near = (j < bb.size) & within(bb[np.minimum(j, bb.size - 1)], ab)
         i, j = np.flatnonzero(near), j[near]
         passes = []
         while i.size:
@@ -473,7 +491,7 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarra
             j = j + 1
             more = j < bb.size
             i, j = i[more], j[more]
-            near = bb[j] - ab[i] <= reach
+            near = within(bb[j], ab[i])
             i, j = i[near], j[near]
         return passes
 
@@ -526,7 +544,7 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
     i, j = _pairs_within(t0, t1, math.floor(edges[-1]))
     tau = t1[j] - t0[i]
     counts = np.histogram(tau[tau < edges[-1]], edges)[0].astype(np.int64)
-    return CoincidenceHistogram(centers, counts, bin_width_ns)
+    return CoincidenceHistogram(centers, counts)
 
 
 def _fold(hist: CoincidenceHistogram):
@@ -697,9 +715,8 @@ def _fit_window_counts(tau_ns: np.ndarray, counts: np.ndarray):
     """Maximize the multinomial likelihood of 1 - A exp(-gamma |tau|), row by row.
 
     counts is a (replicates x bins) array over the bins tau_ns; all rows are
-    solved together.  Returns arrays (A, gamma, nll, at_edge), one entry per
-    row.  The likelihood conditions on each row's total count, so no
-    normalization of the histogram is needed.
+    solved together.  Returns arrays (A, gamma, nll), one entry per row; the
+    likelihood conditions on each row's total count, so needs no normalization.
 
     gamma is constrained to GAMMA_FIT_BAND, between a decay too slow for the
     contrast window to see and one faster than the 2 ns binning.  The
@@ -717,11 +734,11 @@ def _fit_window_counts(tau_ns: np.ndarray, counts: np.ndarray):
 
     Because the normalization tail anchors the uncorrelated level, the
     amplitude stays identified even when gamma stops at a band edge on
-    weakly contrasted data; such rows are kept and flagged in at_edge.  A
-    row fails, with A = nan and nll = inf, when no scan point has a finite
-    nll or when |A| ends above 900: an amplitude at the guard rail means
-    the likelihood never saw the uncorrelated level, which the contrast
-    model does not describe.
+    weakly contrasted data; such rows are kept, with gamma reported as that
+    edge exactly.  A row fails, with A = nan and nll = inf, when no scan
+    point has a finite nll or when |A| ends above 900: an amplitude at the
+    guard rail means the likelihood never saw the uncorrelated level, which
+    the contrast model does not describe.
     """
     t = np.abs(np.asarray(tau_ns, dtype=float))
     c = np.asarray(counts, dtype=float)
@@ -768,11 +785,10 @@ def _fit_window_counts(tau_ns: np.ndarray, counts: np.ndarray):
         todo = todo[moved]
 
     failed = ~np.isfinite(f) | (np.abs(a) > _A_FAIL)
-    at_edge = ~failed & ((lg == lg_lo) | (lg == lg_hi))
     # report the edges exactly rather than as exp(log(edge))
     gamma = np.where(lg == lg_lo, GAMMA_FIT_BAND[0],
                      np.where(lg == lg_hi, GAMMA_FIT_BAND[1], np.exp(lg)))
-    return np.where(failed, np.nan, a), gamma, np.where(failed, np.inf, f), at_edge
+    return np.where(failed, np.nan, a), gamma, np.where(failed, np.inf, f)
 
 
 def mle_fit_g2(hist: CoincidenceHistogram, *, window_ns: float | None = None,
@@ -786,10 +802,8 @@ def mle_fit_g2(hist: CoincidenceHistogram, *, window_ns: float | None = None,
     the histogram does not need to be normalized first.  The window defaults
     to 30 ns for antibunched data and 15 ns when bunching is detected.
     The histogram is one row of _fit_window_counts (profile scan over the
-    gamma band, then a bounded Newton polish); gamma_at_edge reports a
-    decay that stopped on an edge of GAMMA_FIT_BAND.  g2_zero = 1 - A,
-    reported unclamped.  Raises NumericalError "fit-failed" when the fit
-    has no finite minimum or |A| ends above 900.
+    gamma band, then a bounded Newton polish).  Raises NumericalError
+    "fit-failed" when the fit has no finite minimum or |A| ends above 900.
     """
     if window_ns is None:
         window_ns = _auto_window(hist, tail_start_ns)
@@ -802,11 +816,10 @@ def mle_fit_g2(hist: CoincidenceHistogram, *, window_ns: float | None = None,
     cts = hist.counts[mask]
     if cts.sum() == 0:
         raise DataError("empty-window", "no coincidences inside the fit region")
-    a, gamma, _, at_edge = _fit_window_counts(tau, cts[None, :])
+    a, gamma, _ = _fit_window_counts(tau, cts[None, :])
     if not np.isfinite(a[0]):
         raise NumericalError("fit-failed", "contrast fit found no finite minimum")
-    return FitResult(amplitude=float(a[0]), gamma_fit=float(gamma[0]), g2_zero=1.0 - float(a[0]),
-                     window_ns=float(window_ns), gamma_at_edge=bool(at_edge[0]))
+    return FitResult(amplitude=float(a[0]), gamma_fit=float(gamma[0]), window_ns=float(window_ns))
 
 
 def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: int = 50,
@@ -841,7 +854,7 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
     model = np.maximum(model, 1e-12)
     p = model / model.sum()
     counts = np.random.default_rng(seed).multinomial(ctot, p, size=n_samples)
-    amps, _, _, at_edge = _fit_window_counts(tau, counts)
+    amps, gammas, _ = _fit_window_counts(tau, counts)
     ok = np.isfinite(amps)
     failures = n_samples - int(ok.sum())
     # a standard error needs two amplitudes, whatever MAX_FAILED_SHARE allows
@@ -850,7 +863,7 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
                              f"{failures}/{n_samples} bootstrap refits failed")
     a_err = float(np.std(amps[ok], ddof=1))
     return replace(fit, a_err=a_err, n_bootstrap=n_samples, seed=seed,
-                   n_failed=failures, n_at_edge=int(at_edge.sum()))
+                   n_failed=failures, n_at_edge=int(np.isin(gammas[ok], GAMMA_FIT_BAND).sum()))
 
 
 def saturation_transmission(beta: float, od0: float, s0) -> np.ndarray:

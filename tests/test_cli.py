@@ -572,7 +572,7 @@ def test_reader_skips_every_header_line(tmp_path, capsys):
 
 def test_table_readers_match_csv_module(tmp_path):
     from chiralchain import synth_histogram, synth_saturation_data
-    from chiralchain.cli import (_read_points_csv, _write_csv, read_histogram_csv,
+    from chiralchain.cli import (_read_table, _write_csv, read_histogram_csv,
                                  read_saturation_csv, write_histogram_csv)
     curve = chain_g2(PhysicalParams(0.0081, 100), TauGrid.linear(12.0, 481))
     hist_path = tmp_path / "h.csv"
@@ -597,7 +597,7 @@ def test_table_readers_match_csv_module(tmp_path):
         w.writerow(["od", "g2_0"])
         for od in np.arange(0.5, 5.01, 0.5):
             w.writerow([od, chain_g2_zero(PhysicalParams(0.0081, int(od * 90)))])
-    od, g2 = _read_points_csv(str(pts_path))
+    od, g2 = _read_table(str(pts_path), ["od", "g2_0"], "bad-points-file")
     od_ref, g2_ref = _csv_columns(pts_path)
     assert np.array_equal(od, od_ref) and np.array_equal(g2, g2_ref)
 

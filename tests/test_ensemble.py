@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chiralchain import (
+    CoincidenceHistogram,
     DataError,
     NumberDistribution,
     NumericalError,
@@ -15,14 +16,19 @@ from chiralchain import (
     averaged_g2_zero,
     build_number_distribution,
     chain_g2,
+    chain_g2_by_length,
     chain_g2_zero,
     chain_g2_zero_by_length,
     chain_transmission,
+    curve_values_ns,
     fit_beta_to_g2_points,
+    normalize_histogram,
     od_per_atom,
     od_to_atoms,
     sweep_g2_vs_od,
+    synth_histogram,
 )
+from chiralchain.ensemble import OD_BIN_EDGES
 
 BETA = 0.0081
 
@@ -35,12 +41,18 @@ def test_od_to_atoms_inverts_od_per_atom():
 
 def test_default_bin_scheme():
     bins = OdBinSpec.default()
-    assert bins.edges[0] == 0.0
-    assert bins.edges[-1] == pytest.approx(8.0)
-    widths = np.diff(bins.edges)
+    assert OD_BIN_EDGES[0] == 0.0
+    assert OD_BIN_EDGES[-1] == pytest.approx(8.0)
+    widths = np.diff(OD_BIN_EDGES)
     assert widths[0] == pytest.approx(0.1)
     assert widths[-1] == pytest.approx(0.5)
     assert np.all(np.diff(bins.centers) > 0)
+    assert bins.n_bins == OD_BIN_EDGES.size - 1
+    # one scheme for every campaign: the edges are neither a field nor writable
+    with pytest.raises(ValueError):
+        OD_BIN_EDGES[3] = 0.35
+    with pytest.raises(TypeError):
+        OdBinSpec(edges=np.array([0.0, 1.0, 2.0]))
 
 
 def test_bin_index_edges():
@@ -52,21 +64,20 @@ def test_bin_index_edges():
     assert bins.bin_index(-1.0) == -1
     assert bins.bin_index(float("nan")) == -1
     # (lo, hi] convention: an estimate exactly on an inner edge belongs below
-    assert bins.edges[bins.bin_index(4.0) + 1] == pytest.approx(4.0)
+    assert OD_BIN_EDGES[bins.bin_index(4.0) + 1] == pytest.approx(4.0)
 
 
 def test_zero_count_bin_holds_the_count_ceiling():
     bins = OdBinSpec.default(photon_budget=1000.0)
     idx = bins.zero_count_bin()
-    assert bins.edges[idx] < np.log(1000.0) <= bins.edges[idx + 1]
+    assert OD_BIN_EDGES[idx] < np.log(1000.0) <= OD_BIN_EDGES[idx + 1]
     assert OdBinSpec.default(photon_budget=np.inf).zero_count_bin() == -1
 
 
 def test_bin_spec_validation():
-    with pytest.raises(ParameterError):
-        OdBinSpec(np.array([0.0, 1.0, 0.5]))
-    with pytest.raises(ParameterError):
-        OdBinSpec(np.array([0.0, 1.0]), photon_budget=0.0)
+    with pytest.raises(ParameterError) as err:
+        OdBinSpec(photon_budget=0.0)
+    assert err.value.code == "bad-photon-budget"
 
 
 def test_number_distribution_mean():
@@ -92,7 +103,7 @@ def test_noiseless_narrow_preparation_collapses_support():
     bins = OdBinSpec.default(photon_budget=np.inf, preparation_spread=0.0)
     idx = bins.bin_index(3.0)
     dist = build_number_distribution(bins, idx, BETA)
-    lo, hi = bins.edges[idx], bins.edges[idx + 1]
+    lo, hi = OD_BIN_EDGES[idx], OD_BIN_EDGES[idx + 1]
     ods = dist.support * od_per_atom(BETA)
     assert np.all((ods > lo) & (ods <= hi))
 
@@ -214,7 +225,7 @@ def test_campaign_monte_carlo_matches_averaged_g2_zero():
     counts = rng.poisson(budget * trans)
     with np.errstate(divide="ignore"):
         od_hat = -np.log(counts / budget)
-    binned = np.searchsorted(bins.edges, od_hat, side="left") - 1
+    binned = np.searchsorted(OD_BIN_EDGES, od_hat, side="left") - 1
     binned[counts == 0] = bins.bin_index(np.log(budget))
     # pooled coincidences weight each run by its pair rate
     pair_weight = prior[ns] * trans**2
@@ -225,6 +236,37 @@ def test_campaign_monte_carlo_matches_averaged_g2_zero():
         batch_err = np.std(num / den, ddof=1) / np.sqrt(n_batches)
         want = averaged_g2_zero(build_number_distribution(bins, idx, BETA), BETA)
         assert abs(num.sum() / den.sum() - want) < 4.0 * batch_err, idx
+
+
+@pytest.mark.parametrize("od", [3.15, 5.13, 6.75])
+def test_pooled_run_histograms_match_averaged_g2(od):
+    # the campaign at histogram level: one synth_histogram per atom number
+    # of the bin, at singles rates proportional to T_N and an acquisition
+    # proportional to w_N, so each run's coincidences scale as w_N T_N^2.
+    # The counts pooled here follow averaged_g2 within counting error
+    bins = OdBinSpec.default()
+    dist = build_number_distribution(bins, bins.bin_index(od), BETA)
+    params = PhysicalParams(BETA, int(dist.support[0]))
+    grid = TauGrid.linear(12.0, 481)
+    curves = chain_g2_by_length(params, dist.support, grid)
+    trans = np.array([c.transmission for c in curves])
+    # pooled uncorrelated level: `level` coincidences per 2 ns bin
+    level, rates = 1e5, 1e6 * trans
+    acquisitions = level / (1e12 * 2e-9) * dist.weights / (dist.weights @ trans**2)
+    runs = [synth_histogram(c, r, r, t, seed=k)
+            for k, (c, r, t) in enumerate(zip(curves, rates, acquisitions))]
+    pooled = CoincidenceHistogram(runs[0].tau_ns, sum(h.counts for h in runs))
+    avg = curve_values_ns(averaged_g2(dist, params, grid), pooled.tau_ns)
+    mean = level * avg
+    chi2 = float(((pooled.counts - mean) ** 2 / mean).sum())
+    assert chi2 < mean.size + 5.0 * np.sqrt(2.0 * mean.size), (od, chi2)
+    # g2(0) of the pooled counts and of the model, each over the same tail
+    tail = np.abs(pooled.tau_ns) > 200.0
+    zero = pooled.tau_ns == 0.0
+    got = normalize_histogram(pooled).values[0]
+    want = avg[zero][0] / avg[tail].mean()
+    err = got * np.sqrt(1.0 / pooled.counts[zero][0] + 1.0 / pooled.counts[tail].sum())
+    assert abs(got - want) < 4.0 * err, (od, got, want, err)
 
 
 def test_assignment_prob_matches_scipy_stats_poisson(monkeypatch):
@@ -242,7 +284,7 @@ def test_assignment_prob_matches_scipy_stats_poisson(monkeypatch):
     default = OdBinSpec.default()
     # a budget this small underflows budget * exp(-hi) to 0, so c_lo = 0
     tiny = OdBinSpec.default(photon_budget=1e-322)
-    assert math.ceil(tiny.photon_budget * math.exp(-tiny.edges[-1])) == 0
+    assert math.ceil(tiny.photon_budget * math.exp(-OD_BIN_EDGES[-1])) == 0
     fast = [probs(default), probs(tiny)]
     monkeypatch.setattr(ensemble, "_poisson_cdf", stats.poisson.cdf)
     reference = [probs(default), probs(tiny)]

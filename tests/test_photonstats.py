@@ -39,6 +39,7 @@ from chiralchain.photonstats import (
     GAMMA_FIT_BAND,
     MAX_FAILED_SHARE,
     TAIL_START_NS,
+    _A_FAIL,
     _LOG_GAMMA_SCAN,
     _fit_window_counts,
     _likelihood_mask,
@@ -78,6 +79,21 @@ def test_histogram_validation():
         CoincidenceHistogram(good + 1.0, np.zeros(11, int))
 
 
+def test_histogram_bin_width_is_the_center_step():
+    # 0.5 ns centers need no separate width, and the width cannot disagree
+    h = CoincidenceHistogram(np.arange(-5, 6) * 0.5, np.arange(11))
+    assert h.bin_width_ns == 0.5
+    assert CoincidenceHistogram(_centers(5, width=3.0), np.arange(11)).bin_width_ns == 3.0
+    with pytest.raises(TypeError):
+        CoincidenceHistogram(_centers(5), np.arange(11), 2.0)
+    # symmetric centers that do not rise in uniform steps, and non-finite ones
+    for tau in ([-3.0, -1.0, 0.0, 1.0, 3.0], [2.0, 0.0, -2.0], [0.0, 0.0, 0.0],
+                [-np.inf, 0.0, np.inf], [-2.0, np.nan, 2.0]):
+        with pytest.raises(DataError) as err:
+            CoincidenceHistogram(tau, np.zeros(len(tau), int))
+        assert err.value.code == "bins-not-uniform", tau
+
+
 def test_histogram_accepts_integral_floats():
     h = CoincidenceHistogram(_centers(3), np.full(7, 4.0))
     assert h.counts.dtype == np.int64
@@ -108,14 +124,23 @@ def test_time_tag_stream():
 
 
 def test_fit_result_to_dict():
-    fit = FitResult(amplitude=0.4, gamma_fit=0.004, g2_zero=0.6, window_ns=30.0,
-                    a_err=0.05, n_bootstrap=50, seed=7,
-                    gamma_at_edge=True, n_failed=2, n_at_edge=9)
+    fit = FitResult(amplitude=0.4, gamma_fit=0.004, window_ns=30.0,
+                    a_err=0.05, n_bootstrap=50, seed=7, n_failed=2, n_at_edge=9)
     assert fit.to_dict() == {
         "A": 0.4, "a_err": 0.05, "gamma_fit_per_ns": 0.004, "g2_zero": 0.6,
         "window_ns": 30.0, "n_bootstrap": 50, "seed": 7,
         "gamma_at_edge": True, "n_failed": 2, "n_at_edge": 9,
     }
+
+
+def test_fit_result_derives_g2_zero_and_band_edge():
+    for gamma, at_edge in ((GAMMA_FIT_BAND[0], True), (0.1, False), (GAMMA_FIT_BAND[1], True)):
+        fit = FitResult(amplitude=-3.5, gamma_fit=gamma, window_ns=15.0)
+        assert fit.g2_zero == 4.5 and fit.gamma_at_edge is at_edge
+    # neither can be stated apart from the amplitude and decay they follow from
+    for field in ("g2_zero", "gamma_at_edge"):
+        with pytest.raises(TypeError):
+            FitResult(amplitude=0.4, gamma_fit=0.1, window_ns=30.0, **{field: 0.9})
 
 
 def test_saturation_data_validation():
@@ -299,6 +324,24 @@ def test_histogram_timetags_places_pairs():
     top = TimeTagStream([2**63 - 9], [2**63 - 4])
     h = histogram_timetags(top, bin_width_ns=2.0, tau_max_ns=10.0)
     assert h.total_counts == 1 and h.counts[h.tau_ns == 6.0] == 1
+    # a 3 ns delay 5 ns above the int64 minimum, where t0 - reach would wrap
+    bottom = TimeTagStream([-2**63 + 5], [-2**63 + 8])
+    h = histogram_timetags(bottom)
+    assert h.total_counts == 1 and h.counts[h.tau_ns == 4.0] == 1
+
+
+def test_pairs_within_does_not_wrap_at_the_int64_range():
+    # tags 2**64 - 322 ns apart, whose int64 difference wraps to -322
+    i, j = _pairs_within(np.array([-2**63 + 321]), np.array([2**63 - 1]), 320)
+    assert i.size == 0 and j.size == 0
+    lo, hi = -2**63, 2**63 - 1
+    a = np.array([lo, lo + 5, lo + 400, -7, hi - 300, hi], np.int64)
+    b = np.array([lo, lo + 8, lo + 330, 0, hi - 20, hi], np.int64)
+    for reach in (0, 7, 320, 2**62, hi):
+        i, j = _pairs_within(a, b, reach)
+        want = {(p, q) for p in range(a.size) for q in range(b.size)
+                if abs(int(b[q]) - int(a[p])) <= reach}
+        assert len(i) == len(want) and set(zip(i.tolist(), j.tolist())) == want, reach
 
 
 def test_histogram_timetags_matches_all_pairs_reference():
@@ -450,7 +493,7 @@ def test_mle_is_deterministic_and_rate_independent():
     assert f1 == f2
     # the multinomial conditions on the total count: scaling all bins
     # together must leave the estimate nearly unchanged
-    h4 = CoincidenceHistogram(h.tau_ns, h.counts * 4, h.bin_width_ns)
+    h4 = CoincidenceHistogram(h.tau_ns, h.counts * 4)
     f4 = mle_fit_g2(h4)
     assert f4.amplitude == pytest.approx(f1.amplitude, abs=1e-6)
 
@@ -588,15 +631,15 @@ def test_fitter_nll_never_above_nelder_mead():
         model = 1.0 - fit.amplitude * np.exp(-fit.gamma_fit * np.abs(tau))
         rng = np.random.default_rng(10_000 + k)
         rows = np.vstack([cts, rng.multinomial(cts.sum(), model / model.sum(), size=10)])
-        a, gamma, nll, at_edge = _fit_window_counts(tau, rows)
-        assert a[0] == fit.amplitude and at_edge[0] == fit.gamma_at_edge
+        a, gamma, nll = _fit_window_counts(tau, rows)
+        assert a[0] == fit.amplitude and gamma[0] == fit.gamma_fit
         for r, row in enumerate(rows):
             warm = [(fit.amplitude, fit.gamma_fit)] if r else []
             ref = _nelder_mead_nll(tau, row, warm)
             assert nll[r] <= ref + 1e-9 * abs(ref), (k, r, nll[r], ref)
             assert nll[r] == pytest.approx(_reference_nll(tau, row)((a[r], math.log(gamma[r]))),
                                            rel=1e-12)
-            if at_edge[r]:
+            if gamma[r] in GAMMA_FIT_BAND:
                 # on an edge, A is the constrained optimum: dnll/dA = 0 there
                 e = np.exp(-gamma[r] * np.abs(tau))
 
@@ -606,8 +649,7 @@ def test_fitter_nll_never_above_nelder_mead():
 
                 root = optimize.brentq(dnll_da, -1.0, 0.99, xtol=1e-14)
                 assert a[r] == pytest.approx(root, abs=1e-9)
-        assert np.array_equal(at_edge, np.isin(gamma, GAMMA_FIT_BAND))
-        edges += int(at_edge.sum())
+        edges += int(np.isin(gamma, GAMMA_FIT_BAND).sum())
     assert edges > 0
 
 
@@ -615,19 +657,26 @@ def test_fitter_nll_never_above_nelder_mead():
 @given(amplitude=st.floats(-6.0, 0.95), log_gamma=st.floats(math.log(0.002), math.log(0.8)),
        level=st.floats(3.0, 300.0), window=st.sampled_from([15.0, 30.0]),
        seed=st.integers(0, 2**32 - 1))
+# a decay so slow that the |tau| > 200 ns tail still holds 1.85x the
+# uncorrelated level: the fitter refuses it by design
+@example(amplitude=-5.0, log_gamma=-5.0, level=3.0, window=15.0, seed=1124358)
 def test_fitter_stays_in_band_and_beats_every_scan_point(amplitude, log_gamma, level,
                                                           window, seed):
     tau = _centers(160)
     tau = tau[(np.abs(tau) <= window) | (np.abs(tau) > TAIL_START_NS)]
     mean = level * (1.0 - amplitude * np.exp(-math.exp(log_gamma) * np.abs(tau)))
     counts = np.random.default_rng(seed).poisson(mean)
-    a, gamma, nll, at_edge = _fit_window_counts(tau, counts[None, :])
-    assert np.isfinite(nll[0])
+    a, gamma, nll = _fit_window_counts(tau, counts[None, :])
+    scan = [_profile_minimum(tau, counts, lg) for lg in _LOG_GAMMA_SCAN]
+    if not np.isfinite(nll[0]):
+        # a failed row: the likelihood never saw the uncorrelated level, so
+        # the best profile-scan point lies beyond the failure amplitude
+        assert np.isnan(a[0])
+        assert abs(min(scan, key=lambda res: res.fun).x) > _A_FAIL
+        return
     assert GAMMA_FIT_BAND[0] <= gamma[0] <= GAMMA_FIT_BAND[1]
-    assert at_edge[0] == (gamma[0] in GAMMA_FIT_BAND)
-    for lg in _LOG_GAMMA_SCAN:
-        scan_point = _profile_minimum(tau, counts, lg).fun
-        assert nll[0] <= scan_point + 1e-9 * abs(scan_point)
+    for res in scan:
+        assert nll[0] <= res.fun + 1e-9 * abs(res.fun)
 
 
 # ---------------------------------------------------------------------------
