@@ -219,7 +219,7 @@ def read_histogram_csv(path: str) -> ps.CoincidenceHistogram:
 
 
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # a magnitude >= 10**k has > k digits
-_ROWS_PER_WRITE = 2**16  # rows formatted per write, about 1 MiB of text
+_TAG_BLOCK = 2**15  # tags of each channel between cuts; a block is about 1 MiB of text
 
 
 def _tag_rows(ids: np.ndarray, mag: np.ndarray, ndig: int, neg: bool) -> np.ndarray:
@@ -241,27 +241,39 @@ def _tag_rows(ids: np.ndarray, mag: np.ndarray, ndig: int, neg: bool) -> np.ndar
 def write_timetags_csv(path: str, stream: ps.TimeTagStream):
     """Header detector_id,timestamp_ns, then one CRLF row per tag.
 
-    The two channels are merged in time order, detector 0 first on equal
-    timestamps, and the bytes are those of a csv.writer loop.  Merged rows
-    of one sign and digit count are contiguous; each such block is
-    formatted and written as uint8 matrices of up to _ROWS_PER_WRITE rows,
-    so the text never sits in memory whole.
+    The rows are the two channels in time order, detector 0 first on equal
+    timestamps, and the bytes are those of a csv.writer loop.  The sorted
+    channels are walked in blocks of at most _TAG_BLOCK tags per channel,
+    so no copy of the whole stream is made.  A block ends before the
+    earlier, in file order, of the two tags _TAG_BLOCK past its start on
+    each channel; with v that tag's value, the other channel is cut by a
+    searchsorted of v: detector-1 tags equal to v go after a cut at a
+    detector-0 tag (side "left"), detector-0 tags equal to v before a cut
+    at a detector-1 tag (side "right").  Within a block the tags are merged
+    stably, and rows of one sign and digit count, which are contiguous, are
+    formatted and written as one uint8 matrix.
     """
-    ts = np.concatenate([stream.t0_ns, stream.t1_ns])
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    ids = (order >= stream.t0_ns.size).astype(np.uint8)
-    neg = ts < 0
-    mag = np.abs(ts).astype(np.uint64)  # -2**63 wraps to its magnitude
-    del ts, order
-    ndig = np.searchsorted(_POW10, mag, side="right") + 1
-    starts = np.flatnonzero(np.diff(np.where(neg, -ndig, ndig), prepend=0))
+    t0, t1 = stream.t0_ns, stream.t1_ns
+    i0 = i1 = 0
     with open(path, "wb") as fh:
         fh.write(b"detector_id,timestamp_ns\r\n")
-        for a, b in zip(starts, np.append(starts[1:], ids.size)):
-            for lo in range(a, b, _ROWS_PER_WRITE):
-                hi = min(lo + _ROWS_PER_WRITE, b)
-                fh.write(_tag_rows(ids[lo:hi], mag[lo:hi], int(ndig[a]), bool(neg[a])))
+        while i0 < t0.size or i1 < t1.size:
+            e0, e1 = min(i0 + _TAG_BLOCK, t0.size), min(i1 + _TAG_BLOCK, t1.size)
+            if e0 < t0.size and (e1 == t1.size or t0[e0] <= t1[e1]):
+                e1 = int(t1.searchsorted(t0[e0], side="left"))
+            elif e1 < t1.size:
+                e0 = int(t0.searchsorted(t1[e1], side="right"))
+            ts = np.concatenate([t0[i0:e0], t1[i1:e1]])
+            order = np.argsort(ts, kind="stable")
+            ts = ts[order]
+            ids = (order >= e0 - i0).astype(np.uint8)
+            i0, i1 = e0, e1
+            neg = ts < 0
+            mag = np.abs(ts).astype(np.uint64)  # -2**63 wraps to its magnitude
+            ndig = np.searchsorted(_POW10, mag, side="right") + 1
+            starts = np.flatnonzero(np.diff(np.where(neg, -ndig, ndig), prepend=0))
+            for a, b in zip(starts, np.append(starts[1:], ids.size)):
+                fh.write(_tag_rows(ids[a:b], mag[a:b], int(ndig[a]), bool(neg[a])))
 
 
 def read_timetags_csv(path: str) -> ps.TimeTagStream:

@@ -519,9 +519,11 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
     Every inter-detector pair with tau = t1 - t0 in [-E, E), E the outer bin
     edge, is counted once.  Each bin is half-open, [lo, hi), so with integer
     delays and odd-integer edges every bin takes the same number of delays.
-    With pulse_period_ns set, tags are first gated to the window
-    PULSE_GATE_NS within each pulse and the first DISCARD_PULSES pulses are
-    dropped, mirroring pulsed probing where the early pulses see an uncooled
+    An outer edge at or past 2**63 ns, beyond the int64 delays the pair
+    search compares, raises "bad-tau-max" before pairing.  With
+    pulse_period_ns set, tags are first gated to the window PULSE_GATE_NS
+    within each pulse and the first DISCARD_PULSES pulses are dropped,
+    mirroring pulsed probing where the early pulses see an uncooled
     ensemble; a period shorter than the gate end raises "bad-gate".
     """
     t0, t1 = stream.t0_ns, stream.t1_ns
@@ -539,6 +541,9 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
 
     centers = _symmetric_centers(bin_width_ns, tau_max_ns)
     edges = np.concatenate([centers - bin_width_ns / 2.0, [centers[-1] + bin_width_ns / 2.0]])
+    if not edges[-1] < 2.0**63:
+        raise ParameterError("bad-tau-max",
+                             f"outer bin edge {edges[-1]:.3g} ns is past the int64 range of the tags")
     # pair differences are integers, so |tau| <= reach means |tau| <= floor(reach);
     # np.histogram closes its last bin, so tau = E is dropped first
     i, j = _pairs_within(t0, t1, math.floor(edges[-1]))

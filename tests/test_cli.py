@@ -26,6 +26,14 @@ def run(tmp_path, *args):
     return main([str(a) for a in args])
 
 
+def _package_env():
+    """Environment for a child interpreter that imports this checkout's package."""
+    import chiralchain
+    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -294,16 +302,28 @@ def test_analyze_auto_format_reads_quoted_header(tmp_path):
 def test_synth_thinning_overflow_exits_3(tmp_path):
     # at N = 600 (OD 19.6) g2 peaks near 1e11, so thinning would need ~9e10
     # candidate tags (740 GB) in one second: more than the machine holds
-    import chiralchain
-    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    env = _package_env()
     out = tmp_path / "tags.csv"
     proc = subprocess.run([sys.executable, "-m", "chiralchain.cli", "synth", "--kind", "timetags",
                            "--n-atoms", "600", "--duration", "1", "--output", str(out)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 3
     assert "thinning-overflow" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_analyze_tau_max_past_int64_exits_2(tmp_path):
+    # an outer bin edge of 1.5e19 ns is past the int64 delays the pair search
+    # compares: refused as a parameter error, not an OverflowError traceback
+    env = _package_env()
+    tags, out = tmp_path / "tags.csv", tmp_path / "fit.json"
+    tags.write_bytes(b"detector_id,timestamp_ns\r\n0,5\r\n1,7\r\n")
+    proc = subprocess.run([sys.executable, "-m", "chiralchain.cli", "analyze", "--input", str(tags),
+                           "--bin-width-ns", "1e19", "--tau-max-ns", "1e19", "--output", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "[bad-tau-max]" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 
@@ -493,18 +513,72 @@ def test_timetag_writer_matches_csv_writer(tmp_path, monkeypatch):
     ts = _digit_boundaries()
     streams["boundaries"] = TimeTagStream(ts[0::2], ts[1::2])
     streams["negative"] = TimeTagStream([-1000, 0], [-999, -5])
+    block = cli._TAG_BLOCK
+    rng = np.random.default_rng(3)
+    for label, n in (("", 2 * block), ("_short", 2000)):
+        # detector 0 holds 100 times the tags of detector 1
+        dense = np.sort(rng.integers(0, 10**6, n))
+        streams["dense" + label] = TimeTagStream(dense, np.sort(rng.integers(0, 10**6, n // 100)))
+    streams["one_channel"] = TimeTagStream(np.arange(-60, 60) * 7, np.zeros(0, np.int64))
+    # one timestamp on both channels more often than a block of either holds
+    for label, n in (("", block), ("_short", 7)):
+        streams["repeated" + label] = TimeTagStream(np.r_[1, np.full(n + 3, 9), 12],
+                                                    np.r_[np.full(n + 5, 9), 10])
+    # every timestamp of the sparser channel is also on the denser one, so
+    # cuts at either channel fall on ties
+    streams["cut_ties_0"] = TimeTagStream(np.arange(150) // 3, np.arange(100) // 2)
+    streams["cut_ties_1"] = TimeTagStream(np.arange(100) // 2, np.arange(150) // 3)
     assert streams["synth"].n_tags > 10**4
     for name, stream in streams.items():
         new, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
         _csv_write_timetags(ref, stream)
-        # 7 rows per write splits every block of one sign and digit count
-        for rows in (cli._ROWS_PER_WRITE, 7):
-            monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows)
+        # blocks of 1, 2 and 7 tags per channel put cuts everywhere, also inside
+        # runs of one sign and digit count; the streams of more than a default
+        # block, slow to write a tag or two at a time, take blocks of 7 only
+        for tags in (block, 7) if stream.n_tags > block else (block, 1, 2, 7):
+            monkeypatch.setattr(cli, "_TAG_BLOCK", tags)
             write_timetags_csv(str(new), stream)
-            assert new.read_bytes() == ref.read_bytes(), (name, rows)
+            assert new.read_bytes() == ref.read_bytes(), (name, tags)
         back = read_timetags_csv(str(new))
         assert np.array_equal(back.t0_ns, stream.t0_ns), name
         assert np.array_equal(back.t1_ns, stream.t1_ns), name
+
+
+@pytest.mark.parametrize("n_tags", [10**6, 4 * 10**6])
+def test_timetag_writer_memory_is_bounded(n_tags):
+    # the writer holds one block of merged and formatted tags, not copies of
+    # the stream: its traced peak does not grow with the tag count
+    import tracemalloc
+    from chiralchain.cli import write_timetags_csv
+    from chiralchain.photonstats import TimeTagStream
+    rng = np.random.default_rng(1)
+    stream = TimeTagStream(np.sort(rng.integers(0, 4 * 10**10, n_tags // 2)),
+                           np.sort(rng.integers(0, 4 * 10**10, n_tags - n_tags // 2)))
+    tracemalloc.start()
+    try:
+        write_timetags_csv(os.devnull, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_synth_timetags_write_fits_the_thinning_guard():
+    # the CLI synth path, synthesis then the CSV write, peaks within the
+    # _TAG_BYTES per tag that the thinning-overflow guard charges
+    import tracemalloc
+    from chiralchain import od_to_atoms, photonstats, synth_timetags
+    from chiralchain.cli import write_timetags_csv
+    n = int(round(od_to_atoms(5.13, 0.0081)))
+    curve = chain_g2(PhysicalParams(0.0081, n), TauGrid.linear(12.0, 481))
+    tracemalloc.start()
+    try:
+        stream = synth_timetags(curve, 3e4, 3e4, 40.0, seed=1)
+        write_timetags_csv(os.devnull, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= photonstats._TAG_BYTES * stream.n_tags
 
 
 _BOUNDARIES = _digit_boundaries().tolist()
@@ -613,19 +687,13 @@ def test_table_readers_match_csv_module(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    import chiralchain
-    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    env = _package_env()
     code = "import sys, chiralchain.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_import_loads_only_scipy_special():
-    import chiralchain
-    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    env = _package_env()
     code = ("import sys, chiralchain.cli; "
             "sys.exit(sorted(m for m in ('scipy.linalg', 'scipy.optimize', 'scipy.special')"
             " if m in sys.modules) != ['scipy.special'])")
@@ -635,10 +703,7 @@ def test_cli_import_loads_only_scipy_special():
 def test_cli_import_defers_concurrent_futures():
     # numpy.testing, which scipy.special loads, imports concurrent.futures
     # itself; blocked after those two, it must not be needed by chiralchain
-    import chiralchain
-    src = os.path.dirname(os.path.dirname(chiralchain.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    env = _package_env()
     code = ("import sys, numpy, scipy.special\n"
             "for m in [m for m in sys.modules if m.split('.')[0] == 'concurrent']:\n"
             "    sys.modules[m] = None\n"
