@@ -437,7 +437,7 @@ _ORACLE = [
     _Param("beta", float, 0.1, "forward coupling fraction"),
     _Param("detuning", float, 0.0, "drive detuning in units of Gamma"),
     _Param("gamma_mhz", float, ps.DEFAULT_GAMMA_MHZ, "natural linewidth Gamma/2pi in MHz"),
-    _Param("n_atoms", int, 1, "atom number (the solver cost grows as 4^N)"),
+    _Param("n_atoms", int, 1, "atom number (the solver holds D^4 numbers, D = 1 + N + N(N-1)/2)"),
     _Param("tau_max", float, 10.0, "largest delay in units of 1/Gamma"),
     _Param("n_points", int, 201, "delay grid points"),
     _Param("output", str, "oracle.csv", "output CSV path"),

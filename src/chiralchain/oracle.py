@@ -1,8 +1,9 @@
 """Brute-force master-equation reference for small chains.
 
-Everything here works on the full 2^N dimensional density matrix of the
-cascaded chain under a finite coherent drive.  In the frame displaced by the
-coherent input the model is
+Everything here works on the density matrix of the cascaded chain under a
+finite coherent drive, on the states with at most _MAX_EXCITATIONS = 2
+excited emitters: D = 1 + N + N(N-1)/2 of them instead of 2^N (all of them
+for N <= 2).  In the frame displaced by the coherent input the model is
 
     drho/dt = -i[H, rho] + D[J0] rho + sum_j D[sqrt((1-beta)Gamma) sigma_j] rho
 
@@ -19,6 +20,16 @@ DRIVE_SATURATIONS, with consecutive amplitude ratio 2 : 1, by iterated
 Richardson extrapolation in drive power: each stage cancels one more order
 of the saturation correction, starting with O(|alpha|^2).
 
+Why two excitations are enough: the weak-drive g2 is a ratio of the
+two-photon to the squared one-photon output, so it reads the steady state
+only up to its two-excitation amplitudes, O(alpha^2).  States with three or
+more excited emitters are reached at O(alpha^3) and change the finite-drive
+g2 at O(|alpha|^2), one order of drive power, which the Richardson ladder
+cancels.  The capped operators are the full ones restricted to the kept
+states (sigma_j never leaves them; its adjoint drops what it would raise out
+of them), so H stays Hermitian and the generator stays of Lindblad form,
+with trace and positivity kept.
+
 Each drive builds its Liouvillian L once, as
 K (x) 1 + 1 (x) K* + sum_c c (x) c* with K = -iH - 1/2 sum_c c^dag c.  The
 steady state is one LU solve of L with its first equation replaced by the
@@ -27,16 +38,21 @@ start of the regression.  The regressed operator chi = a rho a^dag is
 Hermitian, so it is carried by the real vector vec(Re chi + Im chi), whose
 generator is the real matrix L_r = Re L + Im L Pi (Pi transposes vec); the
 correlation is stepped along the delay grid with the exact propagator
-expm(L_r dtau), computed once per distinct step: the Liouvillian is at most
-256 x 256, so there is no integrator step to choose.
+expm(L_r dtau), computed once per distinct step: up to MAX_ATOMS the
+Liouvillian is at most 121 x 121, so there is no integrator step to choose.
 
 This module is the independent check on the perturbative chain solver in
-``transport``; the two share no solver code on purpose.
+``transport``; the two share no solver code on purpose.  The cap is the same
+two-excitation sector that weak-drive scattering theory works in, but here
+it only bounds the basis: the oracle still solves the driven, lossy master
+equation at finite drive and takes its zero-drive limit, where ``transport``
+propagates pure-state one- and two-photon amplitudes along the chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import math
 import warnings
 
@@ -59,14 +75,16 @@ __all__ = [
     "oracle_g2",
 ]
 
-_SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|, basis (g, e)
-
-# soft cap on N: the full density matrix is 4^N numbers
+# largest number of excited emitters the basis keeps: the weak-drive g2
+# reads no higher manifold (see the module docstring)
+_MAX_EXCITATIONS = 2
+# soft cap on N: past it the fixed DRIVE_SATURATIONS are too strong for the
+# chain's small transmission and the extrapolation degrades
 MAX_ATOMS = 4
-# bytes the solver holds per Liouvillian entry (16^N of them) at its peak,
-# with a margin: tracemalloc reads 80 at N = 4 and 5 (the complex L, the
-# steady-state system and its LU copy, then the real generator and expm's
-# work arrays)
+# bytes the solver holds per Liouvillian entry (D^4 of them, D = dim) at its
+# peak, with a margin: tracemalloc reads 74 at N = 4 and 73 at N = 5 (the complex
+# L, the steady-state system and its LU copy, then the real generator and
+# expm's work arrays)
 _SOLVER_BYTES_PER_ENTRY = 128
 # allowed change of the extrapolation when the finest drive is dropped,
 # relative to the curve's maximum
@@ -79,16 +97,17 @@ DRIVE_SATURATIONS = (0.004, 0.001, 0.00025)
 
 
 class CascadedGenerator:
-    """Liouvillian of the displaced-frame cascaded chain at one drive."""
+    """Liouvillian of the displaced-frame cascaded chain at one drive, on the
+    states with at most _MAX_EXCITATIONS excited emitters."""
 
     def __init__(self, params: PhysicalParams, drive_amplitude: float):
         n = params.n_atoms
         if n < 1:
             raise ParameterError("n-atoms-negative", "oracle needs at least one emitter")
         self.alpha = float(drive_amplitude)
-        self.dim = 2 ** n
 
-        sig = [_site_op(_SIGMA, j, n) for j in range(n)]
+        sig = _lowering_ops(n)
+        self.dim = sig[0].shape[0]
         beta = params.beta
         delta = params.detuning
         num = sum(s.conj().T @ s for s in sig)
@@ -122,11 +141,39 @@ class CascadedGenerator:
         return lv
 
 
-def _site_op(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
+def _basis(n: int) -> list:
+    """The kept emitter states, as n-bit integers (bit n-1-j set when emitter
+    j is excited) with at most _MAX_EXCITATIONS bits set, in ascending order.
+    Below the cap this is every state, in the order of the Kronecker basis
+    with (g, e) per emitter, emitter 0 leftmost."""
+    return sorted(sum(1 << b for b in bits)
+                  for m in range(min(_MAX_EXCITATIONS, n) + 1)
+                  for bits in itertools.combinations(range(n), m))
+
+
+def _basis_size(n: int) -> int:
+    """len(_basis(n)), without listing the states."""
+    return sum(math.comb(n, m) for m in range(min(_MAX_EXCITATIONS, n) + 1))
+
+
+def _lowering_ops(n: int) -> list:
+    """sigma_j = |g><e| on emitter j, for j = 0 .. n-1, on _basis(n).
+
+    Lowering never leaves the basis, so these are the full-space operators
+    restricted to it; their adjoints drop the raised states that fall
+    outside.
+    """
+    states = _basis(n)
+    index = {s: i for i, s in enumerate(states)}
+    ops = []
     for j in range(n):
-        out = np.kron(out, op if j == site else np.eye(2))
-    return out
+        bit = 1 << (n - 1 - j)
+        op = np.zeros((len(states), len(states)), dtype=complex)
+        for i, s in enumerate(states):
+            if s & bit:
+                op[index[s ^ bit], i] = 1.0
+        ops.append(op)
+    return ops
 
 
 def _check_density(m: np.ndarray) -> None:
@@ -250,7 +297,8 @@ def _richardson(curves: list) -> tuple:
 def _check_atoms(params: PhysicalParams):
     """Refuse a chain whose solver arrays would not fit in memory; warn
     above MAX_ATOMS."""
-    need = _SOLVER_BYTES_PER_ENTRY * 16.0 ** params.n_atoms
+    dim = _basis_size(params.n_atoms)
+    need = _SOLVER_BYTES_PER_ENTRY * float(dim) ** 4
     if not need <= _physical_memory_bytes():
         raise NumericalError(
             "oracle-too-large",
@@ -259,7 +307,7 @@ def _check_atoms(params: PhysicalParams):
         )
     if params.n_atoms > MAX_ATOMS:
         warnings.warn(
-            f"oracle with N = {params.n_atoms} emitters builds a {4 ** params.n_atoms}"
+            f"oracle with N = {params.n_atoms} emitters builds a {dim ** 2}"
             " dimensional Liouvillian; expect it to be slow",
             RuntimeWarning,
         )
@@ -276,9 +324,11 @@ class OracleG2Result:
 def oracle_g2(params: PhysicalParams, grid: TauGrid) -> OracleG2Result:
     """Weak-drive g2(tau) of the transmitted light, by brute force.
 
-    Runs the full master equation at each drive of DRIVE_SATURATIONS and
-    extrapolates the finite-drive correlation curves to zero power by
-    iterated Richardson (see _richardson).  Raises "oracle-too-large"
+    Runs the master equation on the states with at most two excited
+    emitters (all the weak-drive limit reads; see the module docstring) at
+    each drive of DRIVE_SATURATIONS and extrapolates the finite-drive
+    correlation curves to zero power by iterated Richardson (see
+    _richardson).  Raises "oracle-too-large"
     before any work when the dense Liouvillian and the solver's arrays
     would not fit in the installed memory, and "not-converged" when
     dropping the finest drive moves the extrapolation by more than

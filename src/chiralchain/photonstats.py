@@ -80,9 +80,9 @@ _INT64 = np.iinfo(np.int64)
 # bytes the time-tag chain holds at its peak, with a margin, per drawn tag
 # (detector-0 tags plus detector-1 candidates) and per tag pair within the
 # curve support: tracemalloc of synth_timetags then histogram_timetags, with
-# and without pulse gating, reads at most 24.5 per tag at 3e4/s (2-60 s,
-# OD 3.15 and 5.13, rates 3e4-3e5/s) and 71 per pair beyond that at
-# 1e6-5e6/s (OD 3.15 and 6.75)
+# and without pulse gating, reads at most 23.6 per tag (2-60 s, OD 3.15 and
+# 5.13, rates 3e4-3e5/s; 17.3 at 3e4/s from 20 s on) and 71 per pair beyond
+# that at 1e6-5e6/s (OD 3.15 and 6.75)
 _TAG_BYTES = 32
 _PAIR_BYTES = 96
 
@@ -521,10 +521,11 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
     delays and odd-integer edges every bin takes the same number of delays.
     An outer edge at or past 2**63 ns, beyond the int64 delays the pair
     search compares, raises "bad-tau-max" before pairing.  With
-    pulse_period_ns set, tags are first gated to the window PULSE_GATE_NS
-    within each pulse and the first DISCARD_PULSES pulses are dropped,
-    mirroring pulsed probing where the early pulses see an uncooled
-    ensemble; a period shorter than the gate end raises "bad-gate".
+    pulse_period_ns set, only tags in the window PULSE_GATE_NS within each
+    pulse count, and the first DISCARD_PULSES pulses are dropped, mirroring
+    pulsed probing where the early pulses see an uncooled ensemble; a period
+    shorter than the gate end raises "bad-gate".  The gate is applied to the
+    tags of each pair, so no array as long as the stream is made for it.
     """
     t0, t1 = stream.t0_ns, stream.t1_ns
     if pulse_period_ns is not None:
@@ -533,11 +534,9 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
             raise ParameterError("bad-gate", f"pulse period must reach the gate end {g_hi:g} ns")
         start = DISCARD_PULSES * pulse_period_ns
 
-        def gate(t):
+        def live(t):
             phase = np.mod(t, pulse_period_ns)
-            return t[(t >= start) & (phase >= g_lo) & (phase < g_hi)]
-
-        t0, t1 = gate(t0), gate(t1)
+            return (t >= start) & (phase >= g_lo) & (phase < g_hi)
 
     centers = _symmetric_centers(bin_width_ns, tau_max_ns)
     edges = np.concatenate([centers - bin_width_ns / 2.0, [centers[-1] + bin_width_ns / 2.0]])
@@ -547,6 +546,9 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
     # pair differences are integers, so |tau| <= reach means |tau| <= floor(reach);
     # np.histogram closes its last bin, so tau = E is dropped first
     i, j = _pairs_within(t0, t1, math.floor(edges[-1]))
+    if pulse_period_ns is not None:  # the pairs of gated tags
+        both = live(t0[i]) & live(t1[j])
+        i, j = i[both], j[both]
     tau = t1[j] - t0[i]
     counts = np.histogram(tau[tau < edges[-1]], edges)[0].astype(np.int64)
     return CoincidenceHistogram(centers, counts)

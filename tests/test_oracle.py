@@ -3,9 +3,11 @@
 The full chain-vs-oracle equivalence sweep lives in test_acceptance; here the
 oracle is validated on its own terms (decay law, trace preservation, stepped
 propagation, the real Hermitian form, steady-state accuracy, drive
-extrapolation) so a disagreement there can be attributed.
+extrapolation, the two-excitation basis against all 2^N states) so a
+disagreement there can be attributed.
 """
 
+import itertools
 import math
 
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +23,7 @@ from chiralchain import (
     chain_transmission,
     oracle_g2,
 )
+from chiralchain import oracle
 from chiralchain.oracle import (
     DRIVE_SATURATIONS,
     CascadedGenerator,
@@ -32,6 +35,35 @@ from chiralchain.oracle import (
     _richardson,
     _steady_state,
 )
+
+_SIGMA = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|, basis (g, e)
+
+
+def _site_op(op, site, n):
+    out = np.array([[1.0 + 0.0j]])
+    for j in range(n):
+        out = np.kron(out, op if j == site else np.eye(2))
+    return out
+
+
+def _full_space_liouvillian(params, alpha):
+    """Reference: the cascaded-chain Liouvillian on all 2^N emitter states,
+    with every operator a Kronecker product of single-emitter ones."""
+    n, beta = params.n_atoms, params.beta
+    sig = [_site_op(_SIGMA, j, n) for j in range(n)]
+    h = -params.detuning * sum(s.conj().T @ s for s in sig)
+    for j in range(n):
+        for k in range(j + 1, n):
+            h = h + (-0.5j * beta) * (sig[k].conj().T @ sig[j] - sig[j].conj().T @ sig[k])
+    j0 = math.sqrt(beta) * sum(sig)
+    h = h + (-1j * alpha) * (j0.conj().T - j0)
+    jumps = [j0] + ([math.sqrt(1.0 - beta) * s for s in sig] if beta < 1.0 else [])
+    k = -1j * h - 0.5 * sum(c.conj().T @ c for c in jumps)
+    eye = np.eye(2 ** n)
+    lv = np.kron(k, eye) + np.kron(eye, k.conj())
+    for c in jumps:
+        lv += np.kron(c, c.conj())
+    return lv
 
 
 def _excited(n):
@@ -119,7 +151,8 @@ def test_real_form_matches_complex_liouvillian():
 
 def test_steady_state_matches_multiprecision_solve():
     # finite-drive g2(0) from the double-precision LU steady state against a
-    # 40-digit solve of the same 64 x 64 system (trace row in place of row 0)
+    # 40-digit solve of the same 49 x 49 system (trace row in place of row 0;
+    # N = 3 keeps 7 of the 8 emitter states)
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     params = PhysicalParams(beta=0.3, n_atoms=3)
@@ -211,3 +244,58 @@ def test_grid_must_be_natural_units():
 def test_large_chain_warns():
     with pytest.warns(RuntimeWarning):
         _check_atoms(PhysicalParams(beta=0.1, n_atoms=5))
+
+
+def test_large_chain_size_guard_counts_kept_states(monkeypatch):
+    # N = 8 keeps D = 37 states, so the solver holds 37**4 entries (about
+    # 240 MB), not 16**8: admitted against 1 GiB, refused against 64 MiB
+    params = PhysicalParams(beta=0.1, n_atoms=8)
+    monkeypatch.setattr(oracle, "_physical_memory_bytes", lambda: float(2**30))
+    with pytest.warns(RuntimeWarning, match="1369 dimensional"):
+        _check_atoms(params)
+    monkeypatch.setattr(oracle, "_physical_memory_bytes", lambda: float(2**26))
+    with pytest.raises(NumericalError) as err:
+        _check_atoms(params)
+    assert err.value.code == "oracle-too-large"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_uncapped_generator_is_the_full_space_liouvillian(monkeypatch, n):
+    # with the cap at N every emitter state is kept, in the Kronecker order
+    monkeypatch.setattr(oracle, "_MAX_EXCITATIONS", n)
+    params = PhysicalParams(beta=0.3, n_atoms=n, detuning=0.4)
+    gen = CascadedGenerator(params, 0.05)
+    assert gen.dim == 2 ** n
+    assert np.array_equal(gen.liouvillian(), _full_space_liouvillian(params, 0.05))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_capped_generator_is_the_full_space_liouvillian_on_kept_states(n):
+    # the states with at most two excited emitters, ascending as N-bit
+    # integers: the capped L is the full one's block on pairs of them
+    params = PhysicalParams(beta=0.3, n_atoms=n, detuning=0.4)
+    gen = CascadedGenerator(params, 0.05)
+    kept = [s for s in range(2 ** n) if s.bit_count() <= 2]
+    assert gen.dim == len(kept) == 1 + n + n * (n - 1) // 2
+    pairs = [i * 2 ** n + j for i in kept for j in kept]
+    full = _full_space_liouvillian(params, 0.05)
+    assert np.array_equal(gen.liouvillian(), full[np.ix_(pairs, pairs)])
+
+
+def test_capped_oracle_matches_full_space_within_extrapolation_gap(monkeypatch):
+    # the third and higher manifolds change finite-drive g2 at one order of
+    # drive power, which the Richardson ladder cancels: the capped and the
+    # full-space curves agree within the larger of their two gaps, on the
+    # perfbench oracle_sweep configurations
+    grid = TauGrid.linear(10.0, 201)
+    for n, beta, delta in itertools.product((3, 4), (0.1, 0.3), (0.0, 0.5)):
+        params = PhysicalParams(beta, n, delta)
+        capped = oracle_g2(params, grid)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_MAX_EXCITATIONS", n)
+            full = oracle_g2(params, grid)
+        scale = max(float(np.max(full.curve.values)), 1.0)
+        gap = max(capped.extrapolation_gap, full.extrapolation_gap)
+        dev = np.max(np.abs(capped.curve.values - full.curve.values))
+        assert dev <= gap * scale, (n, beta, delta, dev / scale, gap)
+        assert capped.curve.transmission == pytest.approx(full.curve.transmission, rel=1e-6)
