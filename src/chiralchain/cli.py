@@ -193,6 +193,10 @@ def _read_table(path: str, columns: list[str], code: str, dtype=np.float64):
     lines the header took (``reader.line_num``, more than one when a quoted
     header field holds a newline).  Given a path, numpy parses the file in
     C-level chunks; given an open file it iterates it line by line in Python.
+
+    It reads every histogram, saturation and beta-fit points file, and the
+    time-tag files that read_timetags_csv's block parser leaves to it: those
+    not in write_timetags_csv's exact format, and those out of order.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -218,8 +222,17 @@ def read_histogram_csv(path: str) -> ps.CoincidenceHistogram:
     return ps.CoincidenceHistogram(tau, np.trunc(counts).astype(np.int64))
 
 
+_TAGS_HEADER = b"detector_id,timestamp_ns\r\n"
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # a magnitude >= 10**k has > k digits
 _TAG_BLOCK = 2**15  # tags of each channel between cuts; a block is about 1 MiB of text
+_READ_BLOCK = 2**20  # bytes of a time-tag file read at a time
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63: a column sum of 18 digits cannot overflow int64
+_MAX_ROW = _MAX_DIGITS + 5  # bytes of the longest row read block-wise, "1,-" digits CRLF
+# Sorted rows without leading zeros fall in width through the negative digit
+# counts, then rise through the others: at most 2 * _MAX_DIGITS runs of equal
+# width in a block.  More come only from rows out of order or with leading
+# zeros, which _read_table reads.
+_MAX_RUNS = 2 * _MAX_DIGITS
 
 
 def _tag_rows(ids: np.ndarray, mag: np.ndarray, ndig: int, neg: bool) -> np.ndarray:
@@ -256,7 +269,7 @@ def write_timetags_csv(path: str, stream: ps.TimeTagStream):
     t0, t1 = stream.t0_ns, stream.t1_ns
     i0 = i1 = 0
     with open(path, "wb") as fh:
-        fh.write(b"detector_id,timestamp_ns\r\n")
+        fh.write(_TAGS_HEADER)
         while i0 < t0.size or i1 < t1.size:
             e0, e1 = min(i0 + _TAG_BLOCK, t0.size), min(i1 + _TAG_BLOCK, t1.size)
             if e0 < t0.size and (e1 == t1.size or t0[e0] <= t1[e1]):
@@ -276,15 +289,101 @@ def write_timetags_csv(path: str, stream: ps.TimeTagStream):
                 fh.write(_tag_rows(ids[a:b], mag[a:b], int(ndig[a]), bool(neg[a])))
 
 
+def _writer_rows(rows: np.ndarray):
+    """Detector-1 flags and timestamps of rows [01],-?digits CRLF, else None.
+
+    ``rows`` is a (rows, width) uint8 matrix, one row per line, each ending
+    in LF.  Rows of 1 to _MAX_DIGITS digits are read, leading zeros and -0
+    as np.loadtxt reads them; any other byte, or more digits, gives None.
+    """
+    field = rows.shape[1] - 4  # the value between "d," and CRLF
+    if not 1 <= field <= _MAX_ROW - 4:
+        return None
+    neg = rows[:, 2] == ord("-")
+    # the digit count, the field less its sign, must be 1 to _MAX_DIGITS
+    if (field == 1 and neg.any()) or (field > _MAX_DIGITS and not neg.all()):
+        return None
+    digits = rows[:, 2:-2] - np.uint8(ord("0"))  # bytes below '0' wrap past 9
+    digits[neg, 0] = 0
+    if not (((rows[:, 0] | 1) == ord("1")).all()  # '0' or '1'
+            and (rows[:, 1] == ord(",")).all() and (rows[:, -2] == ord("\r")).all()
+            and (digits <= 9).all()):
+        return None
+    ts = np.zeros(rows.shape[0], np.int64)
+    for col in digits.T:
+        ts *= 10
+        ts += col
+    np.negative(ts, out=ts, where=neg)
+    return rows[:, 0] == ord("1"), ts
+
+
+def _read_writer_timetags(path: str):
+    """The two channels of a file in write_timetags_csv's exact format, else None.
+
+    That format is the bytes of _TAGS_HEADER, then rows [01],-?digits CRLF
+    with sorted timestamps.  The file is read _READ_BLOCK bytes at a time,
+    each block cut after its last LF; the rows of each run of equal width
+    are one uint8 matrix for _writer_rows.  Per-block channel pieces are
+    joined once at the end.  None, returned as soon as a block is not in
+    that form or is out of order, leaves the whole file to _read_table.
+    """
+    pieces = ([], [])
+    last = np.iinfo(np.int64).min
+    with open(path, "rb") as fh:
+        if fh.read(len(_TAGS_HEADER)) != _TAGS_HEADER:
+            return None
+        carry = b""  # the bytes after the last LF read so far
+        while len(buf := carry + fh.read(_READ_BLOCK)) > len(carry):  # until EOF
+            cut = buf.rfind(b"\n") + 1
+            carry = buf[cut:]
+            if len(carry) >= _MAX_ROW:  # a longer row, or CR-only line ends
+                return None
+            block = np.frombuffer(buf, np.uint8, cut)
+            ends = np.flatnonzero(block == ord("\n")) + 1
+            widths = np.diff(ends, prepend=0)
+            heads = np.flatnonzero(np.diff(widths, prepend=0))
+            if heads.size > _MAX_RUNS:
+                return None
+            for a, b in zip(heads, np.append(heads[1:], ends.size)):
+                width = int(widths[a])
+                parsed = _writer_rows(block[ends[a] - width:ends[b - 1]].reshape(b - a, width))
+                if parsed is None:
+                    return None
+                is1, ts = parsed
+                if ts[0] < last or np.any(ts[1:] < ts[:-1]):
+                    return None
+                last = ts[-1]
+                pieces[0].append(np.compress(~is1, ts))  # faster than ts[~is1]
+                pieces[1].append(np.compress(is1, ts))
+    if carry:  # no CRLF after the last row
+        return None
+    channels = []
+    for chan in pieces:
+        channels.append(np.concatenate([np.zeros(0, np.int64), *chan]))
+        chan.clear()  # frees the pieces before the next channel is joined
+    return channels
+
+
 def read_timetags_csv(path: str) -> ps.TimeTagStream:
-    """The two detector channels of a file with ids 0 or 1 and sorted timestamps."""
-    ids, ts = _read_table(path, ["detector_id", "timestamp_ns"], "bad-timetag-file",
-                          dtype=np.int64)
-    if not np.all((ids == 0) | (ids == 1)):
-        raise DataError("bad-detector-id", f"{path}: detector ids must be 0 or 1")
-    if np.any(ts[1:] < ts[:-1]):  # np.diff would wrap for steps past 2**63
-        raise DataError("timestamps-not-sorted", f"{path}: timestamps must be non-decreasing")
-    return ps.TimeTagStream(ts[ids == 0], ts[ids == 1])
+    """The two detector channels of a file with ids 0 or 1 and sorted timestamps.
+
+    The file's own bytes choose the parser.  One in write_timetags_csv's
+    exact format, with sorted timestamps of at most _MAX_DIGITS digits, is
+    parsed block by block (_read_writer_timetags).  Any other file is read
+    whole by _read_table, csv.reader for the header and np.loadtxt for the
+    body, and checked below; so is a writer-format file out of order, which
+    thus gets the error code and message of that path alone.
+    """
+    channels = _read_writer_timetags(path)
+    if channels is None:
+        ids, ts = _read_table(path, ["detector_id", "timestamp_ns"], "bad-timetag-file",
+                              dtype=np.int64)
+        if not np.all((ids == 0) | (ids == 1)):
+            raise DataError("bad-detector-id", f"{path}: detector ids must be 0 or 1")
+        if np.any(ts[1:] < ts[:-1]):  # np.diff would wrap for steps past 2**63
+            raise DataError("timestamps-not-sorted", f"{path}: timestamps must be non-decreasing")
+        channels = ts[ids == 0], ts[ids == 1]
+    return ps.TimeTagStream(*channels)
 
 
 def read_saturation_csv(path: str) -> ps.SaturationData:

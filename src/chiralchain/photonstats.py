@@ -582,16 +582,18 @@ def normalize_histogram(hist: CoincidenceHistogram, *, tail_start_ns: float = TA
     level is the mean counts per raw bin over |tau| > tail_start_ns; a tail
     holding fewer than min_tail_counts coincidences in total is refused
     because the normalization error would dominate everything downstream.
+    An empty tail is refused whatever min_tail_counts is: its level is 0.
     """
     centers, folded, mult = _fold(hist)
     tail = centers > tail_start_ns
     if not np.any(tail):
         raise DataError("no-tail", f"histogram must extend beyond {tail_start_ns:g} ns for normalization")
     tail_total = int(folded[tail].sum())
-    if tail_total < min_tail_counts:
+    need = max(min_tail_counts, 1)
+    if tail_total < need:
         raise DataError("tail-underpopulated",
                         f"only {tail_total} counts at |tau| > {tail_start_ns:g} ns, "
-                        f"need >= {min_tail_counts}")
+                        f"need >= {need}")
     level = tail_total / float(mult[tail].sum())
     values = folded / (mult * level)
     grid = TauGrid(centers, unit="ns")
@@ -608,8 +610,12 @@ def _likelihood_mask(hist: CoincidenceHistogram, window_ns: float,
     single-exponential contrast model cannot represent.  Without the tail
     the multinomial likelihood is scale free and gamma develops a degenerate
     ridge at the window edge, so the anchor is what makes (A, gamma)
-    identifiable at finite counts.
+    identifiable at finite counts.  A window that reaches the tail would
+    exclude nothing: ParameterError "bad-window".
     """
+    if not window_ns < tail_start_ns:
+        raise ParameterError("bad-window", f"window_ns {window_ns:g} must be below "
+                             f"tail_start_ns {tail_start_ns:g}")
     at = np.abs(hist.tau_ns)
     return (at <= window_ns + 1e-9) | (at > tail_start_ns)
 
@@ -810,7 +816,8 @@ def mle_fit_g2(hist: CoincidenceHistogram, *, window_ns: float | None = None,
     to 30 ns for antibunched data and 15 ns when bunching is detected.
     The histogram is one row of _fit_window_counts (profile scan over the
     gamma band, then a bounded Newton polish).  Raises NumericalError
-    "fit-failed" when the fit has no finite minimum or |A| ends above 900.
+    "fit-failed" when the fit has no finite minimum or |A| ends above 900,
+    and ParameterError "bad-window" unless 0 < window_ns < tail_start_ns.
     """
     if window_ns is None:
         window_ns = _auto_window(hist, tail_start_ns)
@@ -842,7 +849,8 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
     above MAX_FAILED_SHARE (20 %), or fewer than two that did not fail,
     raise NumericalError "unstable-fit".  ParameterError "too-many-samples"
     is raised before drawing when the profile scan's work array, one float
-    per sample, scan point and bin, would not fit in the installed memory.
+    per sample, scan point and bin, would not fit in the installed memory,
+    and "bad-window" unless the fit's window ends before tail_start_ns.
     """
     if n_samples < 2:
         raise ParameterError("too-few-samples", "need at least 2 bootstrap samples")
@@ -880,7 +888,9 @@ def saturation_transmission(beta: float, od0: float, s0) -> np.ndarray:
     left side is strictly increasing in T so the root in (0, 1) is unique.
     With k = beta * s0, x = k T solves x + ln x = ln k + k - od0, so
     T = W(ln k + k - od0) / k with W the Wright omega function.  At weak
-    drive this reduces to T = exp(-od0).
+    drive this reduces to T = exp(-od0).  T rises with s0; rounding can
+    break that by an ulp between nearly equal powers, so each T is raised to
+    the largest T at a lower or equal power.
     """
     if not (math.isfinite(beta) and 0.0 < beta < 0.5):
         raise ParameterError("beta-out-of-range", f"beta must be in (0, 0.5), got {beta}")
@@ -889,7 +899,10 @@ def saturation_transmission(beta: float, od0: float, s0) -> np.ndarray:
     k = beta * np.atleast_1d(np.asarray(s0, dtype=float))
     if not np.all((k > 0) & np.isfinite(k)):
         raise ParameterError("power-not-positive", "drive powers must be finite and > 0")
-    return special.wrightomega(np.log(k) + k - od0) / k
+    t = special.wrightomega(np.log(k) + k - od0) / k
+    flat, order = t.reshape(-1), np.argsort(k, axis=None, kind="stable")
+    flat[order] = np.maximum.accumulate(flat[order])
+    return t
 
 
 def fit_beta_saturation(data: SaturationData, od0: float) -> SaturationFit:

@@ -369,8 +369,8 @@ def test_simulate_grid_too_large_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_oracle_too_large_exits_3(tmp_path, monkeypatch, capsys):
-    # N = 3 needs about 0.5 MB of solver arrays: refused against 64 KiB of
-    # memory before any generator is built
+    # N = 3 needs 128 * 7**4 bytes, about 0.31 MB, of solver arrays: refused
+    # against 64 KiB of memory before any generator is built
     from chiralchain import oracle
 
     def build(*args):
@@ -427,6 +427,34 @@ def test_analyze_data_errors(tmp_path, capsys):
         bad = tmp_path / f"hist{i}.csv"
         bad.write_text("tau_ns,counts\n" + rows + tail)
         assert run(tmp_path, "analyze", "--input", bad) == 4
+
+
+@pytest.mark.parametrize("flags", [("--tail-start-ns", 0), ("--window-ns", 250)],
+                         ids=["tail-at-zero", "window-past-tail"])
+def test_analyze_window_reaching_the_tail_exits_2(tmp_path, capsys, flags):
+    # a fit window that reaches the normalization tail would keep every bin,
+    # intermediate delays included: refused before fitting, no report written
+    hist = tmp_path / "h.csv"
+    assert run(tmp_path, "synth", "--od", 5.13, "--duration", 40, "--seed", 3,
+               "--output", hist) == 0
+    out = tmp_path / "fit.json"
+    assert run(tmp_path, "analyze", "--input", hist, *flags, "--output", out) == 2
+    assert "[bad-window]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_empty_tail_exits_4_at_min_tail_counts_0(tmp_path, capsys):
+    # a tail without coincidences has no uncorrelated level to divide by
+    hist = tmp_path / "h.csv"
+    hist.write_text("tau_ns,counts\n" + "".join(
+        f"{t:g},{100 if abs(t) <= 50 else 0}\n" for t in np.arange(-300, 301, 2.0)))
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(tmp_path, "analyze", "--input", hist, "--min-tail-counts", 0,
+                   "--output", out) == 4
+    assert "[tail-underpopulated]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_header_only_timetag_file(tmp_path, capsys):
@@ -499,9 +527,9 @@ def _digit_boundaries():
     return np.array([-(2**63), *(-t for t in reversed(pos) if t), *pos], dtype=np.int64)
 
 
-def test_timetag_writer_matches_csv_writer(tmp_path, monkeypatch):
+def _timetag_streams():
+    """Named streams that put the writer's cuts everywhere at its default block."""
     from chiralchain import cli, synth_timetags
-    from chiralchain.cli import read_timetags_csv, write_timetags_csv
     from chiralchain.photonstats import TimeTagStream
     curve = chain_g2(PhysicalParams(0.0081, 100), TauGrid.linear(12.0, 481))
     streams = {
@@ -529,7 +557,14 @@ def test_timetag_writer_matches_csv_writer(tmp_path, monkeypatch):
     streams["cut_ties_0"] = TimeTagStream(np.arange(150) // 3, np.arange(100) // 2)
     streams["cut_ties_1"] = TimeTagStream(np.arange(100) // 2, np.arange(150) // 3)
     assert streams["synth"].n_tags > 10**4
-    for name, stream in streams.items():
+    return streams
+
+
+def test_timetag_writer_matches_csv_writer(tmp_path, monkeypatch):
+    from chiralchain import cli
+    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    block = cli._TAG_BLOCK
+    for name, stream in _timetag_streams().items():
         new, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
         _csv_write_timetags(ref, stream)
         # blocks of 1, 2 and 7 tags per channel put cuts everywhere, also inside
@@ -561,6 +596,174 @@ def test_timetag_writer_memory_is_bounded(n_tags):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _short_digits(*channels):
+    """True when every timestamp has at most 18 digits, the block parser's limit."""
+    return all(np.all((t > -10**18) & (t < 10**18)) for t in channels)
+
+
+def test_timetag_reader_block_sizes(tmp_path, monkeypatch):
+    # blocks of a few bytes cut inside rows and between tied rows; the block
+    # parser takes every file of at most 18-digit timestamps, and the general
+    # reader the others
+    from chiralchain import cli
+    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    default = cli._READ_BLOCK
+    for name, stream in _timetag_streams().items():
+        path = tmp_path / f"{name}.csv"
+        write_timetags_csv(str(path), stream)
+        size = path.stat().st_size
+        # at most a thousand reads per file and block size
+        for nbytes in [n for n in (1, 2, 7, 64, 4099) if 1000 * n >= size] + [default]:
+            monkeypatch.setattr(cli, "_READ_BLOCK", nbytes)
+            fast = cli._read_writer_timetags(str(path))
+            assert (fast is not None) == _short_digits(stream.t0_ns, stream.t1_ns), name
+            back = read_timetags_csv(str(path))
+            assert np.array_equal(back.t0_ns, stream.t0_ns), (name, nbytes)
+            assert np.array_equal(back.t1_ns, stream.t1_ns), (name, nbytes)
+            if fast is not None:
+                assert fast[0].dtype == fast[1].dtype == np.int64
+                assert np.array_equal(fast[0], stream.t0_ns), (name, nbytes)
+                assert np.array_equal(fast[1], stream.t1_ns), (name, nbytes)
+
+
+@pytest.mark.parametrize("row, code", [
+    (b'1,"{t}"\r\n', None),
+    (b"\r\n", None),
+    (b"2,{t}\r\n", "bad-detector-id"),
+    (b"0,x\r\n", "malformed-value"),
+], ids=["quoted", "blank", "id-2", "x"])
+def test_timetag_reader_falls_back_after_writer_blocks(tmp_path, monkeypatch, row, code):
+    # one row off the writer's format after dozens of blocks in it: the whole
+    # file is read again by the general reader, with its stream or error code
+    from chiralchain import cli
+    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain.photonstats import TimeTagStream
+    rng = np.random.default_rng(7)
+    stream = TimeTagStream(np.sort(rng.integers(0, 10**9, 600)),
+                           np.sort(rng.integers(0, 10**9, 400)))
+    path = tmp_path / "tags.csv"
+    write_timetags_csv(str(path), stream)
+    lines = path.read_bytes().splitlines(keepends=True)
+    t = int(lines[800].split(b",")[1])  # the new row ties with the one before it
+    path.write_bytes(b"".join(lines[:801] + [row.replace(b"{t}", b"%d" % t)] + lines[801:]))
+    monkeypatch.setattr(cli, "_READ_BLOCK", 256)
+    assert cli._read_writer_timetags(str(path)) is None
+    if code is None:
+        back = read_timetags_csv(str(path))
+        t1 = np.sort(np.r_[stream.t1_ns, t]) if row.startswith(b"1") else stream.t1_ns
+        assert np.array_equal(back.t0_ns, stream.t0_ns)
+        assert np.array_equal(back.t1_ns, t1)
+    else:
+        with pytest.raises(DataError) as err:
+            read_timetags_csv(str(path))
+        assert err.value.code == code
+
+
+def test_timetag_reader_checks_order_across_blocks(tmp_path, monkeypatch):
+    # each channel is sorted and so is each block of four 8-byte rows, but the
+    # last row of the first block is later than the first row of the second
+    from chiralchain import cli
+    from chiralchain.cli import read_timetags_csv
+    path = tmp_path / "tags.csv"
+    path.write_bytes(b"detector_id,timestamp_ns\r\n0,1000\r\n0,1002\r\n1,1004\r\n0,1006\r\n"
+                     b"1,1005\r\n0,1007\r\n1,1008\r\n0,1009\r\n")
+    for nbytes in (32, cli._READ_BLOCK):
+        monkeypatch.setattr(cli, "_READ_BLOCK", nbytes)
+        with pytest.raises(DataError) as err:
+            read_timetags_csv(str(path))
+        assert err.value.code == "timestamps-not-sorted"
+
+
+@pytest.mark.parametrize("t0, t1", [
+    ([-(10**18 - 1), 0], [10**18 - 1]),  # 18 digits: the block parser
+    ([-(10**18)], [10**18]),  # 19 digits: the general reader
+    ([-(2**63), 5], [2**63 - 1]),
+])
+def test_timetag_reader_int64_extremes(tmp_path, t0, t1):
+    from chiralchain import cli
+    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain.photonstats import TimeTagStream
+    stream = TimeTagStream(np.array(t0, np.int64), np.array(t1, np.int64))
+    path = tmp_path / "tags.csv"
+    write_timetags_csv(str(path), stream)
+    fast = cli._read_writer_timetags(str(path))
+    assert (fast is not None) == _short_digits(stream.t0_ns, stream.t1_ns)
+    back = read_timetags_csv(str(path))
+    assert back.t0_ns.tolist() == t0 and back.t1_ns.tolist() == t1
+
+
+@pytest.mark.parametrize("cut", [2, 1], ids=["no-crlf", "no-lf"])
+def test_timetag_reader_without_final_line_end(tmp_path, cut):
+    from chiralchain import cli
+    from chiralchain.cli import read_timetags_csv
+    path = tmp_path / "tags.csv"
+    path.write_bytes(b"detector_id,timestamp_ns\r\n0,5\r\n1,7\r\n0,9\r\n"[:-cut])
+    assert cli._read_writer_timetags(str(path)) is None
+    back = read_timetags_csv(str(path))
+    assert back.t0_ns.tolist() == [5, 9] and back.t1_ns.tolist() == [7]
+
+
+def test_timetag_reader_leading_zeros(tmp_path):
+    # leading zeros and -0 parse as np.loadtxt parses them; rows that change
+    # width more often than sorted rows without them can go to _read_table
+    from chiralchain import cli
+    from chiralchain.cli import read_timetags_csv
+    path = tmp_path / "tags.csv"
+    path.write_bytes(b"detector_id,timestamp_ns\r\n1,-007\r\n0,-0\r\n0,007\r\n0,12\r\n")
+    fast = cli._read_writer_timetags(str(path))
+    assert fast[0].tolist() == [0, 7, 12] and fast[1].tolist() == [-7]
+    back = read_timetags_csv(str(path))
+    assert back.t0_ns.tolist() == [0, 7, 12] and back.t1_ns.tolist() == [-7]
+    ts = range(100, 100 + 2 * cli._MAX_RUNS)
+    path.write_bytes(b"detector_id,timestamp_ns\r\n"
+                     + b"".join(b"0,%0*d\r\n" % (3 + t % 2, t) for t in ts))
+    assert cli._read_writer_timetags(str(path)) is None
+    assert read_timetags_csv(str(path)).t0_ns.tolist() == list(ts)
+
+
+def test_timetag_reader_gives_up_on_a_long_line(tmp_path):
+    # CR-only rows after a writer header: one line of 8 MB, which the block
+    # parser leaves after its first block instead of gathering it whole
+    import tracemalloc
+    from chiralchain import cli
+    from chiralchain.cli import read_timetags_csv
+    path = tmp_path / "tags.csv"
+    n = 8 * 10**6 // 6
+    path.write_bytes(b"detector_id,timestamp_ns\r\n" + b"0,123\r" * n)
+    tracemalloc.start()
+    try:
+        assert cli._read_writer_timetags(str(path)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * cli._READ_BLOCK
+    back = read_timetags_csv(str(path))
+    assert back.t0_ns.size == n and back.t1_ns.size == 0
+
+
+@pytest.mark.parametrize("n_tags", [10**6, 4 * 10**6])
+def test_timetag_reader_memory_is_bounded(tmp_path, n_tags):
+    # the reader holds the channels it returns, their per-block pieces and one
+    # block's bytes, row offsets and digits: at most 16 B per tag (two int64
+    # copies) plus four 1 MiB blocks; one np.loadtxt of the file took 25 B per tag
+    import tracemalloc
+    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain.photonstats import TimeTagStream
+    rng = np.random.default_rng(1)
+    stream = TimeTagStream(np.sort(rng.integers(0, 4 * 10**10, n_tags // 2)),
+                           np.sort(rng.integers(0, 4 * 10**10, n_tags - n_tags // 2)))
+    path = tmp_path / "tags.csv"
+    write_timetags_csv(str(path), stream)
+    tracemalloc.start()
+    try:
+        back = read_timetags_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.t0_ns, stream.t0_ns) and np.array_equal(back.t1_ns, stream.t1_ns)
+    assert peak <= 16 * n_tags + 4 * 2**20
 
 
 def test_synth_timetags_write_fits_the_thinning_guard():
@@ -618,6 +821,7 @@ _TAGS_HEADER = "detector_id,timestamp_ns"
     ('"detector_id","timestamp_ns"\r\n"0","5"\r\n1,"7"\r\n', [5], [7]),  # quoted values
     (_TAGS_HEADER + "\r\n", [], []),  # header only
     (_TAGS_HEADER, [], []),  # header only, no line end
+    (_TAGS_HEADER + "\r0,5\r\n1,7\r\n", [5], [7]),  # lone-CR header, then CRLF rows
 ])
 def test_timetag_reader_edge_cases(tmp_path, body, t0, t1):
     from chiralchain.cli import read_timetags_csv

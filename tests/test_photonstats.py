@@ -534,6 +534,20 @@ def test_mle_window_override_and_errors():
     assert err.value.code == "empty-window"
 
 
+def test_fit_window_must_end_before_the_tail():
+    # a window reaching the tail would leave no delay out of the likelihood
+    curve = _exp_contrast_curve(0.5, 0.03)
+    h = synth_histogram(curve, 3e4, 3e4, 60.0, seed=9)
+    for window, tail in ((None, 0.0), (30.0, 30.0), (250.0, 200.0)):
+        with pytest.raises(ParameterError) as err:
+            mle_fit_g2(h, window_ns=window, tail_start_ns=tail)
+        assert err.value.code == "bad-window"
+    fit = mle_fit_g2(h)
+    with pytest.raises(ParameterError) as err:
+        bootstrap_error(fit, h, tail_start_ns=fit.window_ns)
+    assert err.value.code == "bad-window"
+
+
 def test_bootstrap_is_seeded_and_validates():
     curve = _exp_contrast_curve(0.4, 0.04)
     h = synth_histogram(curve, 3e4, 3e4, 60.0, seed=12)
@@ -730,6 +744,14 @@ def test_saturation_transmission_root_properties(beta, od0, s0):
     assert np.all(np.diff(t) >= 0)
     assert np.all((t > math.exp(-od0)) & (t <= 1.0))
     assert np.max(np.abs(np.log(t) + beta * s0 * (t - 1.0) + od0)) <= 1e-12
+
+
+def test_saturation_transmission_monotone_at_adjacent_powers():
+    # powers one ulp apart, in either order: Wright omega alone gave the
+    # higher power a transmission one ulp lower
+    s0 = np.array([0.001, np.nextafter(0.001, 1.0)])
+    assert np.diff(saturation_transmission(0.25, 1.0, s0))[0] >= 0
+    assert np.diff(saturation_transmission(0.25, 1.0, s0[::-1]))[0] <= 0
 
 
 def test_saturation_transmission_validation():
