@@ -59,7 +59,10 @@ def time_unit_ns(gamma_mhz: float) -> float:
     """Length of the natural time unit 1/Gamma in ns, for Gamma/2pi in MHz."""
     if not (math.isfinite(gamma_mhz) and gamma_mhz > 0):
         raise ParameterError("gamma-not-positive", f"gamma_mhz must be finite, > 0: {gamma_mhz}")
-    return 1e3 / (2.0 * math.pi * gamma_mhz)
+    unit = 1e3 / (2.0 * math.pi * gamma_mhz)
+    if not math.isfinite(unit):  # a subnormal gamma_mhz
+        raise ParameterError("gamma-not-positive", f"1/Gamma is not finite in ns at gamma_mhz = {gamma_mhz!r}")
+    return unit
 
 
 def _physical_memory_bytes() -> float:

@@ -67,6 +67,7 @@ OD_BIN_SEGMENTS = ((4.0, 0.1), (5.0, 0.25), (8.0, 0.5))
 # campaign defaults: run density e-folds per unit OD, loading saturation OD
 LOADING_GAIN = 1.7
 LOADING_MAX_OD = 9.5
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _scheme_edges() -> np.ndarray:
@@ -111,6 +112,14 @@ class OdBinSpec:
         if not self.loading_max_od >= OD_BIN_EDGES[-1]:
             raise ParameterError("bad-loading",
                                  "loading must reach at least the top of the bin scheme")
+        # _nominal_loadings sums at most n weights exp(loading_gain * od) * width,
+        # each with od <= loading_max_od + 1e-9 and width <= 0.5
+        n = self.n_bins + (self.loading_max_od - OD_BIN_EDGES[-1]) / 0.5 + 1.0
+        if not (math.log(0.5 * n) + self.loading_gain * (self.loading_max_od + 1e-9)
+                < _LOG_FLOAT_MAX):
+            raise ParameterError("bad-loading",
+                                 f"loading gain {self.loading_gain!r} overflows the run weights "
+                                 f"up to OD {self.loading_max_od!r}")
 
     @classmethod
     def default(cls, photon_budget: float = 1000.0, preparation_spread: float = 0.1,

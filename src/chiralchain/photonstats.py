@@ -76,14 +76,19 @@ PULSE_GATE_NS = (1000.0, 9000.0)
 DISCARD_PULSES = 20
 # a-tags per block of the pair search; a block's slices stay cache sized
 _PAIR_BLOCK = 2**16
+# tags per chunk of the in-place compaction and int64 cast in synth_timetags
+_TAG_CHUNK = 2**16
 _INT64 = np.iinfo(np.int64)
-# bytes the time-tag chain holds at its peak, with a margin, per drawn tag
-# (detector-0 tags plus detector-1 candidates) and per tag pair within the
-# curve support: tracemalloc of synth_timetags then histogram_timetags, with
-# and without pulse gating, reads at most 23.6 per tag (2-60 s, OD 3.15 and
-# 5.13, rates 3e4-3e5/s; 17.3 at 3e4/s from 20 s on) and 71 per pair beyond
-# that at 1e6-5e6/s (OD 3.15 and 6.75)
-_TAG_BYTES = 32
+# bytes the time-tag chain holds at its peak, with a margin: a fixed part for
+# the work arrays of the pair search, which dominates short runs, plus parts
+# per drawn tag (detector-0 tags plus detector-1 candidates) and per tag pair
+# within the curve support.  tracemalloc of synth_timetags then
+# histogram_timetags, with and without pulse gating, at OD 3.15 and 5.13 on
+# two pair-search threads reads 2.5 MB at 3e4/s for 2 s (21 per tag), a slope
+# of 9.3 per drawn tag at 3e4/s from 20 s on (9.4 at 40 s), and 76 per pair
+# beyond that at 1e6-2e6/s; each further thread adds up to about 1 MB
+_FIXED_BYTES = 3 * 2**20
+_TAG_BYTES = 10
 _PAIR_BYTES = 96
 
 
@@ -355,10 +360,21 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     CLIP_BIAS_BOUND (2 %), and before any draw when R >= 1, where the
     baseline vanishes.  Raises "thinning-overflow" before any draw when
     the synthesis and the histogram of its tags would not fit in the
-    installed memory: _TAG_BYTES per drawn tag, the rate1 * T detector-0
-    tags plus the rate2 * T * (1 - R + rate1 * int 2 env dtau) expected
-    candidates, and _PAIR_BYTES per expected pair of a candidate and a
-    detector-0 tag within S (none when R >= 1).
+    installed memory: _FIXED_BYTES, plus _TAG_BYTES per drawn tag, the
+    rate1 * T detector-0 tags plus the rate2 * T * (1 - R + rate1 * int 2
+    env dtau) expected candidates, plus _PAIR_BYTES per expected pair of a
+    candidate and a detector-0 tag within S (none when R >= 1).
+
+    Two full-length buffers hold the draws: the detector-0 times t0 and the
+    candidates tc, baseline first, then the window candidates.  The
+    baseline is drawn into tc as span * random(), which numpy's
+    uniform(0, span) computes as 0.0 + span * random() from the same draws,
+    so the two agree bit for bit.  The kept candidates move to the front of
+    tc, and each buffer is rounded to int64 in place; the stream's arrays
+    are int64 views of t0 and of the front of tc.  Besides a keep flag of
+    one byte per candidate, every other temporary is the size of one chunk
+    of _TAG_CHUNK tags, of the window candidates, or of the candidate-tag
+    pairs.
     """
     if not all(math.isfinite(x) and x > 0 for x in (rate1, rate2, duration_s)):
         raise ParameterError("rates-not-positive", "rates and duration must be finite and > 0")
@@ -378,7 +394,7 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     # its owner; R >= 1 is refused below, before any pair is formed
     n_pairs = (rate1 * 1e-9 * (n_expected * 2.0 * support_ns + rate2 * duration_s * env_ns)
                if level > 0.0 else 0.0)
-    need = _TAG_BYTES * (rate1 * duration_s + n_expected) + _PAIR_BYTES * n_pairs
+    need = _FIXED_BYTES + _TAG_BYTES * (rate1 * duration_s + n_expected) + _PAIR_BYTES * n_pairs
     if not (math.isfinite(need) and need <= _physical_memory_bytes()):
         raise NumericalError(
             "thinning-overflow",
@@ -407,7 +423,12 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     extra = t0[rng.integers(0, t0.size, n_extra)] + np.copysign(delay, u)
     extra = extra[(extra >= 0.0) & (extra < span_ns)]
 
-    tc = np.concatenate([rng.uniform(0.0, span_ns, rng.poisson(rate2 * duration_s * level)), extra])
+    # the baseline candidates, then the window ones, in one buffer
+    n_base = rng.poisson(rate2 * duration_s * level)
+    tc = np.empty(n_base + extra.size)
+    rng.random(out=tc[:n_base])
+    tc[:n_base] *= span_ns
+    tc[n_base:] = extra
     tc.sort()
 
     i, j = _pairs_within(t0, tc, support_ns)
@@ -432,10 +453,24 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
             "lower the rates",
         )
 
-    t1 = tc[keep]
-    del tc, keep  # freed before the int64 copies are made
-    return TimeTagStream(np.round(t0, out=t0).astype(np.int64),
-                         np.round(t1, out=t1).astype(np.int64))
+    # the pair arrays go before the stream's order check allocates; the kept
+    # candidates move to the front of tc, which then holds t1
+    del i, j, d, cell, near, inv, lam, lam_cand, clipped
+    n1 = 0
+    for lo in range(0, tc.size, _TAG_CHUNK):
+        kept = tc[lo:lo + _TAG_CHUNK][keep[lo:lo + _TAG_CHUNK]]
+        tc[n1:n1 + kept.size] = kept
+        n1 += kept.size
+    del keep
+    return TimeTagStream(_round_to_int64(t0), _round_to_int64(tc[:n1]))
+
+
+def _round_to_int64(x: np.ndarray) -> np.ndarray:
+    """The float tags x rounded to int64, written over x chunk by chunk."""
+    out = x.view(np.int64)
+    for lo in range(0, x.size, _TAG_CHUNK):
+        out[lo:lo + _TAG_CHUNK] = np.round(x[lo:lo + _TAG_CHUNK])
+    return out
 
 
 def _worker_count() -> int:

@@ -108,13 +108,21 @@ def transmission_coefficient(beta: float, detuning: float = 0.0) -> complex:
 
 
 def od_per_atom(beta: float) -> float:
-    """Resonant optical depth contributed by one emitter, -2 ln(1 - 2 beta)."""
+    """Resonant optical depth contributed by one emitter, -2 ln(1 - 2 beta).
+
+    Raises "beta-out-of-range" outside 0 < beta < 0.5 and where the OD is
+    not positive in float64 (beta below about 3e-17, where 1 - 2 beta
+    rounds to 1), since an atom number from an OD divides by it.
+    """
     if not 0.0 < beta < 0.5:
         raise ParameterError(
             "beta-out-of-range",
             f"od_per_atom needs 0 < beta < 0.5 (|t(0)| > 0), got {beta}",
         )
-    return -2.0 * math.log(1.0 - 2.0 * beta)
+    od = -2.0 * math.log(1.0 - 2.0 * beta)
+    if not od > 0.0:
+        raise ParameterError("beta-out-of-range", f"beta = {beta!r} gives no optical depth per atom")
+    return od
 
 
 def _steady_pairs(beta: float, detuning: float, n: int, lengths=()):

@@ -186,6 +186,11 @@ def test_sweep_rejects_bad_grid(tmp_path):
     (["oracle", "--n-atoms", 2, "--n-points", 10**12], "bad-n-points"),
     (["simulate", "--od", 3.0, "--n-points", -5], "grid-too-small"),
     (["analyze", "--input", "HIST", "--n-bootstrap", 10**12], "too-many-samples"),
+    # finite values that make no usable quantity: no OD per atom, an infinite
+    # 1/Gamma in ns, run weights that overflow
+    (["sweep", "--beta", 5e-324], "beta-out-of-range"),
+    (["simulate", "--od", 3.0, "--gamma-mhz", 5e-324], "gamma-not-positive"),
+    (["sweep", "--loading-gain", 1000], "bad-loading"),
 ])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, args, code):
     hist = tmp_path / "hist.csv"
@@ -766,11 +771,12 @@ def test_timetag_reader_memory_is_bounded(tmp_path, n_tags):
     assert peak <= 16 * n_tags + 4 * 2**20
 
 
-def test_synth_timetags_write_fits_the_thinning_guard():
+def test_synth_timetags_write_fits_the_thinning_guard(monkeypatch):
     # the CLI synth path, synthesis then the CSV write, peaks within the
-    # _TAG_BYTES per tag that the thinning-overflow guard charges
+    # bytes that the thinning-overflow guard charges: with that peak as the
+    # installed memory, the guard refuses the run
     import tracemalloc
-    from chiralchain import od_to_atoms, photonstats, synth_timetags
+    from chiralchain import NumericalError, od_to_atoms, photonstats, synth_timetags
     from chiralchain.cli import write_timetags_csv
     n = int(round(od_to_atoms(5.13, 0.0081)))
     curve = chain_g2(PhysicalParams(0.0081, n), TauGrid.linear(12.0, 481))
@@ -781,7 +787,10 @@ def test_synth_timetags_write_fits_the_thinning_guard():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= photonstats._TAG_BYTES * stream.n_tags
+    monkeypatch.setattr(photonstats, "_physical_memory_bytes", lambda: float(peak))
+    with pytest.raises(NumericalError) as err:
+        synth_timetags(curve, 3e4, 3e4, 40.0, seed=1)
+    assert err.value.code == "thinning-overflow"
 
 
 _BOUNDARIES = _digit_boundaries().tolist()

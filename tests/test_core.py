@@ -22,6 +22,8 @@ def test_time_unit_ns():
         time_unit_ns(0.0)
     with pytest.raises(ParameterError):
         time_unit_ns(-3.0)
+    with pytest.raises(ParameterError):  # 1/Gamma of a subnormal gamma overflows
+        time_unit_ns(5e-324)
 
 
 def test_validate_params_accepts_and_returns():

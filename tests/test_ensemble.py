@@ -28,7 +28,7 @@ from chiralchain import (
     sweep_g2_vs_od,
     synth_histogram,
 )
-from chiralchain.ensemble import OD_BIN_EDGES
+from chiralchain.ensemble import OD_BIN_EDGES, _nominal_loadings
 
 BETA = 0.0081
 
@@ -78,6 +78,13 @@ def test_bin_spec_validation():
     with pytest.raises(ParameterError) as err:
         OdBinSpec(photon_budget=0.0)
     assert err.value.code == "bad-photon-budget"
+    # a gain whose run weights exp(gain * OD) overflow is refused; one just
+    # inside the bound keeps every weight finite
+    with pytest.raises(ParameterError) as err:
+        OdBinSpec(loading_gain=1000.0)
+    assert err.value.code == "bad-loading"
+    _, weights = _nominal_loadings(OdBinSpec(loading_gain=74.0))
+    assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
 
 
 def test_number_distribution_mean():

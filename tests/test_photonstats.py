@@ -290,11 +290,12 @@ def test_timetags_do_not_depend_on_worker_count(monkeypatch):
             assert np.array_equal(histogram_timetags(stream, pulse_period_ns=period).counts, counts)
 
 
-@pytest.mark.parametrize("rate, duration_s", [(3e4, 2.0), (2e6, 0.2)])
+@pytest.mark.parametrize("rate, duration_s", [(3e4, 2.0), (2e6, 0.2), (3e4, 40.0)])
 def test_thinning_guard_matches_measured_peak(monkeypatch, rate, duration_s):
     # the guard's byte count lies between the traced peak of synthesis plus
-    # histogramming and twice that peak: tag arrays dominate at 3e4/s, the
-    # pairs within the curve support at 2e6/s
+    # histogramming and twice that peak: the pair search's work arrays
+    # dominate at 3e4/s for 2 s, the pairs within the curve support at 2e6/s
+    # and the tag arrays at 3e4/s for 40 s
     curve = _chain_curve(5.13)
     tracemalloc.start()
     try:
@@ -311,6 +312,25 @@ def test_thinning_guard_matches_measured_peak(monkeypatch, rate, duration_s):
     with pytest.raises(NumericalError) as err:
         synth_timetags(curve, rate, rate, duration_s, seed=1)
     assert err.value.code == "thinning-overflow"
+
+
+def test_synth_and_histogram_peak_near_the_stream(monkeypatch):
+    # the draws live in two full-length buffers that become the stream's
+    # arrays, so synthesis plus histogramming peaks near the stream's 8 B per
+    # tag (about 1.19 times it; 2.15 times with a copy per step).  Each
+    # pair-search thread holds about 1 MB of block arrays, so the bound is
+    # taken on two threads, whatever the machine
+    monkeypatch.setattr(photonstats, "_worker_count", lambda: 2)
+    curve = _chain_curve(5.13)
+    tracemalloc.start()
+    try:
+        stream = synth_timetags(curve, 3e4, 3e4, 40.0, seed=1)
+        histogram_timetags(stream)
+        histogram_timetags(stream, pulse_period_ns=10_000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 8 * stream.n_tags
 
 
 def test_histogram_timetags_places_pairs():

@@ -44,6 +44,8 @@ def test_od_per_atom_matches_transmission():
         assert math.exp(-od_per_atom(beta)) == pytest.approx(t, rel=1e-12)
     with pytest.raises(ParameterError):
         od_per_atom(0.5)
+    with pytest.raises(ParameterError):  # 1 - 2 beta rounds to 1: no OD per atom
+        od_per_atom(5e-324)
 
 
 @pytest.mark.parametrize("beta,delta,n", [
