@@ -223,7 +223,8 @@ def read_histogram_csv(path: str) -> ps.CoincidenceHistogram:
 
 
 _TAGS_HEADER = b"detector_id,timestamp_ns\r\n"
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # a magnitude >= 10**k has > k digits
+# sorted int64 timestamps between two of these cuts share a sign and a digit count
+_DIGIT_CUTS = np.array([1 - 10**k for k in range(18, -1, -1)] + [10**k for k in range(1, 19)])
 _TAG_BLOCK = 2**15  # tags of each channel between cuts; a block is about 1 MiB of text
 _READ_BLOCK = 2**20  # bytes of a time-tag file read at a time
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63: a column sum of 18 digits cannot overflow int64
@@ -235,19 +236,22 @@ _MAX_ROW = _MAX_DIGITS + 5  # bytes of the longest row read block-wise, "1,-" di
 _MAX_RUNS = 2 * _MAX_DIGITS
 
 
-def _tag_rows(ids: np.ndarray, mag: np.ndarray, ndig: int, neg: bool) -> np.ndarray:
-    """Rows "id,[-]digits" plus CRLF, all of one width, as one uint8 matrix."""
+def _tag_rows(ids: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Rows "id,[-]digits" CRLF, one uint8 matrix, of timestamps of one sign and digit count."""
+    neg = int(ts[0] < 0)
+    ndig = len(str(abs(int(ts[0]))))
     width = 2 + neg + ndig + 2
     rows = np.empty((ids.size, width), dtype=np.uint8)
     rows[:, 0] = ids + ord("0")
     rows[:, 1] = ord(",")
-    if neg:
+    mag = ts.astype(np.uint64)
+    if neg:  # the uint64 negative is the magnitude, also of -2**63
         rows[:, 2] = ord("-")
+        np.negative(mag, out=mag)
     for col in range(width - 3, width - 3 - ndig, -1):
-        mag, digit = np.divmod(mag, 10)
-        rows[:, col] = digit + ord("0")
-    rows[:, -2] = ord("\r")
-    rows[:, -1] = ord("\n")
+        np.divmod(mag, 10, out=(mag, rows[:, col]))
+    rows[:, 2 + neg:width - 2] += ord("0")
+    rows[:, -2:] = (ord("\r"), ord("\n"))
     return rows
 
 
@@ -263,8 +267,8 @@ def write_timetags_csv(path: str, stream: ps.TimeTagStream):
     searchsorted of v: detector-1 tags equal to v go after a cut at a
     detector-0 tag (side "left"), detector-0 tags equal to v before a cut
     at a detector-1 tag (side "right").  Within a block the tags are merged
-    stably, and rows of one sign and digit count, which are contiguous, are
-    formatted and written as one uint8 matrix.
+    stably, and the rows between two _DIGIT_CUTS are formatted and written
+    as one uint8 matrix, with work arrays of a few bytes per row.
     """
     t0, t1 = stream.t0_ns, stream.t1_ns
     i0 = i1 = 0
@@ -278,15 +282,13 @@ def write_timetags_csv(path: str, stream: ps.TimeTagStream):
                 e0 = int(t0.searchsorted(t1[e1], side="right"))
             ts = np.concatenate([t0[i0:e0], t1[i1:e1]])
             order = np.argsort(ts, kind="stable")
-            ts = ts[order]
             ids = (order >= e0 - i0).astype(np.uint8)
+            ts = ts[order]
+            del order
             i0, i1 = e0, e1
-            neg = ts < 0
-            mag = np.abs(ts).astype(np.uint64)  # -2**63 wraps to its magnitude
-            ndig = np.searchsorted(_POW10, mag, side="right") + 1
-            starts = np.flatnonzero(np.diff(np.where(neg, -ndig, ndig), prepend=0))
-            for a, b in zip(starts, np.append(starts[1:], ids.size)):
-                fh.write(_tag_rows(ids[a:b], mag[a:b], int(ndig[a]), bool(neg[a])))
+            cuts = np.unique(np.r_[0, ts.searchsorted(_DIGIT_CUTS), ts.size]).tolist()
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                fh.write(_tag_rows(ids[a:b], ts[a:b]))
 
 
 def _writer_rows(rows: np.ndarray):
@@ -415,6 +417,8 @@ _SPREAD = [
 
 
 def _grid_from(values) -> TauGrid:
+    if not math.isfinite(values["tau_max"] * time_unit_ns(values["gamma_mhz"])):
+        raise ParameterError("grid-not-finite", f"tau_max {values['tau_max']!r} is not finite in ns")
     return TauGrid.linear(values["tau_max"], values["n_points"])
 
 
@@ -603,8 +607,7 @@ def cmd_synth(values, prov) -> int:
 
 
 _ANALYZE = [
-    _Param("input", str, None, "input CSV (histogram or time tags)"),
-    _Param("format", str, "auto", "input format: histogram, timetags or auto"),
+    _Param("input", str, None, "input CSV (histogram or time tags, told apart by the header)"),
     _Param("gamma_mhz", float, ps.DEFAULT_GAMMA_MHZ, "natural linewidth Gamma/2pi in MHz"),
     _Param("bin_width_ns", float, ps.DEFAULT_BIN_NS, "histogram bin width for time tags, ns"),
     _Param("tau_max_ns", float, ps.DEFAULT_TAU_MAX_NS, "histogram half range for time tags, ns"),
@@ -621,39 +624,27 @@ _ANALYZE = [
 ]
 
 
-def _sniff_format(path: str) -> str:
-    with open(path, newline="") as fh:
+def cmd_analyze(values, prov) -> int:
+    source = values["input"]
+    if source is None:
+        raise ParameterError("no-input", "analyze needs --input")
+    with open(source, newline="") as fh:  # the header alone picks the reader
         header = next(csv.reader(fh), [])
     head = [h.strip() for h in header[:2]]
-    if head == ["tau_ns", "counts"]:
-        return "histogram"
     if head == ["detector_id", "timestamp_ns"]:
-        return "timetags"
-    raise DataError("unknown-format", f"{path}: unrecognized header {header!r}")
-
-
-def cmd_analyze(values, prov) -> int:
-    if values["input"] is None:
-        raise ParameterError("no-input", "analyze needs --input")
-    fmt = values["format"]
-    if fmt == "auto":
-        fmt = _sniff_format(values["input"])
-    if fmt == "timetags":
-        hist = ps.histogram_timetags(read_timetags_csv(values["input"]),
-                                     bin_width_ns=values["bin_width_ns"],
+        hist = ps.histogram_timetags(read_timetags_csv(source), bin_width_ns=values["bin_width_ns"],
                                      tau_max_ns=values["tau_max_ns"],
                                      pulse_period_ns=values["pulse_period_ns"])
-    elif fmt == "histogram":
-        hist = read_histogram_csv(values["input"])
+    elif head == ["tau_ns", "counts"]:
+        hist = read_histogram_csv(source)
     else:
-        raise ParameterError("bad-format", f"format must be histogram, timetags or auto, got {fmt!r}")
+        raise DataError("unknown-format", f"{source}: unrecognized header {header!r}")
 
     curve = ps.normalize_histogram(hist, tail_start_ns=values["tail_start_ns"],
                                    min_tail_counts=values["min_tail_counts"])
     fit = ps.mle_fit_g2(hist, window_ns=values["window_ns"],
                         tail_start_ns=values["tail_start_ns"])
-    fit = ps.bootstrap_error(fit, hist, n_samples=values["n_bootstrap"],
-                             seed=values["seed"], tail_start_ns=values["tail_start_ns"])
+    fit = ps.bootstrap_error(fit, hist, n_samples=values["n_bootstrap"], seed=values["seed"])
     if values["curve_output"] is not None:
         write_curve_csv(values["curve_output"], curve, values["gamma_mhz"])
         _sidecar(values["curve_output"], "analyze", values, prov)

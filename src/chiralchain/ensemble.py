@@ -44,7 +44,7 @@ from .core import (
     PhysicalParams,
     TauGrid,
 )
-from .transport import chain_g2_by_length, chain_g2_zero_by_length, od_per_atom
+from .transport import TRANSMISSION_FLOOR, chain_g2_by_length, chain_g2_zero_by_length, od_per_atom
 
 __all__ = [
     "OD_BIN_EDGES",
@@ -67,6 +67,8 @@ OD_BIN_SEGMENTS = ((4.0, 0.1), (5.0, 0.25), (8.0, 0.5))
 # campaign defaults: run density e-folds per unit OD, loading saturation OD
 LOADING_GAIN = 1.7
 LOADING_MAX_OD = 9.5
+# deeper runs transmit below TRANSMISSION_FLOOR, where chain_g2 refuses g2
+_LOADING_OD_LIMIT = -math.log(TRANSMISSION_FLOOR)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -92,7 +94,7 @@ class OdBinSpec:
     ``preparation_spread`` is the relative width of the atom number about
     each nominal loading, in [0, 1].  The run density grows like
     exp(loading_gain * OD) up to the saturation OD ``loading_max_od``,
-    which must reach the top of the scheme.
+    which must lie between the top of the scheme and _LOADING_OD_LIMIT.
     """
 
     photon_budget: float = 1000.0
@@ -109,9 +111,9 @@ class OdBinSpec:
                                  f"got {self.preparation_spread}")
         if not (np.isfinite(self.loading_gain) and self.loading_gain >= 0.0):
             raise ParameterError("bad-loading", "loading gain must be finite and >= 0")
-        if not self.loading_max_od >= OD_BIN_EDGES[-1]:
-            raise ParameterError("bad-loading",
-                                 "loading must reach at least the top of the bin scheme")
+        if not OD_BIN_EDGES[-1] <= self.loading_max_od <= _LOADING_OD_LIMIT:
+            raise ParameterError("bad-loading", f"loading must reach the top of the bin scheme, "
+                                 f"{OD_BIN_EDGES[-1]:g}, and stay within OD {_LOADING_OD_LIMIT:.4g}")
         # _nominal_loadings sums at most n weights exp(loading_gain * od) * width,
         # each with od <= loading_max_od + 1e-9 and width <= 0.5
         n = self.n_bins + (self.loading_max_od - OD_BIN_EDGES[-1]) / 0.5 + 1.0
@@ -307,7 +309,7 @@ def averaged_g2(dist: NumberDistribution, params: PhysicalParams,
     g2_avg = sum_N w_N r_N^2 g2_N / sum_N w_N r_N^2.  The atom number in
     ``params`` is ignored; the distribution supplies N.
     """
-    curves = chain_g2_by_length(params, dist.support, grid)
+    curves = chain_g2_by_length(params.beta, dist.support, grid, params.detuning)
     values = _rate_weighted_mean(dist, params.beta, np.array([c.values for c in curves]))
     trans = 0.0
     for w, curve in zip(dist.weights, curves):

@@ -79,15 +79,17 @@ _PAIR_BLOCK = 2**16
 # tags per chunk of the in-place compaction and int64 cast in synth_timetags
 _TAG_CHUNK = 2**16
 _INT64 = np.iinfo(np.int64)
-# bytes the time-tag chain holds at its peak, with a margin: a fixed part for
-# the work arrays of the pair search, which dominates short runs, plus parts
-# per drawn tag (detector-0 tags plus detector-1 candidates) and per tag pair
-# within the curve support.  tracemalloc of synth_timetags then
-# histogram_timetags, with and without pulse gating, at OD 3.15 and 5.13 on
-# two pair-search threads reads 2.5 MB at 3e4/s for 2 s (21 per tag), a slope
-# of 9.3 per drawn tag at 3e4/s from 20 s on (9.4 at 40 s), and 76 per pair
-# beyond that at 1e6-2e6/s; each further thread adds up to about 1 MB
-_FIXED_BYTES = 3 * 2**20
+# bytes the time-tag chain holds at its peak, with a margin: a fixed part, a
+# part per pair-search thread for its block's work arrays (they dominate short
+# runs and may all be alive at once; one, with the fixed part, also covers
+# the CLI writer's block buffers), and parts per drawn tag (detector-0 tags
+# plus detector-1 candidates) and per tag pair within the curve support.
+# tracemalloc of synth_timetags then histogram_timetags, with and without
+# gating, at OD 3.15 and 5.13 reads 2.5 MB at 3e4/s for 2 s on one thread,
+# 1.7 MB per block, 9.3 per drawn tag at 3e4/s from 20 s on (9.4 at 40 s)
+# and 76 per pair beyond that at 1e6-2e6/s
+_FIXED_BYTES = 2**20
+_THREAD_BYTES = 2 * 2**20
 _TAG_BYTES = 10
 _PAIR_BYTES = 96
 
@@ -183,6 +185,7 @@ class TimeTagStream:
 class FitResult:
     """Exponential-contrast fit g2(tau) = 1 - A exp(-gamma_fit |tau|).
 
+    The fit region is |tau| <= window_ns plus |tau| > tail_start_ns.
     g2_zero = 1 - A is reported unclamped; values outside [0, 9] flag a
     problem with the data rather than being silently truncated.
     gamma_at_edge is true when gamma_fit stopped on an edge of
@@ -195,6 +198,7 @@ class FitResult:
     amplitude: float
     gamma_fit: float
     window_ns: float
+    tail_start_ns: float = TAIL_START_NS
     a_err: float | None = None
     n_bootstrap: int = 0
     seed: int | None = None
@@ -360,10 +364,11 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     CLIP_BIAS_BOUND (2 %), and before any draw when R >= 1, where the
     baseline vanishes.  Raises "thinning-overflow" before any draw when
     the synthesis and the histogram of its tags would not fit in the
-    installed memory: _FIXED_BYTES, plus _TAG_BYTES per drawn tag, the
-    rate1 * T detector-0 tags plus the rate2 * T * (1 - R + rate1 * int 2
-    env dtau) expected candidates, plus _PAIR_BYTES per expected pair of a
-    candidate and a detector-0 tag within S (none when R >= 1).
+    installed memory: _FIXED_BYTES, _THREAD_BYTES per pair-search thread
+    (per block of detector-0 tags, at most one per CPU), _TAG_BYTES per
+    drawn tag, the rate1 * T detector-0 tags plus the rate2 * T * (1 - R +
+    rate1 * int 2 env dtau) expected candidates, and _PAIR_BYTES per
+    expected pair of a candidate and a detector-0 tag within S (none when R >= 1).
 
     Two full-length buffers hold the draws: the detector-0 times t0 and the
     candidates tc, baseline first, then the window candidates.  The
@@ -394,7 +399,9 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     # its owner; R >= 1 is refused below, before any pair is formed
     n_pairs = (rate1 * 1e-9 * (n_expected * 2.0 * support_ns + rate2 * duration_s * env_ns)
                if level > 0.0 else 0.0)
-    need = _FIXED_BYTES + _TAG_BYTES * (rate1 * duration_s + n_expected) + _PAIR_BYTES * n_pairs
+    threads = min(_worker_count(), np.ceil(rate1 * duration_s / _PAIR_BLOCK))
+    need = (_FIXED_BYTES + _THREAD_BYTES * threads
+            + _TAG_BYTES * (rate1 * duration_s + n_expected) + _PAIR_BYTES * n_pairs)
     if not (math.isfinite(need) and need <= _physical_memory_bytes()):
         raise NumericalError(
             "thinning-overflow",
@@ -868,11 +875,11 @@ def mle_fit_g2(hist: CoincidenceHistogram, *, window_ns: float | None = None,
     a, gamma, _ = _fit_window_counts(tau, cts[None, :])
     if not np.isfinite(a[0]):
         raise NumericalError("fit-failed", "contrast fit found no finite minimum")
-    return FitResult(amplitude=float(a[0]), gamma_fit=float(gamma[0]), window_ns=float(window_ns))
+    return FitResult(float(a[0]), float(gamma[0]), float(window_ns), float(tail_start_ns))
 
 
 def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: int = 50,
-                    seed: int = 0, tail_start_ns: float = TAIL_START_NS) -> FitResult:
+                    seed: int = 0) -> FitResult:
     """Bootstrap standard error of the fitted contrast.
 
     n_samples synthetic datasets are drawn at once from the fitted model over
@@ -885,11 +892,11 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
     raise NumericalError "unstable-fit".  ParameterError "too-many-samples"
     is raised before drawing when the profile scan's work array, one float
     per sample, scan point and bin, would not fit in the installed memory,
-    and "bad-window" unless the fit's window ends before tail_start_ns.
+    and "bad-window" unless the fit's window ends before its tail_start_ns.
     """
     if n_samples < 2:
         raise ParameterError("too-few-samples", "need at least 2 bootstrap samples")
-    mask = _likelihood_mask(hist, fit.window_ns, tail_start_ns)
+    mask = _likelihood_mask(hist, fit.window_ns, fit.tail_start_ns)
     tau = hist.tau_ns[mask]
     scan_bytes = 8.0 * n_samples * _LOG_GAMMA_SCAN.size * tau.size
     if not scan_bytes <= _physical_memory_bytes():

@@ -298,19 +298,19 @@ def _two_photon_amplitudes(beta: float, detuning: float, ns: list[int],
     return psi
 
 
-def chain_g2_by_length(params: PhysicalParams, ns, grid: TauGrid) -> list[G2Curve]:
+def chain_g2_by_length(beta: float, ns, grid: TauGrid, detuning: float = 0.0) -> list[G2Curve]:
     """chain_g2 for each of the ascending chain lengths ns, from one propagator table.
 
-    The atom number in ``params`` is ignored; each curve carries its own.
     Raises "vanishing-transmission" when the longest chain is below the
     transmission floor.
     """
+    PhysicalParams(beta=beta, n_atoms=0, detuning=detuning)  # checks beta and detuning
     _check_grid(grid)
     ns = _lengths(ns)
-    psi = _two_photon_amplitudes(params.beta, params.detuning, ns, grid.values)
+    psi = _two_photon_amplitudes(beta, detuning, ns, grid.values)
     curves = []
     for n, row in zip(ns, psi):
-        trans = _power_transmission(params.beta, params.detuning, n)
+        trans = _power_transmission(beta, detuning, n)
         curves.append(G2Curve(grid, np.abs(row) ** 2 / trans**2, transmission=trans))
     return curves
 
@@ -321,7 +321,7 @@ def chain_g2(params: PhysicalParams, grid: TauGrid) -> G2Curve:
     N = 0 gives exactly 1 (the bare coherent state).  Raises
     "vanishing-transmission" when |t|^2N drops below TRANSMISSION_FLOOR.
     """
-    return chain_g2_by_length(params, [params.n_atoms], grid)[0]
+    return chain_g2_by_length(params.beta, [params.n_atoms], grid, params.detuning)[0]
 
 
 def chain_g2_zero_by_length(beta: float, ns, detuning: float = 0.0) -> np.ndarray:

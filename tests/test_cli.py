@@ -191,6 +191,8 @@ def test_sweep_rejects_bad_grid(tmp_path):
     (["sweep", "--beta", 5e-324], "beta-out-of-range"),
     (["simulate", "--od", 3.0, "--gamma-mhz", 5e-324], "gamma-not-positive"),
     (["sweep", "--loading-gain", 1000], "bad-loading"),
+    # a largest delay that is finite in units of 1/Gamma but not in ns
+    (["simulate", "--n-atoms", 1, "--tau-max", 1e308, "--n-points", 3], "grid-not-finite"),
 ])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, args, code):
     hist = tmp_path / "hist.csv"
@@ -299,7 +301,7 @@ def test_analyze_auto_format_reads_quoted_header(tmp_path):
     body = tags.read_text().split("\n", 1)[1]
     quoted.write_text('"detector_id","timestamp_ns"\n' + body)
     for src in (tags, quoted):
-        assert run(tmp_path, "analyze", "--format", "auto", "--input", src,
+        assert run(tmp_path, "analyze", "--input", src,
                    "--output", src.with_suffix(".json")) == 0
     assert quoted.with_suffix(".json").read_text() == tags.with_suffix(".json").read_text()
 
@@ -774,23 +776,27 @@ def test_timetag_reader_memory_is_bounded(tmp_path, n_tags):
 def test_synth_timetags_write_fits_the_thinning_guard(monkeypatch):
     # the CLI synth path, synthesis then the CSV write, peaks within the
     # bytes that the thinning-overflow guard charges: with that peak as the
-    # installed memory, the guard refuses the run
+    # installed memory, the guard refuses the run.  On short runs the
+    # writer's block buffers outweigh the tags
     import tracemalloc
     from chiralchain import NumericalError, od_to_atoms, photonstats, synth_timetags
     from chiralchain.cli import write_timetags_csv
     n = int(round(od_to_atoms(5.13, 0.0081)))
     curve = chain_g2(PhysicalParams(0.0081, n), TauGrid.linear(12.0, 481))
-    tracemalloc.start()
-    try:
-        stream = synth_timetags(curve, 3e4, 3e4, 40.0, seed=1)
-        write_timetags_csv(os.devnull, stream)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(photonstats, "_physical_memory_bytes", lambda: float(peak))
-    with pytest.raises(NumericalError) as err:
-        synth_timetags(curve, 3e4, 3e4, 40.0, seed=1)
-    assert err.value.code == "thinning-overflow"
+    for duration in (2.0, 5.0, 10.0, 40.0):
+        tracemalloc.start()
+        try:
+            stream = synth_timetags(curve, 3e4, 3e4, duration, seed=1)
+            write_timetags_csv(os.devnull, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del stream
+        with monkeypatch.context() as m:
+            m.setattr(photonstats, "_physical_memory_bytes", lambda: float(peak))
+            with pytest.raises(NumericalError) as err:
+                synth_timetags(curve, 3e4, 3e4, duration, seed=1)
+        assert err.value.code == "thinning-overflow", duration
 
 
 _BOUNDARIES = _digit_boundaries().tolist()

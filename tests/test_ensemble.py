@@ -1,5 +1,7 @@
 """OD binning campaign model: priors, shot-noise assignment, averaged curves."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from chiralchain import (
     synth_histogram,
 )
 from chiralchain.ensemble import OD_BIN_EDGES, _nominal_loadings
+from chiralchain.transport import TRANSMISSION_FLOOR
 
 BETA = 0.0081
 
@@ -85,6 +88,13 @@ def test_bin_spec_validation():
     assert err.value.code == "bad-loading"
     _, weights = _nominal_loadings(OdBinSpec(loading_gain=74.0))
     assert np.all(np.isfinite(weights)) and weights.sum() == pytest.approx(1.0)
+    # at gain 0 no weight overflows, yet a loading past the transmission
+    # floor is refused before its loadings are listed; the limit is accepted
+    with pytest.raises(ParameterError) as err:
+        OdBinSpec(loading_gain=0.0, loading_max_od=1e9)
+    assert err.value.code == "bad-loading"
+    deepest = OdBinSpec(loading_gain=0.0, loading_max_od=-math.log(TRANSMISSION_FLOOR))
+    assert _nominal_loadings(deepest)[0][-1] <= 27.63
 
 
 def test_number_distribution_mean():
@@ -255,7 +265,7 @@ def test_pooled_run_histograms_match_averaged_g2(od):
     dist = build_number_distribution(bins, bins.bin_index(od), BETA)
     params = PhysicalParams(BETA, int(dist.support[0]))
     grid = TauGrid.linear(12.0, 481)
-    curves = chain_g2_by_length(params, dist.support, grid)
+    curves = chain_g2_by_length(BETA, dist.support, grid)
     trans = np.array([c.transmission for c in curves])
     # pooled uncorrelated level: `level` coincidences per 2 ns bin
     level, rates = 1e5, 1e6 * trans

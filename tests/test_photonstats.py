@@ -1,5 +1,6 @@
 """Measurement chain: synthesis, histogramming, normalization, MLE, saturation."""
 
+from dataclasses import replace
 import math
 import tracemalloc
 from unittest import mock
@@ -314,6 +315,44 @@ def test_thinning_guard_matches_measured_peak(monkeypatch, rate, duration_s):
     assert err.value.code == "thinning-overflow"
 
 
+def _traced_peak(func, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        func(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("threads", [4, 8])
+def test_thinning_guard_charges_each_pair_search_thread(monkeypatch, threads):
+    # each pair-search thread holds the work arrays of one block, and how many
+    # blocks are alive at once depends on scheduling.  So the guard must cover
+    # the traced peak on `threads` threads and the worst case: the one-thread
+    # peak plus one block's traced work for each further thread that gets a
+    # block (10 s at 3e4/s makes 5 blocks of detector-0 tags)
+    curve = _chain_curve(5.13)
+
+    def synth_and_histogram():
+        histogram_timetags(synth_timetags(curve, 3e4, 3e4, 10.0, seed=1))
+
+    monkeypatch.setattr(photonstats, "_worker_count", lambda: 1)
+    one_thread = _traced_peak(synth_and_histogram)
+    stream = synth_timetags(curve, 3e4, 3e4, 10.0, seed=1)
+    blocks = -(-stream.t0_ns.size // photonstats._PAIR_BLOCK)
+    a = stream.t0_ns[:photonstats._PAIR_BLOCK].astype(float)
+    b = stream.t1_ns.astype(float)
+    block = _traced_peak(photonstats._pairs_within, a, b, 367.0)
+    del stream, a, b
+    monkeypatch.setattr(photonstats, "_worker_count", lambda: threads)
+    peak = max(_traced_peak(synth_and_histogram),
+               one_thread + (min(threads, blocks) - 1) * block)
+    monkeypatch.setattr(photonstats, "_physical_memory_bytes", lambda: float(peak))
+    with pytest.raises(NumericalError) as err:
+        synth_timetags(curve, 3e4, 3e4, 10.0, seed=1)
+    assert err.value.code == "thinning-overflow"
+
+
 def test_synth_and_histogram_peak_near_the_stream(monkeypatch):
     # the draws live in two full-length buffers that become the stream's
     # arrays, so synthesis plus histogramming peaks near the stream's 8 B per
@@ -564,7 +603,7 @@ def test_fit_window_must_end_before_the_tail():
         assert err.value.code == "bad-window"
     fit = mle_fit_g2(h)
     with pytest.raises(ParameterError) as err:
-        bootstrap_error(fit, h, tail_start_ns=fit.window_ns)
+        bootstrap_error(replace(fit, tail_start_ns=fit.window_ns), h)
     assert err.value.code == "bad-window"
 
 
@@ -580,6 +619,20 @@ def test_bootstrap_is_seeded_and_validates():
     assert b3.a_err != b1.a_err
     with pytest.raises(ParameterError):
         bootstrap_error(fit, h, n_samples=1)
+
+
+def test_bootstrap_refits_the_fit_region():
+    # the fit records its tail, and the bootstrap draws over the fit's own
+    # window and tail: bins outside them do not move it, bins of the tail do
+    h = synth_histogram(_chain_curve(5.13), 3e4, 3e4, 60.0, seed=1)
+    fit = mle_fit_g2(h, tail_start_ns=100.0)
+    assert fit.tail_start_ns == 100.0
+    boot = bootstrap_error(fit, h, seed=1)
+    at = np.abs(h.tau_ns)
+    for cut, moves in (((at > fit.window_ns) & (at <= 100.0), False),
+                       ((at > 100.0) & (at <= 200.0), True)):
+        other = CoincidenceHistogram(h.tau_ns, np.where(cut, 0, h.counts))
+        assert (bootstrap_error(fit, other, seed=1).a_err != boot.a_err) is moves
 
 
 def test_bootstrap_error_tracks_counting_noise():

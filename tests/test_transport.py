@@ -255,9 +255,8 @@ def test_long_delays_match_expm():
 
 
 def test_shared_table_matches_single_lengths():
-    params = PhysicalParams(beta=0.05, n_atoms=7, detuning=0.2)
     lengths = [0, 1, 4, 9, 30]
-    curves = chain_g2_by_length(params, lengths, GRID)
+    curves = chain_g2_by_length(0.05, lengths, GRID, detuning=0.2)
     for n, curve in zip(lengths, curves):
         single = chain_g2(PhysicalParams(beta=0.05, n_atoms=n, detuning=0.2), GRID)
         np.testing.assert_allclose(curve.values, single.values, rtol=1e-12, atol=1e-14)
@@ -265,19 +264,20 @@ def test_shared_table_matches_single_lengths():
 
 
 def test_batched_lengths_are_checked():
-    params = PhysicalParams(beta=0.05, n_atoms=0)
     for bad in ([3, 1], [-1, 2], [1.0, 2.0], [[1, 2]]):
-        for call in (lambda: chain_g2_by_length(params, bad, GRID),
+        for call in (lambda: chain_g2_by_length(0.05, bad, GRID),
                      lambda: chain_g2_zero_by_length(0.05, bad)):
             with pytest.raises(ParameterError) as err:
                 call()
             assert err.value.code == "bad-lengths"
-    with pytest.raises(ParameterError) as err:
-        chain_g2_zero_by_length(0.05, [1, 2], detuning=float("nan"))
-    assert err.value.code == "detuning-not-finite"
+    for call in (lambda: chain_g2_by_length(0.05, [1, 2], GRID, detuning=float("nan")),
+                 lambda: chain_g2_zero_by_length(0.05, [1, 2], detuning=float("nan"))):
+        with pytest.raises(ParameterError) as err:
+            call()
+        assert err.value.code == "detuning-not-finite"
     # transmission never rises with N: the longest chain decides the floor
     with pytest.raises(NumericalError) as err:
-        chain_g2_by_length(PhysicalParams(beta=0.4, n_atoms=1), [0, 1, 50], GRID)
+        chain_g2_by_length(0.4, [0, 1, 50], GRID)
     assert err.value.code == "vanishing-transmission"
 
 
