@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -161,7 +162,14 @@ def _cell(x) -> str:
 
 
 def _write_csv(path: str, header: list[str], *columns):
-    """CSV with the given header and one row per position of the columns."""
+    """CSV with the given header and one row per position of the columns.
+
+    A NaN or infinity raises NumericalError "non-finite-output" before the
+    file is opened, as _write_json refuses one.
+    """
+    if not all(x is None or math.isfinite(x) for col in columns for x in col):
+        raise NumericalError("non-finite-output",
+                             f"{path}: a value to write is not finite; no file written")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -195,8 +203,8 @@ def _read_table(path: str, columns: list[str], code: str, dtype=np.float64):
     C-level chunks; given an open file it iterates it line by line in Python.
 
     It reads every histogram, saturation and beta-fit points file, and the
-    time-tag files that read_timetags_csv's block parser leaves to it: those
-    not in write_timetags_csv's exact format, and those out of order.
+    time-tag files that _writer_blocks leaves to it: those not in
+    write_timetags_csv's exact format, and those out of order.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -319,73 +327,108 @@ def _writer_rows(rows: np.ndarray):
     return rows[:, 0] == ord("1"), ts
 
 
-def _read_writer_timetags(path: str):
-    """The two channels of a file in write_timetags_csv's exact format, else None.
+class _NotWriterFormat(Exception):
+    """A time-tag file leaves write_timetags_csv's exact format."""
+
+
+def _writer_blocks(path: str):
+    """TimeTagStream blocks of a file in write_timetags_csv's exact format.
 
     That format is the bytes of _TAGS_HEADER, then rows [01],-?digits CRLF
     with sorted timestamps.  The file is read _READ_BLOCK bytes at a time,
     each block cut after its last LF; the rows of each run of equal width
-    are one uint8 matrix for _writer_rows.  Per-block channel pieces are
-    joined once at the end.  None, returned as soon as a block is not in
-    that form or is out of order, leaves the whole file to _read_table.
+    are one uint8 matrix for _writer_rows, and each block's rows are
+    yielded as one stream.  _NotWriterFormat is raised as soon as a block
+    is not in that form or is out of order, also after earlier blocks.
     """
-    pieces = ([], [])
     last = np.iinfo(np.int64).min
     with open(path, "rb") as fh:
         if fh.read(len(_TAGS_HEADER)) != _TAGS_HEADER:
-            return None
+            raise _NotWriterFormat
         carry = b""  # the bytes after the last LF read so far
         while len(buf := carry + fh.read(_READ_BLOCK)) > len(carry):  # until EOF
             cut = buf.rfind(b"\n") + 1
             carry = buf[cut:]
             if len(carry) >= _MAX_ROW:  # a longer row, or CR-only line ends
-                return None
+                raise _NotWriterFormat
             block = np.frombuffer(buf, np.uint8, cut)
             ends = np.flatnonzero(block == ord("\n")) + 1
+            if not ends.size:
+                continue
             widths = np.diff(ends, prepend=0)
             heads = np.flatnonzero(np.diff(widths, prepend=0))
             if heads.size > _MAX_RUNS:
-                return None
+                raise _NotWriterFormat
+            pieces = ([], [])
             for a, b in zip(heads, np.append(heads[1:], ends.size)):
                 width = int(widths[a])
                 parsed = _writer_rows(block[ends[a] - width:ends[b - 1]].reshape(b - a, width))
                 if parsed is None:
-                    return None
+                    raise _NotWriterFormat
                 is1, ts = parsed
                 if ts[0] < last or np.any(ts[1:] < ts[:-1]):
-                    return None
+                    raise _NotWriterFormat
                 last = ts[-1]
                 pieces[0].append(np.compress(~is1, ts))  # faster than ts[~is1]
                 pieces[1].append(np.compress(is1, ts))
+            yield ps.TimeTagStream(np.concatenate(pieces[0]), np.concatenate(pieces[1]))
     if carry:  # no CRLF after the last row
-        return None
+        raise _NotWriterFormat
+
+
+def _read_table_timetags(path: str) -> ps.TimeTagStream:
+    """The whole time-tag file read by _read_table and checked.
+
+    A function of its own, so that the table's columns are freed before
+    _read_timetags hands the stream on.
+    """
+    ids, ts = _read_table(path, ["detector_id", "timestamp_ns"], "bad-timetag-file",
+                          dtype=np.int64)
+    if not np.all((ids == 0) | (ids == 1)):
+        raise DataError("bad-detector-id", f"{path}: detector ids must be 0 or 1")
+    if np.any(ts[1:] < ts[:-1]):  # np.diff would wrap for steps past 2**63
+        raise DataError("timestamps-not-sorted", f"{path}: timestamps must be non-decreasing")
+    return ps.TimeTagStream(ts[ids == 0], ts[ids == 1])
+
+
+def _read_timetags(path: str, use):
+    """use(blocks) for a time-tag file with ids 0 or 1 and sorted timestamps.
+
+    The file's own bytes choose the parser.  For one in write_timetags_csv's
+    exact format, with sorted timestamps of at most _MAX_DIGITS digits,
+    blocks are _writer_blocks(path), parsed while use reads them.  Where the
+    file leaves that format, at its header or after any number of blocks,
+    use starts again on one block: the whole file read by _read_table,
+    csv.reader for the header and np.loadtxt for the body, and checked; so
+    is a writer-format file out of order, which thus gets the error code and
+    message of that path alone.
+    """
+    try:
+        return use(_writer_blocks(path))
+    except _NotWriterFormat:
+        pass  # out of the handler, the traceback and the blocks it holds go
+    return use([_read_table_timetags(path)])
+
+
+def _join_blocks(blocks) -> ps.TimeTagStream:
+    """One stream of the blocks' channels, joined one channel at a time."""
+    pieces = ([], [])
+    for block in blocks:
+        pieces[0].append(block.t0_ns)
+        pieces[1].append(block.t1_ns)
     channels = []
     for chan in pieces:
         channels.append(np.concatenate([np.zeros(0, np.int64), *chan]))
         chan.clear()  # frees the pieces before the next channel is joined
-    return channels
+    return ps.TimeTagStream(*channels)
 
 
 def read_timetags_csv(path: str) -> ps.TimeTagStream:
     """The two detector channels of a file with ids 0 or 1 and sorted timestamps.
 
-    The file's own bytes choose the parser.  One in write_timetags_csv's
-    exact format, with sorted timestamps of at most _MAX_DIGITS digits, is
-    parsed block by block (_read_writer_timetags).  Any other file is read
-    whole by _read_table, csv.reader for the header and np.loadtxt for the
-    body, and checked below; so is a writer-format file out of order, which
-    thus gets the error code and message of that path alone.
+    The join of the blocks _read_timetags reads.
     """
-    channels = _read_writer_timetags(path)
-    if channels is None:
-        ids, ts = _read_table(path, ["detector_id", "timestamp_ns"], "bad-timetag-file",
-                              dtype=np.int64)
-        if not np.all((ids == 0) | (ids == 1)):
-            raise DataError("bad-detector-id", f"{path}: detector ids must be 0 or 1")
-        if np.any(ts[1:] < ts[:-1]):  # np.diff would wrap for steps past 2**63
-            raise DataError("timestamps-not-sorted", f"{path}: timestamps must be non-decreasing")
-        channels = ts[ids == 0], ts[ids == 1]
-    return ps.TimeTagStream(*channels)
+    return _read_timetags(path, _join_blocks)
 
 
 def read_saturation_csv(path: str) -> ps.SaturationData:
@@ -632,9 +675,10 @@ def cmd_analyze(values, prov) -> int:
         header = next(csv.reader(fh), [])
     head = [h.strip() for h in header[:2]]
     if head == ["detector_id", "timestamp_ns"]:
-        hist = ps.histogram_timetags(read_timetags_csv(source), bin_width_ns=values["bin_width_ns"],
-                                     tau_max_ns=values["tau_max_ns"],
-                                     pulse_period_ns=values["pulse_period_ns"])
+        # histogrammed block by block, while the file is read
+        hist = _read_timetags(source, functools.partial(
+            ps.histogram_timetags, bin_width_ns=values["bin_width_ns"],
+            tau_max_ns=values["tau_max_ns"], pulse_period_ns=values["pulse_period_ns"]))
     elif head == ["tau_ns", "counts"]:
         hist = read_histogram_csv(source)
     else:

@@ -44,7 +44,13 @@ from .core import (
     PhysicalParams,
     TauGrid,
 )
-from .transport import TRANSMISSION_FLOOR, chain_g2_by_length, chain_g2_zero_by_length, od_per_atom
+from .transport import (
+    TRANSMISSION_FLOOR,
+    _check_chain_length,
+    chain_g2_by_length,
+    chain_g2_zero_by_length,
+    od_per_atom,
+)
 
 __all__ = [
     "OD_BIN_EDGES",
@@ -219,11 +225,17 @@ def _nominal_loadings(bins: OdBinSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _campaign_prior(bins: OdBinSpec, beta: float) -> np.ndarray:
-    """Prior over true N for the whole campaign, p[n] on n = 0..nmax."""
+    """Prior over true N for the whole campaign, p[n] on n = 0..nmax.
+
+    The bins' distributions, and so the chains they average, reach up to
+    nmax; NumericalError "chain-too-long" refuses a chain of nmax emitters
+    before the prior is allocated.
+    """
     spread = bins.preparation_spread
     ods, wnom = _nominal_loadings(bins)
     od_atom = od_per_atom(beta)
     nmax = int(math.ceil((ods[-1] / od_atom) * (1.0 + 6.0 * spread))) + 2
+    _check_chain_length(nmax)
     prior = np.zeros(nmax + 1)
     for od_nom, w in zip(ods, wnom):
         ns, pmf = _preparation_pmf(od_nom / od_atom, spread)
@@ -337,6 +349,9 @@ def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
     The ideal column evaluates the chain at round(N(od)); the averaged
     column pools the number distribution of the OD bin containing od.
     Rows whose bin no run can reach carry None in the averaged column.
+    NumericalError "chain-too-long" refuses the longest chain of the grid,
+    and of the campaign prior when a row is averaged, before any array of
+    chain lengths is allocated.
     """
     od_grid = np.asarray(od_grid, dtype=float)
     if od_grid.ndim != 1 or od_grid.size == 0:
@@ -349,6 +364,7 @@ def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
         bins = OdBinSpec.default()
 
     n_rounds = [int(round(od_to_atoms(float(od), beta))) for od in od_grid]
+    _check_chain_length(max(n_rounds))  # before the prior and the lengths are allocated
     bin_of = [bins.bin_index(float(od)) if averaged and od > 0.0 else None for od in od_grid]
     dists: dict[int, NumberDistribution] = {}
     reached = set(bin_of) - {None}

@@ -20,6 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 import math
@@ -553,10 +554,11 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarra
             np.concatenate([empty, *(j for _, j in merged)]))
 
 
-def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_BIN_NS,
+def histogram_timetags(stream: TimeTagStream | Iterable[TimeTagStream], *,
+                       bin_width_ns: float = DEFAULT_BIN_NS,
                        tau_max_ns: float = DEFAULT_TAU_MAX_NS,
                        pulse_period_ns: float | None = None) -> CoincidenceHistogram:
-    """Cross-correlation histogram of a time-tag stream.
+    """Cross-correlation histogram of a time-tag stream, whole or in blocks.
 
     Every inter-detector pair with tau = t1 - t0 in [-E, E), E the outer bin
     edge, is counted once.  Each bin is half-open, [lo, hi), so with integer
@@ -568,8 +570,16 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
     pulsed probing where the early pulses see an uncooled ensemble; a period
     shorter than the gate end raises "bad-gate".  The gate is applied to the
     tags of each pair, so no array as long as the stream is made for it.
+
+    stream is one TimeTagStream or an iterable of them, blocks in time
+    order; the parameters are checked before the first block is read.  A
+    block with a tag before the latest tag of the blocks before it raises
+    "timestamps-not-sorted".  Each block is paired together with the carry,
+    the earlier tags at most floor(E) before that latest tag, and the pairs
+    of two carry tags, counted with an earlier block, are dropped; so the
+    counts are those of the joined stream, whatever the cuts.  A single
+    stream is the one-block case, paired without a copy.
     """
-    t0, t1 = stream.t0_ns, stream.t1_ns
     if pulse_period_ns is not None:
         g_lo, g_hi = PULSE_GATE_NS
         if not g_hi <= pulse_period_ns:
@@ -587,12 +597,33 @@ def histogram_timetags(stream: TimeTagStream, *, bin_width_ns: float = DEFAULT_B
                              f"outer bin edge {edges[-1]:.3g} ns is past the int64 range of the tags")
     # pair differences are integers, so |tau| <= reach means |tau| <= floor(reach);
     # np.histogram closes its last bin, so tau = E is dropped first
-    i, j = _pairs_within(t0, t1, math.floor(edges[-1]))
-    if pulse_period_ns is not None:  # the pairs of gated tags
-        both = live(t0[i]) & live(t1[j])
-        i, j = i[both], j[both]
-    tau = t1[j] - t0[i]
-    counts = np.histogram(tau[tau < edges[-1]], edges)[0].astype(np.int64)
+    reach = math.floor(edges[-1])
+    counts = np.zeros(centers.size, np.int64)
+    c0 = c1 = np.zeros(0, np.int64)  # the carry of each channel
+    last = int(_INT64.min)
+    for block in [stream] if isinstance(stream, TimeTagStream) else stream:
+        b0, b1 = block.t0_ns, block.t1_ns
+        if not (b0.size or b1.size):
+            continue
+        if min(int(b[0]) for b in (b0, b1) if b.size) < last:
+            raise DataError("timestamps-not-sorted",
+                            "blocks must be in time order: a block starts before "
+                            "the latest tag of the blocks before it")
+        last = max(last, *(int(b[-1]) for b in (b0, b1) if b.size))
+        t0 = np.concatenate([c0, b0]) if c0.size else b0
+        t1 = np.concatenate([c1, b1]) if c1.size else b1
+        i, j = _pairs_within(t0, t1, reach)
+        if c0.size and c1.size:
+            new = (i >= c0.size) | (j >= c1.size)
+            i, j = i[new], j[new]
+        if pulse_period_ns is not None:  # the pairs of gated tags
+            both = live(t0[i]) & live(t1[j])
+            i, j = i[both], j[both]
+        tau = t1[j] - t0[i]
+        counts += np.histogram(tau[tau < edges[-1]], edges)[0]
+        # t0 and t1 are sorted; the carry is copied, so the block can go
+        lo = max(last - reach, int(_INT64.min))
+        c0, c1 = t0[t0.searchsorted(lo):].copy(), t1[t1.searchsorted(lo):].copy()
     return CoincidenceHistogram(centers, counts)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -610,6 +611,16 @@ def _short_digits(*channels):
     return all(np.all((t > -10**18) & (t < 10**18)) for t in channels)
 
 
+def _writer_channels(path):
+    """The channels of every block _writer_blocks yields, joined; None where it gives up."""
+    from chiralchain import cli
+    try:
+        stream = cli._join_blocks(cli._writer_blocks(str(path)))
+    except cli._NotWriterFormat:
+        return None
+    return stream.t0_ns, stream.t1_ns
+
+
 def test_timetag_reader_block_sizes(tmp_path, monkeypatch):
     # blocks of a few bytes cut inside rows and between tied rows; the block
     # parser takes every file of at most 18-digit timestamps, and the general
@@ -624,7 +635,7 @@ def test_timetag_reader_block_sizes(tmp_path, monkeypatch):
         # at most a thousand reads per file and block size
         for nbytes in [n for n in (1, 2, 7, 64, 4099) if 1000 * n >= size] + [default]:
             monkeypatch.setattr(cli, "_READ_BLOCK", nbytes)
-            fast = cli._read_writer_timetags(str(path))
+            fast = _writer_channels(path)
             assert (fast is not None) == _short_digits(stream.t0_ns, stream.t1_ns), name
             back = read_timetags_csv(str(path))
             assert np.array_equal(back.t0_ns, stream.t0_ns), (name, nbytes)
@@ -656,7 +667,7 @@ def test_timetag_reader_falls_back_after_writer_blocks(tmp_path, monkeypatch, ro
     t = int(lines[800].split(b",")[1])  # the new row ties with the one before it
     path.write_bytes(b"".join(lines[:801] + [row.replace(b"{t}", b"%d" % t)] + lines[801:]))
     monkeypatch.setattr(cli, "_READ_BLOCK", 256)
-    assert cli._read_writer_timetags(str(path)) is None
+    assert _writer_channels(path) is None
     if code is None:
         back = read_timetags_csv(str(path))
         t1 = np.sort(np.r_[stream.t1_ns, t]) if row.startswith(b"1") else stream.t1_ns
@@ -695,7 +706,7 @@ def test_timetag_reader_int64_extremes(tmp_path, t0, t1):
     stream = TimeTagStream(np.array(t0, np.int64), np.array(t1, np.int64))
     path = tmp_path / "tags.csv"
     write_timetags_csv(str(path), stream)
-    fast = cli._read_writer_timetags(str(path))
+    fast = _writer_channels(path)
     assert (fast is not None) == _short_digits(stream.t0_ns, stream.t1_ns)
     back = read_timetags_csv(str(path))
     assert back.t0_ns.tolist() == t0 and back.t1_ns.tolist() == t1
@@ -707,7 +718,7 @@ def test_timetag_reader_without_final_line_end(tmp_path, cut):
     from chiralchain.cli import read_timetags_csv
     path = tmp_path / "tags.csv"
     path.write_bytes(b"detector_id,timestamp_ns\r\n0,5\r\n1,7\r\n0,9\r\n"[:-cut])
-    assert cli._read_writer_timetags(str(path)) is None
+    assert _writer_channels(path) is None
     back = read_timetags_csv(str(path))
     assert back.t0_ns.tolist() == [5, 9] and back.t1_ns.tolist() == [7]
 
@@ -719,14 +730,14 @@ def test_timetag_reader_leading_zeros(tmp_path):
     from chiralchain.cli import read_timetags_csv
     path = tmp_path / "tags.csv"
     path.write_bytes(b"detector_id,timestamp_ns\r\n1,-007\r\n0,-0\r\n0,007\r\n0,12\r\n")
-    fast = cli._read_writer_timetags(str(path))
+    fast = _writer_channels(path)
     assert fast[0].tolist() == [0, 7, 12] and fast[1].tolist() == [-7]
     back = read_timetags_csv(str(path))
     assert back.t0_ns.tolist() == [0, 7, 12] and back.t1_ns.tolist() == [-7]
     ts = range(100, 100 + 2 * cli._MAX_RUNS)
     path.write_bytes(b"detector_id,timestamp_ns\r\n"
                      + b"".join(b"0,%0*d\r\n" % (3 + t % 2, t) for t in ts))
-    assert cli._read_writer_timetags(str(path)) is None
+    assert _writer_channels(path) is None
     assert read_timetags_csv(str(path)).t0_ns.tolist() == list(ts)
 
 
@@ -741,7 +752,7 @@ def test_timetag_reader_gives_up_on_a_long_line(tmp_path):
     path.write_bytes(b"detector_id,timestamp_ns\r\n" + b"0,123\r" * n)
     tracemalloc.start()
     try:
-        assert cli._read_writer_timetags(str(path)) is None
+        assert _writer_channels(path) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -771,6 +782,149 @@ def test_timetag_reader_memory_is_bounded(tmp_path, n_tags):
         tracemalloc.stop()
     assert np.array_equal(back.t0_ns, stream.t0_ns) and np.array_equal(back.t1_ns, stream.t1_ns)
     assert peak <= 16 * n_tags + 4 * 2**20
+
+
+@pytest.mark.parametrize("row, code", [
+    (b'1,"{t}"\r\n', None),
+    (b"2,{t}\r\n", "bad-detector-id"),
+    (b"0,x\r\n", "malformed-value"),
+], ids=["quoted", "id-2", "x"])
+def test_analyze_falls_back_after_writer_blocks(tmp_path, monkeypatch, capsys, row, code):
+    # a row off the writer's format after the first block: analyze drops the
+    # blocks it has histogrammed and reads the whole file as _read_table reads
+    # it, with the exit code, stderr and outputs of that path alone
+    from chiralchain import cli, od_to_atoms, synth_timetags
+    from chiralchain.cli import write_timetags_csv
+    n = int(round(od_to_atoms(3.15, 0.0081)))
+    curve = chain_g2(PhysicalParams(0.0081, n), TauGrid.linear(12.0, 481))
+    path = tmp_path / "tags.csv"
+    write_timetags_csv(str(path), synth_timetags(curve, 3e4, 3e4, 2.0, seed=5))
+    lines = path.read_bytes().splitlines(keepends=True)
+    at = 100_000  # past the first block of _READ_BLOCK bytes
+    assert len(b"".join(lines[:at])) > cli._READ_BLOCK
+    t = int(lines[at - 1].split(b",")[1])
+    path.write_bytes(b"".join(lines[:at] + [row.replace(b"{t}", b"%d" % t)] + lines[at:]))
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ("analyze", "--input", path, "--curve-output", out / "curve.csv",
+            "--output", out / "fit.json")
+
+    def outcome():
+        capsys.readouterr()
+        result = (run(tmp_path, *args), capsys.readouterr(),
+                  {f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        for f in out.iterdir():
+            f.unlink()
+        return result
+
+    yielded = []
+    writer_blocks = cli._writer_blocks
+
+    def counted(path):
+        for block in writer_blocks(path):
+            yielded.append(block.n_tags)
+            yield block
+
+    def give_up(path):
+        raise cli._NotWriterFormat
+        yield
+
+    monkeypatch.setattr(cli, "_writer_blocks", counted)
+    got = outcome()
+    assert len(yielded) >= 1
+    monkeypatch.setattr(cli, "_writer_blocks", give_up)
+    assert got == outcome()
+    if code is None:
+        assert got[0] == 0 and set(got[2]) == {"curve.csv", "curve.csv.config.json",
+                                               "fit.json", "fit.json.config.json"}
+    else:
+        assert got[0] == 4 and f"[{code}]" in got[1].err and got[2] == {}
+
+
+@pytest.mark.parametrize("flags, code", [
+    ((), "malformed-value"),
+    (("--pulse-period-ns", 5000), "bad-gate"),
+    (("--bin-width-ns", 1e19, "--tau-max-ns", 1e19), "bad-tau-max"),
+])
+def test_analyze_checks_histogram_flags_before_reading_tags(tmp_path, capsys, flags, code):
+    # the histogram's parameters are checked before the first block is read,
+    # so a bad file with a bad flag exits 2, where reading first gave 4
+    bad = tmp_path / "tags.csv"
+    bad.write_bytes(b"detector_id,timestamp_ns\r\n0,5\r\n0,x\r\n")
+    out = tmp_path / "fit.json"
+    assert run(tmp_path, "analyze", "--input", bad, *flags, "--output", out) == (
+        4 if code == "malformed-value" else 2)
+    assert f"[{code}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_histogram_memory_does_not_grow_with_the_file(tmp_path):
+    # analyze histograms a writer-format file while it reads it, one block of
+    # _READ_BLOCK bytes and a short carry at a time.  The traced peak of the
+    # read and histogram measured 6.25 MiB at 10 s and 6.53 MiB at 40 s (a
+    # block whose timestamps change digit count holds two runs); joining the
+    # stream first took 9.5 and 29.3 MiB
+    import functools
+    import tracemalloc
+    from chiralchain import cli, photonstats
+    from chiralchain.photonstats import TimeTagStream
+    peaks = {}
+    for duration in (10, 40):
+        rng = np.random.default_rng(1)
+        n = int(3e4 * duration)
+        path = tmp_path / f"tags{duration}.csv"
+        cli.write_timetags_csv(str(path), TimeTagStream(
+            np.sort(rng.integers(0, duration * 10**9, n)),
+            np.sort(rng.integers(0, duration * 10**9, n))))
+        for period in (None, 10_000.0):
+            use = functools.partial(photonstats.histogram_timetags, pulse_period_ns=period)
+            tracemalloc.start()
+            try:
+                hist = cli._read_timetags(str(path), use)
+                peaks[duration, period] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert hist.total_counts > 0
+        path.unlink()
+    for period in (None, 10_000.0):
+        assert peaks[40, period] <= peaks[10, period] + 2**20, peaks
+
+
+@pytest.mark.parametrize("flags", [
+    (),
+    ("--averaged", 0),
+    ("--od-max", 2e-9, "--od-step", 1e-9),  # short chains on the grid, a long prior
+], ids=["averaged", "ideal", "tiny-ods"])
+def test_sweep_tiny_beta_exits_3(tmp_path, monkeypatch, capsys, flags):
+    # at beta 1e-10 OD 7 is N = 1.75e10, and the campaign prior reaches 3.7e10:
+    # refused as chain-too-long before the prior or the lengths are allocated
+    import tracemalloc
+    from chiralchain import transport
+    monkeypatch.setattr(transport, "_physical_memory_bytes", lambda: float(2**30))
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        code = run(tmp_path, "sweep", "--beta", 1e-10, *flags, "--output", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "[chain-too-long]" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not out.exists()
+
+
+def test_csv_outputs_are_strict(tmp_path, monkeypatch, capsys):
+    # a non-finite value in a table is refused before its file is opened
+    from chiralchain import cli
+    from chiralchain.ensemble import SweepRow
+    monkeypatch.setattr(cli, "sweep_g2_vs_od", lambda *args, **kwargs: [
+        SweepRow(0.0, 0.0, 1.0, 1.0), SweepRow(0.25, 30.8, math.nan, None)])
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(tmp_path, "sweep", "--output", out / "sweep.csv") == 3
+    assert "[non-finite-output]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_synth_timetags_write_fits_the_thinning_guard(monkeypatch):

@@ -440,6 +440,83 @@ def test_histogram_timetags_sign_convention():
     assert h.counts[h.tau_ns == -4.0] == 1
 
 
+def _time_order_blocks(tags, cuts):
+    """Blocks of (timestamp, detector-1 flag) tags in file order, cut before each index in cuts."""
+    t = np.array([x for x, _ in tags], np.int64)
+    is1 = np.array([c for _, c in tags], bool)
+    bounds = [0, *sorted(min(c, t.size) for c in cuts), t.size]
+    return [TimeTagStream(t[lo:hi][~is1[lo:hi]], t[lo:hi][is1[lo:hi]])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+# bases of the drawn tags: the ungated start, a live gated pulse (pulse 20
+# starts at 200 us), and the two ends of the int64 range
+_TAG_BASES = (0, 200_000, -2**63, 2**63 - 4001)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from(_TAG_BASES),
+       tags=st.lists(st.tuples(st.integers(0, 4000), st.booleans()), max_size=60),
+       cuts=st.lists(st.integers(0, 60), max_size=8),
+       period=st.sampled_from([None, 10_000.0]))
+# equal timestamps across every cut, on both channels, in both orders
+@example(base=0, tags=[(5, True), (5, False), (5, True), (5, False), (5, True)],
+         cuts=[1, 2, 3, 4], period=None)
+# blocks far shorter than the 321 ns reach, and pairs straddling the cuts
+@example(base=-2**63, tags=[(x, x % 3 == 0) for x in range(0, 700, 7)],
+         cuts=[5, 6, 30, 31, 32, 70], period=None)
+# a carry tag exactly the reach, 321 ns, before a block that starts at the
+# latest earlier tag: tau = -321 ns falls in the first bin
+@example(base=0, tags=[(0, True), (321, True), (321, False)], cuts=[2], period=None)
+def test_histogram_timetags_blocks_match_one_shot(base, tags, cuts, period):
+    # the tags sorted by time with ties in drawn order, as a file holds them,
+    # then cut anywhere: the block-wise counts are the one-shot counts
+    tags = sorted(((base + x, c) for x, c in tags), key=lambda tc: tc[0])
+    [whole] = _time_order_blocks(tags, [])
+    want = histogram_timetags(whole, pulse_period_ns=period).counts
+    got = histogram_timetags(iter(_time_order_blocks(tags, cuts)), pulse_period_ns=period).counts
+    np.testing.assert_array_equal(got, want)
+
+
+def test_histogram_timetags_blocks_of_a_synthesized_stream():
+    # 2 s at OD 5.13, 1.2e5 tags, cut between every two neighbours in time
+    # that are a pair of the two detectors, so hundreds of pairs straddle a cut
+    stream = synth_timetags(_chain_curve(5.13), 3e4, 3e4, 2.0, seed=3)
+    tags = sorted([(int(x), False) for x in stream.t0_ns] + [(int(x), True) for x in stream.t1_ns])
+    t = np.array([x for x, _ in tags])
+    is1 = np.array([c for _, c in tags])
+    cuts = (np.flatnonzero((np.diff(t) <= 320) & (is1[1:] != is1[:-1])) + 1).tolist()
+    assert len(cuts) > 300
+    for period in (None, 10_000.0):
+        want = histogram_timetags(stream, pulse_period_ns=period)
+        got = histogram_timetags(_time_order_blocks(tags, cuts), pulse_period_ns=period)
+        assert want.total_counts > 500
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+
+def test_histogram_timetags_blocks_out_of_order():
+    # each block is sorted, and the second starts before the first one's last tag
+    blocks = [TimeTagStream([10], [20]), TimeTagStream([15], [])]
+    with pytest.raises(DataError) as err:
+        histogram_timetags(blocks)
+    assert err.value.code == "timestamps-not-sorted"
+    # a block may start at the latest earlier tag, on either channel
+    h = histogram_timetags([TimeTagStream([10], [20]), TimeTagStream([20], [20])])
+    assert h.total_counts == 4
+
+
+def test_histogram_timetags_checks_parameters_before_the_first_block():
+    def blocks():
+        raise AssertionError("block read before the parameters were checked")
+        yield
+    for kwargs, code in (({"pulse_period_ns": 5_000.0}, "bad-gate"),
+                         ({"tau_max_ns": 1.0}, "bad-tau-max"),
+                         ({"bin_width_ns": 1e19, "tau_max_ns": 1e19}, "bad-tau-max")):
+        with pytest.raises(ParameterError) as err:
+            histogram_timetags(blocks(), **kwargs)
+        assert err.value.code == code
+
+
 def test_histogram_timetags_pulse_gating():
     # the gate is 1000-9000 ns of each pulse, after 20 discarded pulses
     period = 10_000.0
