@@ -75,21 +75,30 @@ class _Param:
         return "--" + self.name.replace("_", "-")
 
 
+def _config_value(p: _Param, raw):
+    """One config value as p.ptype: no bool for a number, no fraction or infinity for an int."""
+    if p.ptype in (int, float) and isinstance(raw, bool):
+        raise TypeError(f"expected a number, got {raw!r}")
+    if p.ptype is int and isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return p.ptype(raw)
+
+
 def _resolve(params, args, config):
-    """Merge flag > config file > default, tracking provenance per value."""
+    """Merge flag > config file (null: not given) > default, tracking provenance per value."""
     values, prov = {}, {}
     for p in params:
         flagval = getattr(args, p.name, None)
         if flagval is not None:
             values[p.name], prov[p.name] = flagval, "flag"
-        elif config is not None and p.name in config:
+        elif config is not None and config.get(p.name) is not None:
             raw = config[p.name]
             if p.repeatable and not isinstance(raw, list):
                 raw = [raw]
             try:
-                values[p.name] = ([p.ptype(v) for v in raw] if p.repeatable
-                                  else p.ptype(raw))
-            except (TypeError, ValueError) as exc:
+                values[p.name] = ([_config_value(p, v) for v in raw] if p.repeatable
+                                  else _config_value(p, raw))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError("bad-config-value",
                                      f"config field {p.name!r}: {exc}")
             prov[p.name] = "config"
@@ -408,27 +417,6 @@ def _read_timetags(path: str, use):
     except _NotWriterFormat:
         pass  # out of the handler, the traceback and the blocks it holds go
     return use([_read_table_timetags(path)])
-
-
-def _join_blocks(blocks) -> ps.TimeTagStream:
-    """One stream of the blocks' channels, joined one channel at a time."""
-    pieces = ([], [])
-    for block in blocks:
-        pieces[0].append(block.t0_ns)
-        pieces[1].append(block.t1_ns)
-    channels = []
-    for chan in pieces:
-        channels.append(np.concatenate([np.zeros(0, np.int64), *chan]))
-        chan.clear()  # frees the pieces before the next channel is joined
-    return ps.TimeTagStream(*channels)
-
-
-def read_timetags_csv(path: str) -> ps.TimeTagStream:
-    """The two detector channels of a file with ids 0 or 1 and sorted timestamps.
-
-    The join of the blocks _read_timetags reads.
-    """
-    return _read_timetags(path, _join_blocks)
 
 
 def read_saturation_csv(path: str) -> ps.SaturationData:

@@ -38,8 +38,13 @@ start of the regression.  The regressed operator chi = a rho a^dag is
 Hermitian, so it is carried by the real vector vec(Re chi + Im chi), whose
 generator is the real matrix L_r = Re L + Im L Pi (Pi transposes vec); the
 correlation is stepped along the delay grid with the exact propagator
-expm(L_r dtau), computed once per distinct step: up to MAX_ATOMS the
-Liouvillian is at most 121 x 121, so there is no integrator step to choose.
+expm(L_r dtau), computed once per distinct step, so there is no integrator
+step to choose.
+
+The oracle has two limits on N, both enforced: "oracle-too-large" when the
+D^2 x D^2 Liouvillian and the solver's arrays would not fit in memory, and
+"not-converged" when the fixed drives are too strong for the chain's
+transmission and the extrapolation moves by more than EXTRAPOLATION_TOL.
 
 This module is the independent check on the perturbative chain solver in
 ``transport``; the two share no solver code on purpose.  The cap is the same
@@ -54,7 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import itertools
 import math
-import warnings
 
 import numpy as np
 
@@ -68,7 +72,6 @@ from .core import (
 )
 
 __all__ = [
-    "MAX_ATOMS",
     "EXTRAPOLATION_TOL",
     "DRIVE_SATURATIONS",
     "CascadedGenerator",
@@ -78,9 +81,6 @@ __all__ = [
 # largest number of excited emitters the basis keeps: the weak-drive g2
 # reads no higher manifold (see the module docstring)
 _MAX_EXCITATIONS = 2
-# soft cap on N: past it the fixed DRIVE_SATURATIONS are too strong for the
-# chain's small transmission and the extrapolation degrades
-MAX_ATOMS = 4
 # bytes the solver holds per Liouvillian entry (D^4 of them, D = dim) at its
 # peak, with a margin: tracemalloc reads 74 at N = 4 and 73 at N = 5 (the complex
 # L, the steady-state system and its LU copy, then the real generator and
@@ -295,21 +295,14 @@ def _richardson(curves: list) -> tuple:
 
 
 def _check_atoms(params: PhysicalParams):
-    """Refuse a chain whose solver arrays would not fit in memory; warn
-    above MAX_ATOMS."""
+    """Refuse a chain whose solver arrays would not fit in memory."""
     dim = _basis_size(params.n_atoms)
     need = _SOLVER_BYTES_PER_ENTRY * float(dim) ** 4
     if not need <= _physical_memory_bytes():
         raise NumericalError(
             "oracle-too-large",
-            f"the oracle at N = {params.n_atoms} needs about {need:.3g} bytes, more "
-            f"than fits in memory; it is meant for N <= {MAX_ATOMS}",
-        )
-    if params.n_atoms > MAX_ATOMS:
-        warnings.warn(
-            f"oracle with N = {params.n_atoms} emitters builds a {dim ** 2}"
-            " dimensional Liouvillian; expect it to be slow",
-            RuntimeWarning,
+            f"the oracle at N = {params.n_atoms} builds a {dim ** 2} dimensional "
+            f"Liouvillian and needs about {need:.3g} bytes, more than fits in memory",
         )
 
 

@@ -93,6 +93,10 @@ _FIXED_BYTES = 2**20
 _THREAD_BYTES = 2 * 2**20
 _TAG_BYTES = 10
 _PAIR_BYTES = 96
+# bytes bootstrap_error holds per sample, profile-scan point and fit bin at
+# its peak, with a margin: tracemalloc reads 40.5-42.5 over 20-2000 samples
+# and 115-831 bins (the scan's likelihood and profile-Newton arrays)
+_BOOTSTRAP_BYTES_PER_ENTRY = 64
 
 
 @dataclass(frozen=True)
@@ -311,7 +315,8 @@ def synth_histogram(curve: G2Curve, rate1: float, rate2: float, acquisition_s: f
     Bin means are rate1 * rate2 * bin_width * acquisition * g2(tau_i), the
     uncorrelated-pair level modulated by the correlation function.  Raises
     "counts-overflow" before any draw when the expected total exceeds half
-    the int64 range, so the counts and their total stay representable.
+    the int64 range, so the counts and their total stay representable, and
+    "bad-seed" for a negative seed.
     """
     if not all(math.isfinite(x) and x > 0 for x in (rate1, rate2, acquisition_s)):
         raise ParameterError("rates-not-positive", "rates and acquisition time must be finite, > 0")
@@ -324,8 +329,7 @@ def synth_histogram(curve: G2Curve, rate1: float, rate2: float, acquisition_s: f
             f"{float(mean.sum()):.3g} expected coincidences overflow the int64 counts; "
             "shorten the acquisition or lower the rates",
         )
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(mean)
+    counts = _rng(seed).poisson(mean)
     return CoincidenceHistogram(centers, counts)
 
 
@@ -369,7 +373,8 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     (per block of detector-0 tags, at most one per CPU), _TAG_BYTES per
     drawn tag, the rate1 * T detector-0 tags plus the rate2 * T * (1 - R +
     rate1 * int 2 env dtau) expected candidates, and _PAIR_BYTES per
-    expected pair of a candidate and a detector-0 tag within S (none when R >= 1).
+    expected pair of a candidate and a detector-0 tag within S (none when R >= 1),
+    and "bad-seed" before any draw for a negative seed.
 
     Two full-length buffers hold the draws: the detector-0 times t0 and the
     candidates tc, baseline first, then the window candidates.  The
@@ -415,7 +420,7 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
             f"rate1 * int (g2 - 1) dtau = {1.0 - level:.3g} >= 1 leaves no uncorrelated "
             "detector-1 level; lower rate1",
         )
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     span_ns = duration_s * 1e9
 
     t0 = rng.uniform(0.0, span_ns, rng.poisson(rate1 * duration_s))
@@ -471,6 +476,13 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
         n1 += kept.size
     del keep
     return TimeTagStream(_round_to_int64(t0), _round_to_int64(tc[:n1]))
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's generator for seed; a negative seed raises ParameterError "bad-seed"."""
+    if seed < 0:
+        raise ParameterError("bad-seed", f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def _round_to_int64(x: np.ndarray) -> np.ndarray:
@@ -921,19 +933,20 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
     others whose decay stopped on an edge of GAMMA_FIT_BAND.  Failed refits
     above MAX_FAILED_SHARE (20 %), or fewer than two that did not fail,
     raise NumericalError "unstable-fit".  ParameterError "too-many-samples"
-    is raised before drawing when the profile scan's work array, one float
-    per sample, scan point and bin, would not fit in the installed memory,
-    and "bad-window" unless the fit's window ends before its tail_start_ns.
+    is raised before drawing when the refits' work arrays,
+    _BOOTSTRAP_BYTES_PER_ENTRY per sample, scan point and bin, would not fit
+    in the installed memory, "bad-seed" for a negative seed, and
+    "bad-window" unless the fit's window ends before its tail_start_ns.
     """
     if n_samples < 2:
         raise ParameterError("too-few-samples", "need at least 2 bootstrap samples")
     mask = _likelihood_mask(hist, fit.window_ns, fit.tail_start_ns)
     tau = hist.tau_ns[mask]
-    scan_bytes = 8.0 * n_samples * _LOG_GAMMA_SCAN.size * tau.size
-    if not scan_bytes <= _physical_memory_bytes():
+    need = _BOOTSTRAP_BYTES_PER_ENTRY * float(n_samples) * _LOG_GAMMA_SCAN.size * tau.size
+    if not need <= _physical_memory_bytes():
         raise ParameterError("too-many-samples",
-                             f"{n_samples} bootstrap samples need a {scan_bytes:.3g} byte "
-                             "work array, more than fits in memory")
+                             f"{n_samples} bootstrap samples need about {need:.3g} bytes, "
+                             "more than fits in memory")
     cts = hist.counts[mask]
     ctot = int(cts.sum())
     if ctot == 0:
@@ -941,7 +954,7 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
     model = 1.0 - fit.amplitude * np.exp(-fit.gamma_fit * np.abs(tau))
     model = np.maximum(model, 1e-12)
     p = model / model.sum()
-    counts = np.random.default_rng(seed).multinomial(ctot, p, size=n_samples)
+    counts = _rng(seed).multinomial(ctot, p, size=n_samples)
     amps, gammas, _ = _fit_window_counts(tau, counts)
     ok = np.isfinite(amps)
     failures = n_samples - int(ok.sum())

@@ -110,10 +110,71 @@ def test_config_file_resolution(tmp_path):
     assert p["od"] == {"value": [1.0], "source": "flag"}  # flag beats config
     assert p["beta"] == {"value": 0.01, "source": "config"}
     assert p["detuning"]["source"] == "default"
+    # a JSON number without a fraction is an integer
+    cfg.write_text(json.dumps({"od": 2.0, "n_points": 41.0, "tau_max": 4.0}))
+    assert run(tmp_path, "simulate", "--config", cfg, "--output", out) == 0
+    side = json.loads((tmp_path / "c.csv.config.json").read_text())
+    assert side["params"]["n_points"] == {"value": 41, "source": "config"}
     assert run(tmp_path, "simulate", "--config", tmp_path / "missing.json") == 2
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
     assert run(tmp_path, "simulate", "--config", bad, "--od", 1.0) == 2
+
+
+def _config(tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+@pytest.mark.parametrize("doc", [{"seed": 1.7}, {"seed": float("inf")}, {"n_points": True},
+                                 {"duration": True}, {"duration": 10**400}],
+                         ids=["int-fraction", "int-infinity", "int-bool", "float-bool",
+                              "float-overflow"])
+def test_config_numbers_are_as_strict_as_the_flags(tmp_path, capsys, doc):
+    # int() takes 1.7 and True as 1 and overflows on an infinity, float()
+    # takes True as 1.0 and overflows on a JSON integer past its range;
+    # --seed 1.7, --duration true and --duration 1e400 exit 2, so do these
+    out = tmp_path / "s.csv"
+    assert run(tmp_path, "synth", "--config", _config(tmp_path, {"duration": 1.0, **doc}),
+               "--od", 3.0, "--output", out) == 2
+    assert "[bad-config-value]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, args", [
+    ("curve_output", ["analyze", "--input", "h.csv"]),
+    ("pulse_period_ns", ["analyze", "--input", "h.csv"]),
+    ("fit_points", ["sweep", "--od-max", 1.0, "--averaged", 0]),
+    ("od", ["simulate", "--n-atoms", 5, "--n-points", 11]),
+])
+def test_config_null_is_not_given(tmp_path, monkeypatch, field, args):
+    # a null was read as None: float(None) refused it, and str(None) named
+    # the curve output and the points file "None"
+    monkeypatch.chdir(tmp_path)
+    assert run(tmp_path, "synth", "--od", 3.0, "--duration", 5.0, "--output", "h.csv") == 0
+    cfg = _config(tmp_path, {field: None})
+    before = set(os.listdir())
+    assert run(tmp_path, *args, "--config", cfg, "--output", "out") == 0
+    assert set(os.listdir()) - before == {"out", "out.config.json"}
+    side = json.loads((tmp_path / "out.config.json").read_text())
+    assert side["params"][field] == {"value": None, "source": "default"}
+
+
+@pytest.mark.parametrize("args", [
+    ["synth", "--od", 3.0, "--seed", -1],
+    ["synth", "--kind", "timetags", "--od", 3.0, "--duration", 1.0, "--seed", -2],
+    ["analyze", "--seed", -1],
+], ids=["synth-histogram", "synth-timetags", "analyze"])
+def test_negative_seed_exits_2(tmp_path, capsys, args):
+    # numpy refuses a negative seed with a ValueError, which exited 4
+    hist = tmp_path / "h.csv"
+    assert run(tmp_path, "synth", "--od", 3.0, "--duration", 5.0, "--output", hist) == 0
+    before = sorted(tmp_path.iterdir())
+    inputs = ["--input", hist] if args[0] == "analyze" else []
+    assert run(tmp_path, *args, *inputs, "--output", tmp_path / "out") == 2
+    assert "[bad-seed]" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_outputs_are_byte_identical(tmp_path):
@@ -570,7 +631,7 @@ def _timetag_streams():
 
 def test_timetag_writer_matches_csv_writer(tmp_path, monkeypatch):
     from chiralchain import cli
-    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain.cli import write_timetags_csv
     block = cli._TAG_BLOCK
     for name, stream in _timetag_streams().items():
         new, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
@@ -582,7 +643,7 @@ def test_timetag_writer_matches_csv_writer(tmp_path, monkeypatch):
             monkeypatch.setattr(cli, "_TAG_BLOCK", tags)
             write_timetags_csv(str(new), stream)
             assert new.read_bytes() == ref.read_bytes(), (name, tags)
-        back = read_timetags_csv(str(new))
+        back = _read_tags(new)
         assert np.array_equal(back.t0_ns, stream.t0_ns), name
         assert np.array_equal(back.t1_ns, stream.t1_ns), name
 
@@ -611,11 +672,25 @@ def _short_digits(*channels):
     return all(np.all((t > -10**18) & (t < 10**18)) for t in channels)
 
 
+def _join(blocks):
+    """One stream of the blocks' channels, joined."""
+    from chiralchain.photonstats import TimeTagStream
+    empty = np.zeros(0, np.int64)
+    return TimeTagStream(np.concatenate([empty] + [b.t0_ns for b in blocks]),
+                         np.concatenate([empty] + [b.t1_ns for b in blocks]))
+
+
+def _read_tags(path):
+    """The stream of a time-tag file, as the blocks cli._read_timetags reads, joined."""
+    from chiralchain import cli
+    return _join(cli._read_timetags(str(path), list))
+
+
 def _writer_channels(path):
     """The channels of every block _writer_blocks yields, joined; None where it gives up."""
     from chiralchain import cli
     try:
-        stream = cli._join_blocks(cli._writer_blocks(str(path)))
+        stream = _join(list(cli._writer_blocks(str(path))))
     except cli._NotWriterFormat:
         return None
     return stream.t0_ns, stream.t1_ns
@@ -626,7 +701,7 @@ def test_timetag_reader_block_sizes(tmp_path, monkeypatch):
     # parser takes every file of at most 18-digit timestamps, and the general
     # reader the others
     from chiralchain import cli
-    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain.cli import write_timetags_csv
     default = cli._READ_BLOCK
     for name, stream in _timetag_streams().items():
         path = tmp_path / f"{name}.csv"
@@ -637,7 +712,7 @@ def test_timetag_reader_block_sizes(tmp_path, monkeypatch):
             monkeypatch.setattr(cli, "_READ_BLOCK", nbytes)
             fast = _writer_channels(path)
             assert (fast is not None) == _short_digits(stream.t0_ns, stream.t1_ns), name
-            back = read_timetags_csv(str(path))
+            back = _read_tags(path)
             assert np.array_equal(back.t0_ns, stream.t0_ns), (name, nbytes)
             assert np.array_equal(back.t1_ns, stream.t1_ns), (name, nbytes)
             if fast is not None:
@@ -656,7 +731,7 @@ def test_timetag_reader_falls_back_after_writer_blocks(tmp_path, monkeypatch, ro
     # one row off the writer's format after dozens of blocks in it: the whole
     # file is read again by the general reader, with its stream or error code
     from chiralchain import cli
-    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain.cli import write_timetags_csv
     from chiralchain.photonstats import TimeTagStream
     rng = np.random.default_rng(7)
     stream = TimeTagStream(np.sort(rng.integers(0, 10**9, 600)),
@@ -669,13 +744,13 @@ def test_timetag_reader_falls_back_after_writer_blocks(tmp_path, monkeypatch, ro
     monkeypatch.setattr(cli, "_READ_BLOCK", 256)
     assert _writer_channels(path) is None
     if code is None:
-        back = read_timetags_csv(str(path))
+        back = _read_tags(path)
         t1 = np.sort(np.r_[stream.t1_ns, t]) if row.startswith(b"1") else stream.t1_ns
         assert np.array_equal(back.t0_ns, stream.t0_ns)
         assert np.array_equal(back.t1_ns, t1)
     else:
         with pytest.raises(DataError) as err:
-            read_timetags_csv(str(path))
+            _read_tags(path)
         assert err.value.code == code
 
 
@@ -683,14 +758,13 @@ def test_timetag_reader_checks_order_across_blocks(tmp_path, monkeypatch):
     # each channel is sorted and so is each block of four 8-byte rows, but the
     # last row of the first block is later than the first row of the second
     from chiralchain import cli
-    from chiralchain.cli import read_timetags_csv
     path = tmp_path / "tags.csv"
     path.write_bytes(b"detector_id,timestamp_ns\r\n0,1000\r\n0,1002\r\n1,1004\r\n0,1006\r\n"
                      b"1,1005\r\n0,1007\r\n1,1008\r\n0,1009\r\n")
     for nbytes in (32, cli._READ_BLOCK):
         monkeypatch.setattr(cli, "_READ_BLOCK", nbytes)
         with pytest.raises(DataError) as err:
-            read_timetags_csv(str(path))
+            _read_tags(path)
         assert err.value.code == "timestamps-not-sorted"
 
 
@@ -700,26 +774,23 @@ def test_timetag_reader_checks_order_across_blocks(tmp_path, monkeypatch):
     ([-(2**63), 5], [2**63 - 1]),
 ])
 def test_timetag_reader_int64_extremes(tmp_path, t0, t1):
-    from chiralchain import cli
-    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain.cli import write_timetags_csv
     from chiralchain.photonstats import TimeTagStream
     stream = TimeTagStream(np.array(t0, np.int64), np.array(t1, np.int64))
     path = tmp_path / "tags.csv"
     write_timetags_csv(str(path), stream)
     fast = _writer_channels(path)
     assert (fast is not None) == _short_digits(stream.t0_ns, stream.t1_ns)
-    back = read_timetags_csv(str(path))
+    back = _read_tags(path)
     assert back.t0_ns.tolist() == t0 and back.t1_ns.tolist() == t1
 
 
 @pytest.mark.parametrize("cut", [2, 1], ids=["no-crlf", "no-lf"])
 def test_timetag_reader_without_final_line_end(tmp_path, cut):
-    from chiralchain import cli
-    from chiralchain.cli import read_timetags_csv
     path = tmp_path / "tags.csv"
     path.write_bytes(b"detector_id,timestamp_ns\r\n0,5\r\n1,7\r\n0,9\r\n"[:-cut])
     assert _writer_channels(path) is None
-    back = read_timetags_csv(str(path))
+    back = _read_tags(path)
     assert back.t0_ns.tolist() == [5, 9] and back.t1_ns.tolist() == [7]
 
 
@@ -727,18 +798,17 @@ def test_timetag_reader_leading_zeros(tmp_path):
     # leading zeros and -0 parse as np.loadtxt parses them; rows that change
     # width more often than sorted rows without them can go to _read_table
     from chiralchain import cli
-    from chiralchain.cli import read_timetags_csv
     path = tmp_path / "tags.csv"
     path.write_bytes(b"detector_id,timestamp_ns\r\n1,-007\r\n0,-0\r\n0,007\r\n0,12\r\n")
     fast = _writer_channels(path)
     assert fast[0].tolist() == [0, 7, 12] and fast[1].tolist() == [-7]
-    back = read_timetags_csv(str(path))
+    back = _read_tags(path)
     assert back.t0_ns.tolist() == [0, 7, 12] and back.t1_ns.tolist() == [-7]
     ts = range(100, 100 + 2 * cli._MAX_RUNS)
     path.write_bytes(b"detector_id,timestamp_ns\r\n"
                      + b"".join(b"0,%0*d\r\n" % (3 + t % 2, t) for t in ts))
     assert _writer_channels(path) is None
-    assert read_timetags_csv(str(path)).t0_ns.tolist() == list(ts)
+    assert _read_tags(path).t0_ns.tolist() == list(ts)
 
 
 def test_timetag_reader_gives_up_on_a_long_line(tmp_path):
@@ -746,7 +816,6 @@ def test_timetag_reader_gives_up_on_a_long_line(tmp_path):
     # parser leaves after its first block instead of gathering it whole
     import tracemalloc
     from chiralchain import cli
-    from chiralchain.cli import read_timetags_csv
     path = tmp_path / "tags.csv"
     n = 8 * 10**6 // 6
     path.write_bytes(b"detector_id,timestamp_ns\r\n" + b"0,123\r" * n)
@@ -757,17 +826,18 @@ def test_timetag_reader_gives_up_on_a_long_line(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * cli._READ_BLOCK
-    back = read_timetags_csv(str(path))
+    back = _read_tags(path)
     assert back.t0_ns.size == n and back.t1_ns.size == 0
 
 
 @pytest.mark.parametrize("n_tags", [10**6, 4 * 10**6])
 def test_timetag_reader_memory_is_bounded(tmp_path, n_tags):
-    # the reader holds the channels it returns, their per-block pieces and one
-    # block's bytes, row offsets and digits: at most 16 B per tag (two int64
-    # copies) plus four 1 MiB blocks; one np.loadtxt of the file took 25 B per tag
+    # the block reader holds one block's bytes, row offsets, digits and
+    # parsed tags at a time: a use that only counts the tags reads files of
+    # 15 and 60 MB within a fixed number of read blocks (about six traced)
     import tracemalloc
-    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain import cli
+    from chiralchain.cli import write_timetags_csv
     from chiralchain.photonstats import TimeTagStream
     rng = np.random.default_rng(1)
     stream = TimeTagStream(np.sort(rng.integers(0, 4 * 10**10, n_tags // 2)),
@@ -776,12 +846,12 @@ def test_timetag_reader_memory_is_bounded(tmp_path, n_tags):
     write_timetags_csv(str(path), stream)
     tracemalloc.start()
     try:
-        back = read_timetags_csv(str(path))
+        counted = cli._read_timetags(str(path), lambda blocks: sum(b.n_tags for b in blocks))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(back.t0_ns, stream.t0_ns) and np.array_equal(back.t1_ns, stream.t1_ns)
-    assert peak <= 16 * n_tags + 4 * 2**20
+    assert counted == n_tags
+    assert peak <= 8 * cli._READ_BLOCK
 
 
 @pytest.mark.parametrize("row, code", [
@@ -964,14 +1034,14 @@ _CHANNEL = st.lists(st.one_of(st.integers(-40, 40), st.sampled_from(_BOUNDARIES)
 def test_timetag_csv_round_trip(t0, t1):
     # small stamps make cross-detector ties common; the boundaries change the
     # digit count, so the writer's fixed-width blocks split there
-    from chiralchain.cli import read_timetags_csv, write_timetags_csv
+    from chiralchain.cli import write_timetags_csv
     from chiralchain.photonstats import TimeTagStream
     stream = TimeTagStream(np.array(t0, np.int64), np.array(t1, np.int64))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tags.csv")
         write_timetags_csv(path, stream)
         header, rows = _read_csv(path)
-        back = read_timetags_csv(path)
+        back = _read_tags(path)
     assert header == ["detector_id", "timestamp_ns"]
     # time order, detector 0 first on equal timestamps
     assert [(int(t), int(d)) for d, t in rows] == sorted([(t, 0) for t in t0] + [(t, 1) for t in t1])
@@ -993,12 +1063,11 @@ _TAGS_HEADER = "detector_id,timestamp_ns"
     (_TAGS_HEADER + "\r0,5\r\n1,7\r\n", [5], [7]),  # lone-CR header, then CRLF rows
 ])
 def test_timetag_reader_edge_cases(tmp_path, body, t0, t1):
-    from chiralchain.cli import read_timetags_csv
     path = tmp_path / "tags.csv"
     path.write_text(body, newline="")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stream = read_timetags_csv(str(path))
+        stream = _read_tags(path)
     assert stream.t0_ns.tolist() == t0 and stream.t1_ns.tolist() == t1
 
 

@@ -20,6 +20,7 @@ from chiralchain import (
     ParameterError,
     PhysicalParams,
     TauGrid,
+    chain_g2,
     chain_transmission,
     oracle_g2,
 )
@@ -241,22 +242,39 @@ def test_grid_must_be_natural_units():
         oracle_g2(PhysicalParams(beta=0.1, n_atoms=1), TauGrid(np.linspace(0.0, 5.0, 6), unit="ns"))
 
 
-def test_large_chain_warns():
-    with pytest.warns(RuntimeWarning):
-        _check_atoms(PhysicalParams(beta=0.1, n_atoms=5))
-
-
 def test_large_chain_size_guard_counts_kept_states(monkeypatch):
     # N = 8 keeps D = 37 states, so the solver holds 37**4 entries (about
     # 240 MB), not 16**8: admitted against 1 GiB, refused against 64 MiB
     params = PhysicalParams(beta=0.1, n_atoms=8)
     monkeypatch.setattr(oracle, "_physical_memory_bytes", lambda: float(2**30))
-    with pytest.warns(RuntimeWarning, match="1369 dimensional"):
-        _check_atoms(params)
+    _check_atoms(params)
     monkeypatch.setattr(oracle, "_physical_memory_bytes", lambda: float(2**26))
     with pytest.raises(NumericalError) as err:
         _check_atoms(params)
     assert err.value.code == "oracle-too-large"
+    assert "1369 dimensional" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_chains_past_four_match_the_chain_model(n):
+    # criterion 1 (test_acceptance) past its N <= 4, at the couplings where
+    # the fixed drive ladder still converges; the memory guard and the
+    # extrapolation check are the oracle's only limits, so no warning either
+    grid = TauGrid.linear(10.0, 201)
+    for beta, delta in ((0.1, 0.0), (0.1, 0.5), (0.3, 0.5)):
+        params = PhysicalParams(beta, n, delta)
+        chain = chain_g2(params, grid).values
+        orc = oracle_g2(params, grid).curve.values
+        tol = 1e-3 * np.abs(orc) + 1e-4 * max(1.0, float(orc.max()))
+        assert np.all(np.abs(chain - orc) <= tol), (n, beta, delta)
+
+
+def test_strong_coupling_past_four_is_not_converged():
+    # at beta 0.3 and N = 5 the fixed probe drives are too strong for the
+    # chain's small transmission: the extrapolation check refuses the curve
+    with pytest.raises(NumericalError) as err:
+        oracle_g2(PhysicalParams(0.3, 5), TauGrid.linear(10.0, 201))
+    assert err.value.code == "not-converged"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

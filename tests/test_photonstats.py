@@ -712,6 +712,19 @@ def test_bootstrap_refits_the_fit_region():
         assert (bootstrap_error(fit, other, seed=1).a_err != boot.a_err) is moves
 
 
+def test_bootstrap_guard_covers_the_traced_peak(monkeypatch):
+    # the refits hold about 41 B per sample, scan point and fit bin: at OD
+    # 5.13, 60 s (151 bins) 500 samples trace at 127 MB, which a charge of
+    # one 8 B float per entry, 24.8 MB, let through
+    h = synth_histogram(_chain_curve(5.13), 3e4, 3e4, 60.0, seed=1)
+    fit = mle_fit_g2(h)
+    peak = _traced_peak(bootstrap_error, fit, h, n_samples=500, seed=1)
+    monkeypatch.setattr(photonstats, "_physical_memory_bytes", lambda: float(peak))
+    with pytest.raises(ParameterError) as err:
+        bootstrap_error(fit, h, n_samples=500, seed=1)
+    assert err.value.code == "too-many-samples"
+
+
 def test_bootstrap_error_tracks_counting_noise():
     # the bootstrap spread must shrink roughly as 1/sqrt(acquisition)
     curve = _exp_contrast_curve(0.5, 0.04)
