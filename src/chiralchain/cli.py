@@ -147,12 +147,17 @@ def _load_config(path: str | None) -> dict | None:
     if path is None:
         return None
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        fh = open(path)
     except FileNotFoundError:
         raise ParameterError("config-missing", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ParameterError("config-invalid", f"config file is not valid JSON: {exc}")
+    with fh:
+        try:
+            cfg = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # besides bad JSON (JSONDecodeError): bytes that are not text, an
+            # integer past Python's digit limit, arrays nested past the
+            # recursion limit
+            raise ParameterError("config-invalid", f"config file is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ParameterError("config-invalid", "config file must hold a JSON object")
     return cfg
@@ -217,7 +222,10 @@ def _read_table(path: str, columns: list[str], code: str, dtype=np.float64):
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:  # such as a field past csv's size limit
+            raise DataError(code, f"{path}: unreadable header: {exc}") from None
     if header is None or [h.strip() for h in header[:2]] != columns:
         raise DataError(code, f"{path}: expected header {','.join(columns)}")
     with warnings.catch_warnings():
@@ -660,7 +668,10 @@ def cmd_analyze(values, prov) -> int:
     if source is None:
         raise ParameterError("no-input", "analyze needs --input")
     with open(source, newline="") as fh:  # the header alone picks the reader
-        header = next(csv.reader(fh), [])
+        try:
+            header = next(csv.reader(fh), [])
+        except csv.Error as exc:  # such as a field past csv's size limit
+            raise DataError("unknown-format", f"{source}: unreadable header: {exc}") from None
     head = [h.strip() for h in header[:2]]
     if head == ["detector_id", "timestamp_ns"]:
         # histogrammed block by block, while the file is read

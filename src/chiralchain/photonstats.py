@@ -77,6 +77,12 @@ PULSE_GATE_NS = (1000.0, 9000.0)
 DISCARD_PULSES = 20
 # a-tags per block of the pair search; a block's slices stay cache sized
 _PAIR_BLOCK = 2**16
+# the pair search's occupancy filter: cells of a block's table, at most (one
+# byte each), and the expected b-tags per cell up to which the filter runs
+_FILTER_CELLS = 2**20
+_FILTER_LOAD = 0.4
+# the bits of the float 2**52 read as an int64, for the filter's in-place cast
+_TWO52_BITS = np.float64(2.0**52).view(np.int64)
 # tags per chunk of the in-place compaction and int64 cast in synth_timetags
 _TAG_CHUNK = 2**16
 _INT64 = np.iinfo(np.int64)
@@ -86,9 +92,11 @@ _INT64 = np.iinfo(np.int64)
 # the CLI writer's block buffers), and parts per drawn tag (detector-0 tags
 # plus detector-1 candidates) and per tag pair within the curve support.
 # tracemalloc of synth_timetags then histogram_timetags, with and without
-# gating, at OD 3.15 and 5.13 reads 2.5 MB at 3e4/s for 2 s on one thread,
-# 1.7 MB per block, 9.3 per drawn tag at 3e4/s from 20 s on (9.4 at 40 s)
-# and 76 per pair beyond that at 1e6-2e6/s
+# gating, at OD 3.15 and 5.13 reads 2.6 MB at 3e4/s for 2 s on one thread,
+# 1.71 MB per block (the occupancy filter's table and cell array at 3e4/s,
+# 1.1 MB at 3e5/s, 2.06 MB for an unfiltered int64 block at 1e6/s), 9.3 per
+# drawn tag at 3e4/s from 20 s on (9.4 at 40 s) and 76 per pair beyond that
+# at 1e6-2e6/s
 _FIXED_BYTES = 2**20
 _THREAD_BYTES = 2 * 2**20
 _TAG_BYTES = 10
@@ -501,17 +509,78 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _occupancy_filter(ab: np.ndarray, bb: np.ndarray, reach: float) -> np.ndarray | None:
+    """Indices of the a-tags of a block that may have a b-tag within reach, or None.
+
+    ab and bb are sorted, bb the b-tags the block can reach.  From the
+    block's first tag o, of either side, the values are cut into cells of
+    width w >= 2 reach, and a bool table marks the cells that hold a b-tag.
+    The partners of an a-tag then lie in the cell of floor((a - o) / w + 1/2)
+    or in the one below it, so the a-tags with neither cell marked are
+    dropped, and none with a partner is.  For float tags w also exceeds
+    2 reach by more than the rounding of (x - o) / w can move a tag.
+
+    The table has at most _FILTER_CELLS cells.  None, for no filter, unless
+    the block's expected b-tags per cell, bb.size * w / span over the span
+    of its tags, is at most _FILTER_LOAD: in denser blocks most a-tags have
+    a mark near them, and the filter would only add work.
+    """
+    exact = np.issubdtype(ab.dtype, np.integer)
+    if exact:
+        # Python ints, so no int64 scalar wraps near the int64 range
+        o = min(int(ab[0]), int(bb[0]))
+        span = max(int(ab[-1]), int(bb[-1])) - o
+        w = max(2 * reach, -(-span // _FILTER_CELLS))
+    else:
+        o = min(ab[0], bb[0])
+        span = float(max(ab[-1], bb[-1]) - o)
+        w = max(2 * reach, span / _FILTER_CELLS) + span * 2**-48
+    # below 2**62 the int offsets x - o plus w / 2 are exact int64 values
+    if not (span < 2**62 and 0 < bb.size * w <= _FILTER_LOAD * span):
+        return None
+
+    def cells(x, centred):  # floor((x - o) / w), + 1/2 inside if centred
+        c = x - o
+        if exact:
+            if centred:
+                c += w // 2
+            c //= w
+            return c
+        c /= w
+        if centred:
+            c += 0.5
+        np.floor(c, out=c)
+        # c is integral in [0, 2**52), so 2**52 + c holds c in its low bits:
+        # the int64 cast in place, without a second array
+        c += 2.0**52
+        c = c.view(np.int64)
+        c -= _TWO52_BITS
+        return c
+
+    table = np.zeros(int(span // w if exact else span / w) + 3, bool)
+    table[1:][cells(bb, False)] = True
+    near = cells(ab, True)
+    keep = table[near]
+    keep |= table[1:][near]
+    return np.flatnonzero(keep)
+
+
 def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) with |b[j] - a[i]| <= reach, for sorted a and b.
 
     The a-tags are cut into blocks of _PAIR_BLOCK.  Each block first finds
     the slice of b it can reach, from its first tag - reach to its last
-    tag + reach; within that slice a searchsorted of a - reach finds each
-    tag's first partner, and the walk then goes forward one partner rank
-    per numpy pass, keeping only the tags still pairing.  Input of more
-    than one block is spread over a thread per CPU the process may use,
-    capped at the number of blocks: numpy runs the searches and gathers
-    of the cache-sized slices without the interpreter lock.
+    tag + reach.  In a sparse block, with at most _FILTER_LOAD expected
+    b-tags per cell of _occupancy_filter, that filter then drops the
+    a-tags with no b-tag in the two cells nearest them: at 3e4/s per
+    detector that is about nine in ten, while a dense block (1e6/s), where
+    most tags have a partner, keeps them all.  Within the slice a
+    searchsorted of a - reach finds each remaining tag's first partner, and
+    the walk then goes forward one partner rank per numpy pass, keeping
+    only the tags still pairing.  Input of more than one block is spread
+    over a thread per CPU the process may use, capped at the number of
+    blocks: numpy runs the searches and gathers of the cache-sized slices
+    without the interpreter lock.
 
     Integer tags (integer reach) are compared so that nothing wraps at the
     int64 range; float tags, as synth_timetags draws them, by b[j] - a[i].
@@ -537,9 +606,12 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarra
         bb = b[b_lo:b_hi]
         if not bb.size:
             return []
-        j = bb.searchsorted(lower(ab), side="left")
-        near = (j < bb.size) & within(bb[np.minimum(j, bb.size - 1)], ab)
-        i, j = np.flatnonzero(near), j[near]
+        kept = _occupancy_filter(ab, bb, reach)
+        keys = ab if kept is None else ab[kept]
+        j = bb.searchsorted(lower(keys), side="left")
+        near = (j < bb.size) & within(bb[np.minimum(j, bb.size - 1)], keys)
+        i = np.flatnonzero(near) if kept is None else kept[near]
+        j = j[near]
         passes = []
         while i.size:
             passes.append((i + lo, j + b_lo))

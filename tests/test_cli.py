@@ -161,6 +161,34 @@ def test_config_null_is_not_given(tmp_path, monkeypatch, field, args):
     assert side["params"][field] == {"value": None, "source": "default"}
 
 
+@pytest.mark.parametrize("text", [b"[" * 100_000, b'{"od": 1' + b"0" * 5000 + b"}",
+                                  b'{"od": 3\xff}'],
+                         ids=["nested", "5001-digits", "not-utf8"])
+def test_malformed_config_exits_2(tmp_path, capsys, text):
+    # json.load raises RecursionError, the integer digit limit's ValueError
+    # and UnicodeDecodeError, none a JSONDecodeError: these ended in a
+    # traceback (exit 1) or in exit 4 malformed-value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert run(tmp_path, "simulate", "--config", cfg, "--output", tmp_path / "x.csv") == 2
+    assert "[config-invalid]" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("args, text, code", [
+    (["analyze"], "a" * 200_000 + "\n1,2\n", "unknown-format"),
+    (["fit-beta", "--od0", 4.0], '"' + "a" * 200_000 + '",1\n1,2\n', "bad-saturation-file"),
+], ids=["analyze-header", "fit-beta-table"])
+def test_csv_field_past_the_size_limit_exits_4(tmp_path, capsys, args, text, code):
+    # csv.reader refuses a field of more than 131072 bytes with csv.Error,
+    # which ended in a traceback (exit 1)
+    src = tmp_path / "big.csv"
+    src.write_text(text)
+    assert run(tmp_path, *args, "--input", src, "--output", tmp_path / "out.json") == 4
+    assert f"[{code}]" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
 @pytest.mark.parametrize("args", [
     ["synth", "--od", 3.0, "--seed", -1],
     ["synth", "--kind", "timetags", "--od", 3.0, "--duration", 1.0, "--seed", -2],

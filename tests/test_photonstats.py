@@ -273,6 +273,72 @@ def test_pairs_within_matches_all_pairs(block, a, b, reach, as_float):
     assert got == sorted(want, key=lambda pq: (pq[1] - first[pq[0]], pq[0]))
 
 
+@st.composite
+def _sparse_tags(draw):
+    """Sorted a and b tags on a grid of wide steps, each jittered within reach."""
+    reach = draw(st.sampled_from([0, 1, 5, 12, 2**62]))
+    as_float = draw(st.booleans())
+    step = draw(st.sampled_from([37, 10**6] + ([] if as_float else [2**40])))
+    # the grid's first point: near 0, or for int64 tags near either end of the range
+    base = draw(st.sampled_from([0, -40 * step] if as_float
+                                else [0, -2**63 + 13, 2**63 - 1 - 40 * step - 13]))
+    jitter = min(reach, 12) + 1
+    tags = st.lists(st.tuples(st.integers(0, 40), st.integers(-jitter, jitter)), max_size=25)
+    # grid points shared by the two sides give ties and pairs across them
+    a, b = ([base + k * step + d for k, d in draw(tags)] for _ in range(2))
+    a, b = np.sort(np.array(a, np.int64)), np.sort(np.array(b, np.int64))
+    if as_float:  # quarter-ns floats keep every difference exact
+        a, b, reach = a * 0.25, b * 0.25, reach * 0.25
+    return a, b, reach
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("block", [1, 3, photonstats._PAIR_BLOCK], ids=["block1", "block3", "default"])
+@settings(max_examples=150, deadline=None)
+@given(tags=_sparse_tags(), cells=st.sampled_from([64, photonstats._FILTER_CELLS]))
+def test_pairs_within_sparse_tags_match_all_pairs(block, workers, tags, cells):
+    # sparse tags take the occupancy filter: cells of width 2 reach, or
+    # span / cells with 64 cells, put tags near the cell edges; a reach of
+    # 2**62, past every span, and one-tag blocks at reach 0 skip it
+    a, b, reach = tags
+    with mock.patch.object(photonstats, "_PAIR_BLOCK", block), \
+            mock.patch.object(photonstats, "_FILTER_CELLS", cells), \
+            mock.patch.object(photonstats, "_worker_count", lambda: workers):
+        i, j = _pairs_within(a, b, reach)
+    got = list(zip(i.tolist(), j.tolist()))
+    want = sorted((p, q) for p in range(a.size) for q in range(b.size)
+                  if abs(int(b[q]) - int(a[p]) if a.dtype.kind == "i" else b[q] - a[p]) <= reach)
+    # pass-major: every a-tag's first partner in a order, then every second one
+    first = {}
+    for p, q in want:
+        first.setdefault(p, q)
+    assert got == sorted(want, key=lambda pq: (pq[1] - first[pq[0]], pq[0]))
+
+
+@pytest.mark.parametrize("as_float", [False, True], ids=["int64", "float"])
+def test_occupancy_filter_keeps_every_tag_with_a_partner(as_float):
+    # a 3e4/s block is sparse: the filter runs and keeps about one tag in
+    # eight, every tag with a partner among them; a 1e6/s block is dense,
+    # and the filter stands aside
+    curve = _chain_curve(5.13)
+    reach = 367.0 if as_float else 321
+    for rate, runs in ((3e4, True), (1e6, False)):
+        stream = synth_timetags(curve, rate, rate, 1.1 * photonstats._PAIR_BLOCK / rate, seed=5)
+        a = stream.t0_ns[:photonstats._PAIR_BLOCK]
+        b = stream.t1_ns[:stream.t1_ns.searchsorted(a[-1] + reach, "right")]
+        if as_float:
+            a, b = a.astype(float), b.astype(float)
+        kept = photonstats._occupancy_filter(a, b, reach)
+        if not runs:
+            assert kept is None
+            continue
+        j = np.minimum(b.searchsorted(a - reach), b.size - 1)
+        partnered = np.flatnonzero(np.abs(b[j] - a) <= reach)
+        assert partnered.size > 0 and np.isin(partnered, kept).all()
+        assert kept.size < 0.2 * a.size
+        assert np.array_equal(kept, np.unique(kept))
+
+
 def test_timetags_do_not_depend_on_worker_count(monkeypatch):
     # 6e4 tags per detector: one block at the default size, so the reference
     # runs inline; blocks of 2**10 cut the same stream into about 60
