@@ -77,12 +77,13 @@ PULSE_GATE_NS = (1000.0, 9000.0)
 DISCARD_PULSES = 20
 # a-tags per block of the pair search; a block's slices stay cache sized
 _PAIR_BLOCK = 2**16
-# the pair search's occupancy filter: cells of a block's table, at most (one
-# byte each), and the expected b-tags per cell up to which the filter runs
+# cells of a block's table in the pair search's occupancy filter, at most
+# (one byte each)
 _FILTER_CELLS = 2**20
-_FILTER_LOAD = 0.4
-# the bits of the float 2**52 read as an int64, for the filter's in-place cast
-_TWO52_BITS = np.float64(2.0**52).view(np.int64)
+# 1.5 * 2**52: adding it to a float below 2**51 in size rounds that to an
+# integer held in the low bits, for the filter's in-place cast to int64
+_ROUND = 1.5 * 2.0**52
+_ROUND_BITS = np.float64(_ROUND).view(np.int64)
 # tags per chunk of the in-place compaction and int64 cast in synth_timetags
 _TAG_CHUNK = 2**16
 _INT64 = np.iinfo(np.int64)
@@ -93,10 +94,12 @@ _INT64 = np.iinfo(np.int64)
 # plus detector-1 candidates) and per tag pair within the curve support.
 # tracemalloc of synth_timetags then histogram_timetags, with and without
 # gating, at OD 3.15 and 5.13 reads 2.6 MB at 3e4/s for 2 s on one thread,
-# 1.71 MB per block (the occupancy filter's table and cell array at 3e4/s,
-# 1.1 MB at 3e5/s, 2.06 MB for an unfiltered int64 block at 1e6/s), 9.3 per
-# drawn tag at 3e4/s from 20 s on (9.4 at 40 s) and 76 per pair beyond that
-# at 1e6-2e6/s
+# 1.71 MB per block at 3e4/s (the occupancy filter's 1 MiB table and the
+# cells of the block's tags; 1.55-1.68 MB at 1e5/s against 5e5/s, 2.07-2.11
+# MB at 1e6/s with 0.77 MB of pairs, and 2.26 MB at 3e4/s against 1e6/s,
+# where nearly every tag is searched and the block holds 48 k pairs), 9.3
+# per drawn tag at 3e4/s from 20 s on (9.4 at 40 s) and 76 per pair beyond
+# that at 1e6-2e6/s
 _FIXED_BYTES = 2**20
 _THREAD_BYTES = 2 * 2**20
 _TAG_BYTES = 10
@@ -509,21 +512,24 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _occupancy_filter(ab: np.ndarray, bb: np.ndarray, reach: float) -> np.ndarray | None:
-    """Indices of the a-tags of a block that may have a b-tag within reach, or None.
+def _occupancy_filter(ab: np.ndarray, bb: np.ndarray, reach: float) -> np.ndarray:
+    """A mask of the a-tags of a block that may have a b-tag within reach.
 
     ab and bb are sorted, bb the b-tags the block can reach.  From the
     block's first tag o, of either side, the values are cut into cells of
     width w >= 2 reach, and a bool table marks the cells that hold a b-tag.
     The partners of an a-tag then lie in the cell of floor((a - o) / w + 1/2)
     or in the one below it, so the a-tags with neither cell marked are
-    dropped, and none with a partner is.  For float tags w also exceeds
-    2 reach by more than the rounding of (x - o) / w can move a tag.
+    dropped, and none with a partner is.  Float tags take the nearest
+    integers to (a - o) / w and (b - o) / w - 1/2 instead, which lands in
+    the same two cells, and w exceeds 2 reach by more than the rounding
+    can move a tag.
 
-    The table has at most _FILTER_CELLS cells.  None, for no filter, unless
-    the block's expected b-tags per cell, bb.size * w / span over the span
-    of its tags, is at most _FILTER_LOAD: in denser blocks most a-tags have
-    a mark near them, and the filter would only add work.
+    The table has at most _FILTER_CELLS cells, and the b-tags mark it
+    _TAG_CHUNK at a time, so besides the table the work arrays are a few
+    as long as ab, however many b-tags the block reaches.  Every a-tag is
+    kept when one cell would cover the whole span, or when the span
+    reaches 2**62, past the exact int offsets.
     """
     exact = np.issubdtype(ab.dtype, np.integer)
     if exact:
@@ -536,33 +542,34 @@ def _occupancy_filter(ab: np.ndarray, bb: np.ndarray, reach: float) -> np.ndarra
         span = float(max(ab[-1], bb[-1]) - o)
         w = max(2 * reach, span / _FILTER_CELLS) + span * 2**-48
     # below 2**62 the int offsets x - o plus w / 2 are exact int64 values
-    if not (span < 2**62 and 0 < bb.size * w <= _FILTER_LOAD * span):
-        return None
+    if not 0 < w <= span < 2**62:
+        return np.ones(ab.size, bool)
 
-    def cells(x, centred):  # floor((x - o) / w), + 1/2 inside if centred
+    def cells(x, centred):  # cell of x, ints by floor, floats by rounding
         c = x - o
-        if exact:
+        if exact:  # floor((x - o) / w), + 1/2 inside if centred
             if centred:
                 c += w // 2
             c //= w
             return c
-        c /= w
-        if centred:
-            c += 0.5
-        np.floor(c, out=c)
-        # c is integral in [0, 2**52), so 2**52 + c holds c in its low bits:
-        # the int64 cast in place, without a second array
-        c += 2.0**52
+        # (x - o) / w rounded to an integer, less 1/2 first if not centred;
+        # the sum with _ROUND is that integer in its low bits: the int64 cast
+        # in place, without a second array
+        c *= 1.0 / w
+        if not centred:
+            c -= 0.5
+        c += _ROUND
         c = c.view(np.int64)
-        c -= _TWO52_BITS
+        c -= _ROUND_BITS
         return c
 
     table = np.zeros(int(span // w if exact else span / w) + 3, bool)
-    table[1:][cells(bb, False)] = True
+    for lo in range(0, bb.size, _TAG_CHUNK):
+        table[1:][cells(bb[lo:lo + _TAG_CHUNK], False)] = True
     near = cells(ab, True)
     keep = table[near]
     keep |= table[1:][near]
-    return np.flatnonzero(keep)
+    return keep
 
 
 def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
@@ -570,17 +577,15 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarra
 
     The a-tags are cut into blocks of _PAIR_BLOCK.  Each block first finds
     the slice of b it can reach, from its first tag - reach to its last
-    tag + reach.  In a sparse block, with at most _FILTER_LOAD expected
-    b-tags per cell of _occupancy_filter, that filter then drops the
-    a-tags with no b-tag in the two cells nearest them: at 3e4/s per
-    detector that is about nine in ten, while a dense block (1e6/s), where
-    most tags have a partner, keeps them all.  Within the slice a
-    searchsorted of a - reach finds each remaining tag's first partner, and
-    the walk then goes forward one partner rank per numpy pass, keeping
-    only the tags still pairing.  Input of more than one block is spread
-    over a thread per CPU the process may use, capped at the number of
-    blocks: numpy runs the searches and gathers of the cache-sized slices
-    without the interpreter lock.
+    tag + reach.  _occupancy_filter then drops the a-tags with no b-tag in
+    the two cells nearest them: at 3e4/s per detector about nine in ten,
+    at 1e6/s, where most tags have a partner, about one in four.  Within
+    the slice a searchsorted of a - reach finds each remaining tag's first
+    partner, and the walk then goes forward one partner rank per numpy
+    pass, keeping only the tags still pairing.  Input of more than one
+    block is spread over a thread per CPU the process may use, capped at
+    the number of blocks: numpy runs the searches and gathers of the
+    cache-sized slices without the interpreter lock.
 
     Integer tags (integer reach) are compared so that nothing wraps at the
     int64 range; float tags, as synth_timetags draws them, by b[j] - a[i].
@@ -606,12 +611,14 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, reach: float) -> tuple[np.ndarra
         bb = b[b_lo:b_hi]
         if not bb.size:
             return []
+        # indices gather the keys far faster than the mask, which alone
+        # stays alive through the search
         kept = _occupancy_filter(ab, bb, reach)
-        keys = ab if kept is None else ab[kept]
+        keys = ab[np.flatnonzero(kept)]
         j = bb.searchsorted(lower(keys), side="left")
         near = (j < bb.size) & within(bb[np.minimum(j, bb.size - 1)], keys)
-        i = np.flatnonzero(near) if kept is None else kept[near]
-        j = j[near]
+        del keys
+        i, j = np.flatnonzero(kept)[near], j[near]
         passes = []
         while i.size:
             passes.append((i + lo, j + b_lo))
