@@ -144,6 +144,25 @@ class TauGrid:
         return np.concatenate([-self.values[:0:-1], self.values])
 
 
+def _check_g2_values(grid: TauGrid, values: np.ndarray) -> None:
+    """Check g2 values on grid: one curve, or a block with one curve per row.
+
+    Raises "curve-negative" unless every value is finite and >= 0, and
+    "tail-not-unity" when a curve on a grid past 50/Gamma has not relaxed
+    to the coherent level 1 within 2 % at its last delay.
+    """
+    if np.any(values < 0.0) or not np.all(np.isfinite(values)):
+        raise ParameterError("curve-negative", "g2 values must be finite and >= 0")
+    if grid.unit == "gamma" and grid.values[-1] > 50.0:
+        tail = np.ravel(values[..., -1])
+        off = np.flatnonzero(np.abs(tail - 1.0) > 0.02)
+        if off.size:
+            raise NumericalError(
+                "tail-not-unity",
+                f"g2 at tau = {grid.values[-1]:g}/Gamma is {tail[off[0]]:g}, expected 1 within 2%",
+            )
+
+
 @dataclass(frozen=True)
 class G2Curve:
     """Normalized second-order correlation on a TauGrid.
@@ -160,15 +179,7 @@ class G2Curve:
         object.__setattr__(self, "values", v)
         if v.shape != self.grid.values.shape:
             raise ParameterError("curve-shape-mismatch", "values and grid must have equal length")
-        if np.any(v < 0.0) or not np.all(np.isfinite(v)):
-            raise ParameterError("curve-negative", "g2 values must be finite and >= 0")
-        # long-delay curves must have relaxed to the coherent level
-        if self.grid.unit == "gamma" and self.grid.values[-1] > 50.0:
-            if abs(v[-1] - 1.0) > 0.02:
-                raise NumericalError(
-                    "tail-not-unity",
-                    f"g2 at tau = {self.grid.values[-1]:g}/Gamma is {v[-1]:g}, expected 1 within 2%",
-                )
+        _check_g2_values(self.grid, v)
 
     def mirrored(self) -> tuple[np.ndarray, np.ndarray]:
         """(tau, g2) over the full symmetric range, for output."""

@@ -47,9 +47,10 @@ from .core import (
 from .transport import (
     TRANSMISSION_FLOOR,
     _check_chain_length,
-    chain_g2_by_length,
+    _g2_block,
     chain_g2_zero_by_length,
     od_per_atom,
+    transmission_coefficient,
 )
 
 __all__ = [
@@ -302,14 +303,26 @@ def _bin_distribution(prior: np.ndarray, bins: OdBinSpec, bin_index: int,
     return NumberDistribution(ns, weights / weights.sum())
 
 
-def _rate_weighted_mean(dist: NumberDistribution, beta: float, values: np.ndarray):
+def _od_per_atom_at(beta: float, detuning: float) -> float:
+    """Optical depth per atom at the probe detuning, -2 ln|t(Delta)|.
+
+    A run of N atoms transmits exp(-N od) = |t(Delta)|^2N of the probe, the
+    power transmission of its curves.  On resonance t(0) is exactly
+    1 - 2 beta, so this is od_per_atom(beta) bit for bit.
+    """
+    od_per_atom(beta)  # checks beta
+    return -2.0 * math.log(abs(transmission_coefficient(beta, detuning)))
+
+
+def _rate_weighted_mean(dist: NumberDistribution, od_atom: float, values: np.ndarray):
     """sum_N w_N r_N^2 values[N] / sum_N w_N r_N^2, values[i] at N = support[i].
 
     Pooled coincidences weight each run by its pair rate, w_N r_N^2, with
-    r_N = exp(-N od_per_atom(beta)) the resonant power transmission.  The
-    rows of 2d values are added one after another, in support order.
+    r_N = exp(-N od_atom) the power transmission at the curves' detuning
+    (od_atom from _od_per_atom_at).  The rows of 2d values are added one
+    after another, in support order.
     """
-    wr = dist.weights * np.exp(-dist.support * od_per_atom(beta))**2
+    wr = dist.weights * np.exp(-dist.support * od_atom)**2
     wr = wr.reshape((-1,) + (1,) * (values.ndim - 1))
     return (wr * values).sum(axis=0) / wr.sum()
 
@@ -318,20 +331,22 @@ def averaged_g2(dist: NumberDistribution, params: PhysicalParams,
                 grid: TauGrid) -> G2Curve:
     """Distribution-averaged g2: pooled histograms weight runs by rate^2.
 
-    g2_avg = sum_N w_N r_N^2 g2_N / sum_N w_N r_N^2.  The atom number in
-    ``params`` is ignored; the distribution supplies N.
+    g2_avg = sum_N w_N r_N^2 g2_N / sum_N w_N r_N^2, with r_N the power
+    transmission at the probe detuning.  The atom number in ``params`` is
+    ignored; the distribution supplies N.
     """
-    curves = chain_g2_by_length(params.beta, dist.support, grid, params.detuning)
-    values = _rate_weighted_mean(dist, params.beta, np.array([c.values for c in curves]))
-    trans = 0.0
-    for w, curve in zip(dist.weights, curves):
-        trans += w * curve.transmission
-    return G2Curve(grid, values, transmission=trans)
+    g2, trans = _g2_block(params.beta, dist.support, grid, params.detuning)
+    values = _rate_weighted_mean(dist, _od_per_atom_at(params.beta, params.detuning), g2)
+    total = 0.0
+    for w, tr in zip(dist.weights, trans):
+        total += w * tr
+    return G2Curve(grid, values, transmission=total)
 
 
 def averaged_g2_zero(dist: NumberDistribution, beta: float) -> float:
     """Equal-time version of averaged_g2 on resonance, cheap enough for OD sweeps."""
-    return float(_rate_weighted_mean(dist, beta, chain_g2_zero_by_length(beta, dist.support)))
+    g2z = chain_g2_zero_by_length(beta, dist.support)
+    return float(_rate_weighted_mean(dist, od_per_atom(beta), g2z))
 
 
 @dataclass(frozen=True)
@@ -377,6 +392,7 @@ def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
     # one g2(0) call covers every chain length any row reads
     n_top = max(n_rounds + [int(d.support[-1]) for d in dists.values()])
     g2z = chain_g2_zero_by_length(beta, np.arange(n_top + 1), detuning)
+    od_atom = _od_per_atom_at(beta, detuning)
 
     rows = []
     for od, n_round, idx in zip(od_grid, n_rounds, bin_of):
@@ -384,7 +400,7 @@ def sweep_g2_vs_od(beta: float, od_grid, bins: OdBinSpec | None = None,
         if averaged and od == 0.0:
             n_mean, g2_avg = 0.0, 1.0
         elif dist is not None:
-            n_mean, g2_avg = dist.mean, float(_rate_weighted_mean(dist, beta, g2z[dist.support]))
+            n_mean, g2_avg = dist.mean, float(_rate_weighted_mean(dist, od_atom, g2z[dist.support]))
         else:
             n_mean, g2_avg = od_to_atoms(float(od), beta), None
         rows.append(SweepRow(float(od), n_mean, float(g2z[n_round]), g2_avg))

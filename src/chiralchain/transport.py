@@ -78,6 +78,7 @@ from .core import (
     ParameterError,
     PhysicalParams,
     TauGrid,
+    _check_g2_values,
     _physical_memory_bytes,
 )
 
@@ -152,10 +153,12 @@ def _steady_pairs(beta: float, detuning: float, n: int, lengths=()):
     den2 = -2.0 * detuning - 1.0j
     c1 = 1j * beta / den1
     c2 = 1j * beta / den2
+    isq = 1j * sq
+    drive1 = isq / den1
 
     e = np.empty(n, dtype=complex)
     for k in range(n):
-        e[k] = c1 * e[:k].sum() + 1j * sq / den1
+        e[k] = c1 * np.add.reduce(e[:k]) + drive1
     rowsum = np.zeros(n, dtype=complex)  # rowsum[i] = sum of the filled d_ij
     colsum = np.zeros(n, dtype=complex)  # colsum[k] = sum_{j<k} d_jk
     lens = np.asarray(lengths, dtype=np.int64)
@@ -163,23 +166,48 @@ def _steady_pairs(beta: float, detuning: float, n: int, lengths=()):
     # lengths L < n are copied on anti-diagonals L - 1 <= s <= 2 L - 2; the
     # rest are the finished row sums
     n_short = int(np.searchsorted(lens, n))
-    diags = np.arange(2 * n - 2)
+    diags = np.arange(2 * n - 1)
     first = np.searchsorted(lens[:n_short], (diags + 3) // 2).tolist()
     last = np.searchsorted(lens[:n_short], diags + 1, side="right").tolist()
     at = np.arange(n_short)
+    # on one anti-diagonal, consecutive lengths L, L + 1, ... copy emitters
+    # k, k - 1, ..., entries n - 1 apart in the flat rows: one strided copy.
+    # run[i] is the first of the consecutive lengths that end at lens[i]
+    breaks = np.ones(n_short, dtype=bool)
+    breaks[1:] = np.diff(lens[:n_short]) != 1
+    run = np.maximum.accumulate(np.where(breaks, at, 0)).tolist()
+    flat = rows.reshape(-1)
+    # the buffers of one anti-diagonal.  No product or quotient is written
+    # over its own operand: numpy's SIMD loops may round a complex product
+    # in place differently (seen at length 1), and the fill must not move.
+    d_buf, drive_buf, tmp_buf = (np.empty(n, dtype=complex) for _ in range(3))
 
-    for s in range(2 * n - 2):
+    # the last anti-diagonal, s = 2 n - 2, is empty: it closes colsum[n - 1]
+    for s in range(2 * n - 1):
         lo, hi = s // 2 + 1, min(n - 1, s)
         # k runs down over [lo, hi], so that j = s - k runs up
-        j, k = slice(s - hi, s - lo + 1), slice(hi, lo - 1, -1)
-        d = c2 * (rowsum[j] + rowsum[k]) + 1j * sq * (e[j] + e[k]) / den2
-        rowsum[j] += d
-        rowsum[k] += d
-        colsum[k] += d
+        row_j, row_k = rowsum[s - hi:s - lo + 1], rowsum[hi:lo - 1:-1]
+        m = hi - lo + 1
+        d, drive, tmp = d_buf[:m], drive_buf[:m], tmp_buf[:m]
+        # d = c2 (rowsum[j] + rowsum[k]) + i sqrt(beta) (e[j] + e[k]) / den2
+        np.multiply(isq, np.add(e[s - hi:s - lo + 1], e[hi:lo - 1:-1], out=drive), out=tmp)
+        np.divide(tmp, den2, out=drive)
+        np.multiply(c2, np.add(row_j, row_k, out=tmp), out=d)
+        d += drive
+        row_j += d
+        row_k += d
+        if s % 2 == 0:
+            # emitter s/2 is not on anti-diagonal s, and has only been the
+            # larger index k before it: its row sum is its column sum
+            colsum[s // 2] = rowsum[s // 2]
         a, b = first[s], last[s]
         if a < b:
-            done = s + 1 - lens[a:b]
-            rows[at[a:b], done] = rowsum[done]
+            if run[b - 1] <= a:
+                k = s + 1 - int(lens[a])
+                flat[a * n + k::n - 1][:b - a] = rowsum[k + 1 - (b - a):k + 1][::-1]
+            else:
+                done = s + 1 - lens[a:b]
+                rows[at[a:b], done] = rowsum[done]
     rows[n_short:] = rowsum
     sum_d = np.cumsum(np.concatenate(([0j], colsum)))
     return e, sum_d, rows
@@ -298,21 +326,31 @@ def _two_photon_amplitudes(beta: float, detuning: float, ns: list[int],
     return psi
 
 
+def _g2_block(beta: float, ns, grid: TauGrid, detuning: float) -> tuple[np.ndarray, list[float]]:
+    """g2 of the ascending chain lengths ns on grid, one row per length, and
+    their power transmissions.
+
+    The block passes G2Curve's checks.  Raises "vanishing-transmission"
+    when the longest chain is below the transmission floor.
+    """
+    PhysicalParams(beta=beta, n_atoms=0, detuning=detuning)  # checks beta and detuning
+    _check_grid(grid)
+    ns = _lengths(ns)
+    psi = _two_photon_amplitudes(beta, detuning, ns, grid.values)
+    trans = [_power_transmission(beta, detuning, n) for n in ns]
+    g2 = np.abs(psi) ** 2 / np.array([tr**2 for tr in trans])[:, None]
+    _check_g2_values(grid, g2)
+    return g2, trans
+
+
 def chain_g2_by_length(beta: float, ns, grid: TauGrid, detuning: float = 0.0) -> list[G2Curve]:
     """chain_g2 for each of the ascending chain lengths ns, from one propagator table.
 
     Raises "vanishing-transmission" when the longest chain is below the
     transmission floor.
     """
-    PhysicalParams(beta=beta, n_atoms=0, detuning=detuning)  # checks beta and detuning
-    _check_grid(grid)
-    ns = _lengths(ns)
-    psi = _two_photon_amplitudes(beta, detuning, ns, grid.values)
-    curves = []
-    for n, row in zip(ns, psi):
-        trans = _power_transmission(beta, detuning, n)
-        curves.append(G2Curve(grid, np.abs(row) ** 2 / trans**2, transmission=trans))
-    return curves
+    g2, trans = _g2_block(beta, ns, grid, detuning)
+    return [G2Curve(grid, row, transmission=tr) for row, tr in zip(g2, trans)]
 
 
 def chain_g2(params: PhysicalParams, grid: TauGrid) -> G2Curve:

@@ -13,6 +13,7 @@ from chiralchain import (
     TauGrid,
     time_unit_ns,
 )
+from chiralchain.core import _check_g2_values
 
 
 def test_time_unit_ns():
@@ -94,6 +95,22 @@ def test_g2_curve_tail_check_only_for_long_natural_grids():
     # short grids and physical-time grids may end anywhere
     G2Curve(TauGrid.linear(10.0, 11), np.full(11, 1.5))
     G2Curve(TauGrid(np.linspace(0.0, 60.0, 61), unit="ns"), np.full(61, 1.5))
+
+
+def test_g2_check_refuses_a_block_with_one_bad_row():
+    # one check serves a G2Curve and a block of curves, one per row
+    grid = TauGrid.linear(60.0, 61)
+    block = np.ones((4, 61))
+    _check_g2_values(grid, block)
+    block[2, 5] = -0.1
+    with pytest.raises(ParameterError) as err:
+        _check_g2_values(grid, block)
+    assert err.value.code == "curve-negative"
+    block[2, 5] = 1.0
+    block[3, -1] = 1.5
+    with pytest.raises(NumericalError) as err:
+        _check_g2_values(grid, block)
+    assert err.value.code == "tail-not-unity" and "is 1.5," in str(err.value)
 
 
 def test_g2_curve_mirrored():

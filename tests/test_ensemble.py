@@ -30,7 +30,7 @@ from chiralchain import (
     sweep_g2_vs_od,
     synth_histogram,
 )
-from chiralchain.ensemble import OD_BIN_EDGES, _nominal_loadings
+from chiralchain.ensemble import OD_BIN_EDGES, _nominal_loadings, _od_per_atom_at
 from chiralchain.transport import TRANSMISSION_FLOOR
 
 BETA = 0.0081
@@ -175,6 +175,51 @@ def test_averaged_g2_matches_manual_rate_weighting():
                        for w, n in zip(wr, support)) / wr.sum()
     np.testing.assert_allclose(averaged_g2(dist, params, grid).values, manual_curve,
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("od", [3.15, 5.13, 6.75])
+def test_averaged_g2_is_the_rate_weighted_mean_of_the_chain_curves(od):
+    # bit for bit the per-N curves stacked and weighted by w_N T_N^2,
+    # T_N = exp(-N od_per_atom), with the transmission summed N by N
+    bins = OdBinSpec.default()
+    dist = build_number_distribution(bins, bins.bin_index(od), BETA)
+    grid = TauGrid.linear(8.0, 81)
+    avg = averaged_g2(dist, PhysicalParams(BETA, 1), grid)
+    curves = chain_g2_by_length(BETA, dist.support, grid)
+    wr = dist.weights * np.exp(-dist.support * od_per_atom(BETA))**2
+    want = (wr[:, None] * np.array([c.values for c in curves])).sum(axis=0) / wr.sum()
+    assert np.array_equal(avg.values, want)
+    trans = 0.0
+    for w, c in zip(dist.weights, curves):
+        trans += w * c.transmission
+    assert avg.transmission == trans
+
+
+def test_od_per_atom_at_on_resonance_is_od_per_atom():
+    for beta in (1e-4, 0.002, 0.0081, 0.05, 0.3, 0.49):
+        assert _od_per_atom_at(beta, 0.0) == od_per_atom(beta)
+    # off resonance the probe is absorbed less
+    assert 0.0 < _od_per_atom_at(BETA, 0.5) < od_per_atom(BETA)
+
+
+@pytest.mark.parametrize("od", [3.15, 5.13])
+def test_detuned_average_weights_runs_by_the_detuned_pair_rate(od):
+    # the curves are taken at the probe detuning, so each run's pair rate
+    # is w_N T_N^2 with T_N = |t(Delta)|^2N, the curves' own transmission
+    delta = 0.5
+    bins = OdBinSpec.default()
+    dist = build_number_distribution(bins, bins.bin_index(od), BETA)
+    grid = TauGrid.linear(8.0, 81)
+    curves = chain_g2_by_length(BETA, dist.support, grid, delta)
+    trans = np.array([c.transmission for c in curves])
+    wr = dist.weights * trans**2
+    want = (wr[:, None] * np.array([c.values for c in curves])).sum(axis=0) / wr.sum()
+    avg = averaged_g2(dist, PhysicalParams(BETA, 1, delta), grid)
+    np.testing.assert_allclose(avg.values, want, rtol=1e-12)
+    # the sweep's averaged column pools the same runs at tau = 0
+    g2z = chain_g2_zero_by_length(BETA, dist.support, delta)
+    row, = sweep_g2_vs_od(BETA, [od], bins=bins, detuning=delta)
+    assert row.g2_0_averaged == pytest.approx(wr @ g2z / wr.sum(), rel=1e-12)
 
 
 def test_averaged_g2_raises_when_support_reaches_the_transmission_floor():

@@ -185,6 +185,20 @@ def test_anti_diagonal_fill_matches_column_loop(beta, delta):
     assert _close(rows, rows_ref, 1e-13)
 
 
+def test_lengths_leave_the_fill_unchanged():
+    # the lengths only choose which partial row sums are copied: single
+    # amplitudes and pair sums are bitwise those of a fill without them, and
+    # each length's row is the one it gets alone, whether it is copied with
+    # a run of consecutive lengths or next to a gap or a repeat
+    for beta, delta in ((0.0081, 0.0), (0.3, 0.3), (1.0, -0.4)):
+        e, sum_d, _ = _steady_pairs(beta, delta, 90)
+        for lengths in ([90], list(range(30, 91)), [1, 2, 3, 10, 11, 40, 40, 41, 89, 90]):
+            e_l, sum_l, rows = _steady_pairs(beta, delta, 90, lengths)
+            assert np.array_equal(e_l, e) and np.array_equal(sum_l, sum_d)
+            for length, row in zip(lengths, rows):
+                assert np.array_equal(row, _steady_pairs(beta, delta, 90, [length])[2][0])
+
+
 def test_g2_zero_scan_keeps_no_pair_matrix():
     # the fill holds O(N) amplitudes: a stored 2000 x 2000 pair matrix
     # would take 61 MiB
