@@ -126,13 +126,14 @@ def od_per_atom(beta: float) -> float:
     return od
 
 
-def _steady_pairs(beta: float, detuning: float, n: int, lengths=()):
+def _steady_pairs(beta: float, detuning: float, n: int, first: int):
     """Steady-state amplitudes of a chain of n emitters, reduced to what g2 reads.
 
     Returns (e, sum_d, rows): the single amplitudes e_k (k < n), the pair
-    sums sum_d[L] = sum_{j<k<L} d_jk (L <= n), and for each length L <= n in
-    the ascending ``lengths`` the partial pair row sums
-    rows[i, k] = sum_{j<L} d_kj for k < L (zero beyond).
+    sums sum_d[L] = sum_{j<k<L} d_jk (L <= n), and for each length
+    first <= L <= n the partial pair row sums
+    rows[L - first, k] = sum_{j<L} d_kj for k < L (zero beyond); first = n + 1
+    asks for no rows.
 
     The pairs are filled by anti-diagonal s = j + k (see the module
     docstring) and never stored.  With rowsum[i] the running sum of the
@@ -145,8 +146,8 @@ def _steady_pairs(beta: float, detuning: float, n: int, lengths=()):
     whole diagonal is one vector step on slices.  Each row sum adds its pairs
     in partner order, as a column-by-column fill would, so row k holds
     sum_{j<L} d_kj right after anti-diagonal L - 1 + k, and is copied for
-    length L there.  Memory is O(n) besides rows; callers bound the work
-    with _check_chain_length first.
+    length L there.  Memory is O(n) besides the n + 1 - first rows; callers
+    bound it with _check_chain_length first.
     """
     sq = math.sqrt(beta)
     den1 = -detuning - 0.5j
@@ -161,21 +162,10 @@ def _steady_pairs(beta: float, detuning: float, n: int, lengths=()):
         e[k] = c1 * np.add.reduce(e[:k]) + drive1
     rowsum = np.zeros(n, dtype=complex)  # rowsum[i] = sum of the filled d_ij
     colsum = np.zeros(n, dtype=complex)  # colsum[k] = sum_{j<k} d_jk
-    lens = np.asarray(lengths, dtype=np.int64)
-    rows = np.zeros((lens.size, n), dtype=complex)
-    # lengths L < n are copied on anti-diagonals L - 1 <= s <= 2 L - 2; the
-    # rest are the finished row sums
-    n_short = int(np.searchsorted(lens, n))
-    diags = np.arange(2 * n - 1)
-    first = np.searchsorted(lens[:n_short], (diags + 3) // 2).tolist()
-    last = np.searchsorted(lens[:n_short], diags + 1, side="right").tolist()
-    at = np.arange(n_short)
-    # on one anti-diagonal, consecutive lengths L, L + 1, ... copy emitters
-    # k, k - 1, ..., entries n - 1 apart in the flat rows: one strided copy.
-    # run[i] is the first of the consecutive lengths that end at lens[i]
-    breaks = np.ones(n_short, dtype=bool)
-    breaks[1:] = np.diff(lens[:n_short]) != 1
-    run = np.maximum.accumulate(np.where(breaks, at, 0)).tolist()
+    rows = np.zeros((n + 1 - first, n), dtype=complex)
+    # lengths L < n are copied on anti-diagonals L - 1 <= s <= 2 L - 2, so
+    # anti-diagonal s copies the lengths L = a..b below, emitters k = s + 1 - L
+    # running down, entries n - 1 apart in the flat rows: one strided copy
     flat = rows.reshape(-1)
     # the buffers of one anti-diagonal.  No product or quotient is written
     # over its own operand: numpy's SIMD loops may round a complex product
@@ -200,15 +190,12 @@ def _steady_pairs(beta: float, detuning: float, n: int, lengths=()):
             # emitter s/2 is not on anti-diagonal s, and has only been the
             # larger index k before it: its row sum is its column sum
             colsum[s // 2] = rowsum[s // 2]
-        a, b = first[s], last[s]
-        if a < b:
-            if run[b - 1] <= a:
-                k = s + 1 - int(lens[a])
-                flat[a * n + k::n - 1][:b - a] = rowsum[k + 1 - (b - a):k + 1][::-1]
-            else:
-                done = s + 1 - lens[a:b]
-                rows[at[a:b], done] = rowsum[done]
-    rows[n_short:] = rowsum
+        a, b = max(first, (s + 3) // 2), min(n - 1, s + 1)
+        if a <= b:
+            k = s + 1 - a
+            flat[(a - first) * n + k::n - 1][:b - a + 1] = rowsum[k - (b - a):k + 1][::-1]
+    if first <= n:
+        rows[n - first] = rowsum
     sum_d = np.cumsum(np.concatenate(([0j], colsum)))
     return e, sum_d, rows
 
@@ -233,7 +220,8 @@ def _check_transmission(trans: float) -> None:
 
 def _check_chain_length(n: int) -> None:
     """Refuse a chain whose n^2 / 2 pair amplitudes, at 16 n^2 bytes, would not
-    fit in the installed memory: the fill computes each of them once."""
+    fit in the installed memory: the fill computes each of them once, and a
+    scan of lengths from 1 to n holds n partial row sums of n amplitudes."""
     if not 16.0 * n * n <= _physical_memory_bytes():
         raise NumericalError(
             "chain-too-long",
@@ -308,7 +296,7 @@ def _two_photon_amplitudes(beta: float, detuning: float, ns: list[int],
             f"N = {n_max} on {taus.size} delays needs a {table_bytes:.3g} byte propagator "
             "table, more than fits in memory; use fewer delay points",
         )
-    e, _, rows = _steady_pairs(beta, detuning, n_max, lit)
+    e, _, rows = _steady_pairs(beta, detuning, n_max, lit[0])
     t = transmission_coefficient(beta, detuning)
     sq = math.sqrt(beta)
 
@@ -317,7 +305,7 @@ def _two_photon_amplitudes(beta: float, detuning: float, ns: list[int],
     carrier = np.empty(len(lit), dtype=complex)
     for i, n in enumerate(lit):
         t_n = t**n
-        weights[i, n - 1::-1] = (1.0 - t_n) * e[:n] + sq * rows[i, :n]
+        weights[i, n - 1::-1] = (1.0 - t_n) * e[:n] + sq * rows[n - lit[0], :n]
         carrier[i] = t_n**2
 
     phase = np.exp(1j * detuning * taus)
@@ -374,7 +362,7 @@ def chain_g2_zero_by_length(beta: float, ns, detuning: float = 0.0) -> np.ndarra
     ns = np.array(_lengths(ns), dtype=np.int64)
     n_max = int(ns.max(initial=0))
     _check_chain_length(n_max)
-    _, sum_d, _ = _steady_pairs(beta, detuning, n_max)
+    _, sum_d, _ = _steady_pairs(beta, detuning, n_max, n_max + 1)
     t = transmission_coefficient(beta, detuning)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         psi = 2.0 * t**ns - 1.0 + 2.0 * beta * sum_d[ns]

@@ -40,6 +40,10 @@ def test_od_to_atoms_inverts_od_per_atom():
     for beta in (0.0081, 0.02, 0.1):
         for n in (1, 50, 200):
             assert od_to_atoms(n * od_per_atom(beta), beta) == pytest.approx(n, rel=1e-12)
+    for od in (-1.0, math.nan):
+        with pytest.raises(ParameterError) as err:
+            od_to_atoms(od, BETA)
+        assert err.value.code == "bad-od"
 
 
 def test_default_bin_scheme():
@@ -100,6 +104,20 @@ def test_bin_spec_validation():
 def test_number_distribution_mean():
     d = NumberDistribution(np.array([3, 4, 5]), np.array([0.2, 0.5, 0.3]))
     assert d.mean == pytest.approx(4.1)
+
+
+@pytest.mark.parametrize("support,weights,error,code", [
+    ([], [], DataError, "empty-support"),
+    ([3, 3, 4], [0.2, 0.5, 0.3], ParameterError, "bad-support"),
+    ([-1, 0], [0.5, 0.5], ParameterError, "bad-support"),
+    ([3, 4], [1.0], ParameterError, "bad-weights"),
+    ([3, 4], [1.5, -0.5], ParameterError, "bad-weights"),
+    ([3, 4], [0.5, 0.4], ParameterError, "bad-weights"),
+])
+def test_number_distribution_validation(support, weights, error, code):
+    with pytest.raises(error) as err:
+        NumberDistribution(np.array(support), np.array(weights))
+    assert err.value.code == code
 
 
 def test_distribution_is_normalized_and_centered():
@@ -246,6 +264,16 @@ def test_sweep_rows():
 def test_sweep_without_averaging():
     rows = sweep_g2_vs_od(BETA, np.array([1.0, 2.0]), averaged=False)
     assert all(r.g2_0_averaged is None for r in rows)
+
+
+def test_sweep_rows_in_bins_no_run_reaches():
+    # the default budget caps the estimated OD near ln(1000) ~ 6.9: the bins
+    # above it hold no run, and their rows fall back to the mean atom number
+    rows = sweep_g2_vs_od(BETA, [6.75, 7.25, 7.75])
+    assert rows[0].g2_0_averaged > 0.0
+    for r in rows[1:]:
+        assert r.g2_0_averaged is None
+        assert r.n_mean == od_to_atoms(r.od, BETA)
 
 
 def test_sweep_grid_validation():

@@ -145,12 +145,13 @@ def test_fit_result_derives_g2_zero_and_band_edge():
 
 
 def test_saturation_data_validation():
-    with pytest.raises(DataError):
-        SaturationData(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
-    with pytest.raises(DataError):
-        SaturationData(np.array([1.0, 2.0]), np.array([0.5, 1.5]))
-    with pytest.raises(DataError):
-        SaturationData(np.array([-1.0, 2.0]), np.array([0.5, 0.5]))
+    for s0, t, code in (([1.0, 1.0], [0.5, 0.5], "powers-not-increasing"),
+                        ([1.0, 2.0], [0.5, 1.5], "transmission-out-of-range"),
+                        ([-1.0, 2.0], [0.5, 0.5], "power-not-positive"),
+                        ([1.0, 2.0], [0.5, 0.5, 0.5], "saturation-shape-mismatch")):
+        with pytest.raises(DataError) as err:
+            SaturationData(np.array(s0), np.array(t))
+        assert err.value.code == code
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +736,14 @@ def test_mle_window_override_and_errors():
     with pytest.raises(DataError) as err:
         mle_fit_g2(empty, window_ns=30.0)
     assert err.value.code == "empty-window"
+    with pytest.raises(DataError) as err:
+        bootstrap_error(fit, empty)
+    assert err.value.code == "empty-window"
+    # +-100 ns, no bins past the 200 ns tail: no level to choose a window by
+    short = CoincidenceHistogram(_centers(50), np.full(101, 100, int))
+    with pytest.raises(DataError) as err:
+        mle_fit_g2(short)
+    assert err.value.code == "window-undetermined"
 
 
 def test_fit_window_must_end_before_the_tail():
@@ -1036,8 +1045,14 @@ def test_synth_saturation_noise_control():
     again = synth_saturation_data(0.01, 3.0, s0, rel_noise=0.05, seed=1)
     np.testing.assert_array_equal(noisy.transmission, again.transmission)
     assert np.any(noisy.transmission != clean.transmission)
-    with pytest.raises(ParameterError):
-        synth_saturation_data(0.01, 3.0, s0, rel_noise=-0.1)
+    # refused before the model is solved, whose beta here is out of range
+    for rel_noise in (-0.1, math.nan, math.inf):
+        with pytest.raises(ParameterError) as err:
+            synth_saturation_data(0.7, 3.0, s0, rel_noise=rel_noise, seed=1)
+        assert err.value.code == "bad-noise"
+    with pytest.raises(ParameterError) as err:
+        synth_saturation_data(0.01, 3.0, s0, rel_noise=0.05, seed=-1)
+    assert err.value.code == "bad-seed"
 
 
 def test_symmetric_centers_cover_requested_range():

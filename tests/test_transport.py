@@ -80,7 +80,7 @@ def test_full_coupling_gives_nine():
 
 
 def test_steady_state_single_atom_amplitude():
-    e, sum_d, rows = _steady_pairs(0.09, 0.0, 1, [1])
+    e, sum_d, rows = _steady_pairs(0.09, 0.0, 1, 1)
     # e = i sqrt(beta) / (-i/2) = -2 sqrt(beta) on resonance
     assert e[0] == pytest.approx(-2.0 * math.sqrt(0.09))
     # one emitter has no pairs
@@ -91,7 +91,7 @@ def test_steady_state_single_atom_amplitude():
 def test_steady_state_pair_amplitude_is_upper_triangular():
     # each pair j < k enters the row sums of both its emitters, so the row
     # sums of a length add up to twice its pair sum; rows end at the length
-    _, sum_d, rows = _steady_pairs(0.1, 0.0, 4, [1, 2, 3, 4])
+    _, sum_d, rows = _steady_pairs(0.1, 0.0, 4, 1)
     for length, row in zip(range(1, 5), rows):
         assert np.all(row[length:] == 0.0)
         assert abs(row.sum() - 2.0 * sum_d[length]) <= 1e-14 * np.max(np.abs(sum_d))
@@ -135,8 +135,8 @@ def test_pair_amplitudes_match_dense_solve(beta, delta):
     # the anti-diagonal fill against a direct solve of the whole linear system
     for n in (2, 7, 40):
         e_ref, d = _dense_steady_state(beta, delta, n)
-        lengths = sorted({1, n // 2, n})
-        e, sum_d, rows = _steady_pairs(beta, delta, n, lengths)
+        lengths = range(n // 2, n + 1)
+        e, sum_d, rows = _steady_pairs(beta, delta, n, n // 2)
         sym = d + d.T
         rows_ref = np.array([np.concatenate((sym[:m, :m].sum(axis=1), np.zeros(n - m)))
                              for m in lengths])
@@ -177,26 +177,39 @@ def _column_fill(beta, delta, n, lengths):
 @pytest.mark.parametrize("delta", [0.0, 0.5, -0.4])
 def test_anti_diagonal_fill_matches_column_loop(beta, delta):
     # same sums in another order: agreement to rounding, ~450 float64 ulps
-    lengths = [1, 60, 120]
-    e_ref, sum_ref, rows_ref = _column_fill(beta, delta, 120, lengths)
-    e, sum_d, rows = _steady_pairs(beta, delta, 120, lengths)
+    e_ref, sum_ref, rows_ref = _column_fill(beta, delta, 120, range(1, 121))
+    e, sum_d, rows = _steady_pairs(beta, delta, 120, 1)
     assert np.array_equal(e, e_ref)
     assert _close(sum_d, sum_ref, 1e-13)
     assert _close(rows, rows_ref, 1e-13)
 
 
 def test_lengths_leave_the_fill_unchanged():
-    # the lengths only choose which partial row sums are copied: single
-    # amplitudes and pair sums are bitwise those of a fill without them, and
-    # each length's row is the one it gets alone, whether it is copied with
-    # a run of consecutive lengths or next to a gap or a repeat
+    # the shortest length only chooses which partial row sums are copied:
+    # single amplitudes and pair sums are bitwise those of a fill without
+    # rows, and each length's row is the one it gets as the shortest, whether
+    # it is copied alone or with the consecutive lengths above it
     for beta, delta in ((0.0081, 0.0), (0.3, 0.3), (1.0, -0.4)):
-        e, sum_d, _ = _steady_pairs(beta, delta, 90)
-        for lengths in ([90], list(range(30, 91)), [1, 2, 3, 10, 11, 40, 40, 41, 89, 90]):
-            e_l, sum_l, rows = _steady_pairs(beta, delta, 90, lengths)
+        e, sum_d, rows = _steady_pairs(beta, delta, 90, 91)
+        assert rows.shape == (0, 90)
+        for first in (90, 30, 1):
+            e_l, sum_l, rows = _steady_pairs(beta, delta, 90, first)
             assert np.array_equal(e_l, e) and np.array_equal(sum_l, sum_d)
-            for length, row in zip(lengths, rows):
-                assert np.array_equal(row, _steady_pairs(beta, delta, 90, [length])[2][0])
+            assert rows.shape == (91 - first, 90)
+            for length, row in zip(range(first, 91), rows):
+                assert np.array_equal(row, _steady_pairs(beta, delta, 90, length)[2][0])
+
+
+def test_gapped_and_repeated_lengths_read_their_own_rows():
+    # a gap or a repeat among the lengths picks the same amplitude as the
+    # consecutive lengths around it
+    taus = TauGrid.linear(40.0, 81).values
+    lengths = [1, 2, 3, 10, 11, 40, 40, 41, 89, 90]
+    for beta, delta in ((0.0081, 0.0), (0.02, 0.3), (0.05, -0.4)):
+        amp = _two_photon_amplitudes(beta, delta, lengths, taus)
+        every = _two_photon_amplitudes(beta, delta, list(range(1, 91)), taus)
+        ref = every[np.array(lengths) - 1]
+        assert np.max(np.abs(amp - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_g2_zero_scan_keeps_no_pair_matrix():
@@ -219,7 +232,7 @@ def test_amplitude_relaxes_to_coherent_product():
 
 def _expm_amplitude(beta, delta, n, taus):
     """psi_N(tau) from the dense one-excitation propagator, one expm per tau."""
-    e, _, rows = _steady_pairs(beta, delta, n, [n])
+    e, _, rows = _steady_pairs(beta, delta, n, n)
     t_n = transmission_coefficient(beta, delta) ** n
     df = (1.0 - t_n) * e + math.sqrt(beta) * rows[0]
     gen = np.tril(np.full((n, n), -beta, dtype=complex), k=-1)
@@ -289,6 +302,9 @@ def test_batched_lengths_are_checked():
         with pytest.raises(ParameterError) as err:
             call()
         assert err.value.code == "detuning-not-finite"
+    with pytest.raises(ParameterError) as err:
+        chain_g2_by_length(0.05, [1, 2], TauGrid(GRID.values, unit="ns"))
+    assert err.value.code == "grid-bad-unit"
     # transmission never rises with N: the longest chain decides the floor
     with pytest.raises(NumericalError) as err:
         chain_g2_by_length(0.4, [0, 1, 50], GRID)
