@@ -241,10 +241,8 @@ def _read_table(path: str, columns: list[str], code: str, dtype=np.float64):
 
 def read_histogram_csv(path: str) -> ps.CoincidenceHistogram:
     tau, counts = _read_table(path, ["tau_ns", "counts"], "bad-histogram-file")
-    # counts are truncated toward zero, as int(float(x)) does
-    if not np.all(np.abs(counts) < 2.0**63):
-        raise DataError("malformed-value", f"{path}: counts must be finite and below 2**63")
-    return ps.CoincidenceHistogram(tau, np.trunc(counts).astype(np.int64))
+    # counts are truncated toward zero, as int(float(x)) does; the type checks their range
+    return ps.CoincidenceHistogram(tau, np.trunc(counts))
 
 
 _TAGS_HEADER = b"detector_id,timestamp_ns\r\n"
@@ -467,6 +465,13 @@ def _campaign(values) -> OdBinSpec:
                              values["loading_gain"], values["loading_max_od"])
 
 
+def _averaged(values) -> bool:
+    """The --averaged switch; a value other than 0 or 1 raises ParameterError "bad-averaged"."""
+    if values["averaged"] not in (0, 1):
+        raise ParameterError("bad-averaged", f"averaged must be 0 or 1, got {values['averaged']!r}")
+    return bool(values["averaged"])
+
+
 def _distribution(bins: OdBinSpec, beta: float, od: float):
     idx = bins.bin_index(od)
     if idx < 0:
@@ -546,6 +551,7 @@ _SWEEP = _PHYS + _SPREAD + [
 
 
 def cmd_sweep(values, prov) -> int:
+    averaged = _averaged(values)
     if not values["od_step"] > 0:
         raise ParameterError("bad-od-step", "od_step must be > 0")
     n_ods = (values["od_max"] - values["od_min"]) / values["od_step"]
@@ -555,7 +561,7 @@ def cmd_sweep(values, prov) -> int:
     if grid.size == 0:
         raise ParameterError("empty-od-grid", "the requested OD grid is empty")
     rows = sweep_g2_vs_od(values["beta"], grid, bins=_campaign(values),
-                          averaged=bool(values["averaged"]), detuning=values["detuning"])
+                          averaged=averaged, detuning=values["detuning"])
     extra = {}
     if values["fit_points"] is not None:
         # fit before writing, so bad points leave no files behind
@@ -623,8 +629,7 @@ def cmd_synth(values, prov) -> int:
         raise ParameterError("bad-kind", f"kind must be histogram or timetags, got {values['kind']!r}")
     if (values["od"] is None) == (values["n_atoms"] is None):
         raise ParameterError("no-configuration", "give exactly one of --od or --n-atoms")
-    _, curve = _model_curve(values, _campaign(values),
-                            "averaged" if values["averaged"] else "ideal",
+    _, curve = _model_curve(values, _campaign(values), "averaged" if _averaged(values) else "ideal",
                             values["od"], values["n_atoms"])
     path = values["output"]
     if values["kind"] == "histogram":

@@ -173,7 +173,9 @@ class NumberDistribution:
     def __post_init__(self):
         support = np.asarray(self.support, dtype=int)
         weights = np.asarray(self.weights, dtype=float)
-        if support.ndim != 1 or support.size == 0:
+        if support.ndim != 1:
+            raise ParameterError("bad-support", "support must be a 1d array")
+        if support.size == 0:
             raise DataError("empty-support", "number distribution has empty support")
         if np.any(np.diff(support) <= 0) or np.any(support < 0):
             raise ParameterError("bad-support",
@@ -192,9 +194,9 @@ class NumberDistribution:
 
 
 def od_to_atoms(od: float, beta: float) -> float:
-    """Mean atom number behind a measured optical depth."""
-    if not od >= 0:
-        raise ParameterError("bad-od", f"optical depth must be >= 0, got {od}")
+    """Mean atom number behind a measured optical depth; "bad-od" unless finite and >= 0."""
+    if not 0 <= od < math.inf:
+        raise ParameterError("bad-od", f"optical depth must be finite and >= 0, got {od}")
     return od / od_per_atom(beta)
 
 

@@ -110,6 +110,17 @@ _PAIR_BYTES = 96
 _BOOTSTRAP_BYTES_PER_ENTRY = 64
 
 
+def _outside_int64(x: np.ndarray):
+    """Where x holds no integer of the int64 range (a cast there would wrap)."""
+    if np.issubdtype(x.dtype, np.unsignedinteger):
+        return x > np.iinfo(np.int64).max
+    if np.issubdtype(x.dtype, np.integer):
+        return False
+    xf = np.asarray(x, dtype=float)
+    # -2**63 <= x < 2**63 is exactly the float range that casts to int64
+    return (xf != np.floor(xf)) | ~(xf >= -2.0**63) | ~(xf < 2.0**63)
+
+
 @dataclass(frozen=True)
 class CoincidenceHistogram:
     """Raw coincidence counts versus detector time difference.
@@ -134,7 +145,14 @@ class CoincidenceHistogram:
             raise DataError("counts-negative", "counts must be finite and >= 0")
         if np.any(np.asarray(cts, dtype=float) != np.floor(np.asarray(cts, dtype=float))):
             raise DataError("counts-not-integer", "counts must be integers")
-        object.__setattr__(self, "counts", np.asarray(cts, dtype=np.int64))
+        if np.any(_outside_int64(cts)):
+            raise DataError("counts-overflow", "counts must be below 2**63")
+        cts = np.asarray(cts, dtype=np.int64)
+        # summed exactly by 32-bit halves, each half's sum in int64 below 2**31 bins
+        total = (int((cts >> 32).sum()) << 32) + int((cts & 0xFFFFFFFF).sum())
+        if total > np.iinfo(np.int64).max:
+            raise DataError("counts-overflow", "the total count must be below 2**63")
+        object.__setattr__(self, "counts", cts)
         d = np.diff(tau)
         # a finite first step bounds every other step, so every center is finite
         if not (0.0 < d[0] < math.inf and np.allclose(d, d[0], rtol=1e-9, atol=1e-9)):
@@ -175,16 +193,7 @@ class TimeTagStream:
             ts = np.asarray(getattr(self, name))
             if ts.ndim != 1:
                 raise DataError("timestamps-not-1d", f"{name} must be a 1d array")
-            if np.issubdtype(ts.dtype, np.unsignedinteger):
-                # uint64 values >= 2**63 would wrap to negative int64
-                outside = ts > np.iinfo(np.int64).max
-            elif not np.issubdtype(ts.dtype, np.integer):
-                tsf = np.asarray(ts, dtype=float)
-                # -2**63 <= x < 2**63 is exactly the float range that casts to int64
-                outside = (tsf != np.floor(tsf)) | ~(tsf >= -2.0**63) | ~(tsf < 2.0**63)
-            else:
-                outside = False
-            if np.any(outside):
+            if np.any(_outside_int64(ts)):
                 raise DataError("timestamps-not-integer",
                                 "timestamps must be integer ns within the int64 range")
             ts = np.asarray(ts, dtype=np.int64)
@@ -765,9 +774,9 @@ def normalize_histogram(hist: CoincidenceHistogram, *, tail_start_ns: float = TA
     return G2Curve(grid, values)
 
 
-def _likelihood_mask(hist: CoincidenceHistogram, window_ns: float,
-                     tail_start_ns: float) -> np.ndarray:
-    """Bins entering the contrast likelihood.
+def _fit_bins(hist: CoincidenceHistogram, window_ns: float | None,
+              tail_start_ns: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The contrast fit's window, and the delays and counts of the bins it reads.
 
     The contrast window around tau = 0 carries the dip or peak; the
     normalization tail anchors the uncorrelated level.  Intermediate delays
@@ -775,28 +784,36 @@ def _likelihood_mask(hist: CoincidenceHistogram, window_ns: float,
     single-exponential contrast model cannot represent.  Without the tail
     the multinomial likelihood is scale free and gamma develops a degenerate
     ridge at the window edge, so the anchor is what makes (A, gamma)
-    identifiable at finite counts.  A window that reaches the tail would
-    exclude nothing: ParameterError "bad-window".
+    identifiable at finite counts.
+
+    A window_ns of None is 30 ns for antibunching dips and 15 ns once
+    bunching dominates, as bunched correlations decay faster than the dip
+    recovers; the short-delay excess over the tail level decides (DataError
+    "window-undetermined" without bins to compare).  Then, in this order:
+    ParameterError "bad-window" unless 0 < window_ns < tail_start_ns (a
+    window reaching the tail would exclude nothing), DataError
+    "window-too-narrow" for a window of fewer than 5 bins, "no-tail" when no
+    bin lies past tail_start_ns, and "empty-window" for bins without counts.
     """
-    if not window_ns < tail_start_ns:
-        raise ParameterError("bad-window", f"window_ns {window_ns:g} must be below "
-                             f"tail_start_ns {tail_start_ns:g}")
     at = np.abs(hist.tau_ns)
-    return (at <= window_ns + 1e-9) | (at > tail_start_ns)
-
-
-def _auto_window(hist: CoincidenceHistogram, tail_start_ns: float = TAIL_START_NS) -> float:
-    """30 ns for antibunching dips, 15 ns once bunching dominates.
-
-    The sign of the short-delay excess over the long-delay level decides;
-    bunched correlations decay faster than the dip recovers, so they get the
-    narrower window.
-    """
-    near = np.abs(hist.tau_ns) <= 5.0 + 1e-9
-    far = np.abs(hist.tau_ns) > tail_start_ns
-    if not np.any(near) or not np.any(far):
-        raise DataError("window-undetermined", "histogram too short to choose a fit window")
-    return 15.0 if hist.counts[near].mean() > hist.counts[far].mean() else 30.0
+    tail = at > tail_start_ns
+    if window_ns is None:
+        near = at <= 5.0 + 1e-9
+        if not np.any(near) or not np.any(tail):
+            raise DataError("window-undetermined", "histogram too short to choose a fit window")
+        window_ns = 15.0 if hist.counts[near].mean() > hist.counts[tail].mean() else 30.0
+    if not (math.isfinite(window_ns) and 0 < window_ns < tail_start_ns):
+        raise ParameterError("bad-window", f"window_ns must be finite, > 0 and below "
+                             f"tail_start_ns {tail_start_ns:g}, got {window_ns!r}")
+    window = at <= window_ns + 1e-9
+    if np.count_nonzero(window) < 5:
+        raise DataError("window-too-narrow", "fit window holds fewer than 5 bins")
+    if not np.any(tail):
+        raise DataError("no-tail", f"no bin lies beyond tail_start_ns {tail_start_ns:g}")
+    keep = window | tail
+    if not np.any(hist.counts[keep]):
+        raise DataError("empty-window", "no coincidences inside the fit region")
+    return float(window_ns), hist.tau_ns[keep], hist.counts[keep]
 
 
 GAMMA_FIT_BAND = (0.004, 0.4)
@@ -974,31 +991,20 @@ def mle_fit_g2(hist: CoincidenceHistogram, *, window_ns: float | None = None,
     """Maximum-likelihood g2(0) from raw coincidence counts.
 
     Fits g2(tau) = 1 - A exp(-gamma |tau|) by maximizing the multinomial
-    likelihood sum(c_i ln g_i) - C ln(sum g_i) over the contrast window plus
-    the normalization tail (see _likelihood_mask); conditioning on the total
-    count C makes the fit independent of the absolute coincidence rate, so
-    the histogram does not need to be normalized first.  The window defaults
-    to 30 ns for antibunched data and 15 ns when bunching is detected.
-    The histogram is one row of _fit_window_counts (profile scan over the
-    gamma band, then a bounded Newton polish).  Raises NumericalError
-    "fit-failed" when the fit has no finite minimum or |A| ends above 900,
-    and ParameterError "bad-window" unless 0 < window_ns < tail_start_ns.
+    likelihood sum(c_i ln g_i) - C ln(sum g_i) over the bins _fit_bins
+    picks: the contrast window (by default 30 ns, 15 ns for bunched data)
+    and the normalization tail.  Conditioning on the total count C makes the
+    fit independent of the absolute coincidence rate, so the histogram does
+    not need to be normalized first.  The histogram is one row of
+    _fit_window_counts (profile scan over the gamma band, then a bounded
+    Newton polish).  After _fit_bins' refusals, raises NumericalError
+    "fit-failed" when the fit has no finite minimum or |A| ends above 900.
     """
-    if window_ns is None:
-        window_ns = _auto_window(hist, tail_start_ns)
-    if not (math.isfinite(window_ns) and window_ns > 0):
-        raise ParameterError("bad-window", f"window_ns must be > 0, got {window_ns!r}")
-    mask = _likelihood_mask(hist, window_ns, tail_start_ns)
-    if np.count_nonzero(np.abs(hist.tau_ns) <= window_ns + 1e-9) < 5:
-        raise DataError("window-too-narrow", "fit window holds fewer than 5 bins")
-    tau = hist.tau_ns[mask]
-    cts = hist.counts[mask]
-    if cts.sum() == 0:
-        raise DataError("empty-window", "no coincidences inside the fit region")
+    window_ns, tau, cts = _fit_bins(hist, window_ns, tail_start_ns)
     a, gamma, _ = _fit_window_counts(tau, cts[None, :])
     if not np.isfinite(a[0]):
         raise NumericalError("fit-failed", "contrast fit found no finite minimum")
-    return FitResult(float(a[0]), float(gamma[0]), float(window_ns), float(tail_start_ns))
+    return FitResult(float(a[0]), float(gamma[0]), window_ns, float(tail_start_ns))
 
 
 def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: int = 50,
@@ -1015,26 +1021,20 @@ def bootstrap_error(fit: FitResult, hist: CoincidenceHistogram, *, n_samples: in
     raise NumericalError "unstable-fit".  ParameterError "too-many-samples"
     is raised before drawing when the refits' work arrays,
     _BOOTSTRAP_BYTES_PER_ENTRY per sample, scan point and bin, would not fit
-    in the installed memory, "bad-seed" for a negative seed, and
-    "bad-window" unless the fit's window ends before its tail_start_ns.
+    in the installed memory, and "bad-seed" for a negative seed; the fit's
+    window and tail get the refusals of _fit_bins first.
     """
     if n_samples < 2:
         raise ParameterError("too-few-samples", "need at least 2 bootstrap samples")
-    mask = _likelihood_mask(hist, fit.window_ns, fit.tail_start_ns)
-    tau = hist.tau_ns[mask]
+    _, tau, cts = _fit_bins(hist, fit.window_ns, fit.tail_start_ns)
     need = _BOOTSTRAP_BYTES_PER_ENTRY * float(n_samples) * _LOG_GAMMA_SCAN.size * tau.size
     if not need <= _physical_memory_bytes():
         raise ParameterError("too-many-samples",
                              f"{n_samples} bootstrap samples need about {need:.3g} bytes, "
                              "more than fits in memory")
-    cts = hist.counts[mask]
-    ctot = int(cts.sum())
-    if ctot == 0:
-        raise DataError("empty-window", "no coincidences inside the fit window")
-    model = 1.0 - fit.amplitude * np.exp(-fit.gamma_fit * np.abs(tau))
-    model = np.maximum(model, 1e-12)
+    model = np.maximum(1.0 - fit.amplitude * np.exp(-fit.gamma_fit * np.abs(tau)), 1e-12)
     p = model / model.sum()
-    counts = _rng(seed).multinomial(ctot, p, size=n_samples)
+    counts = _rng(seed).multinomial(int(cts.sum()), p, size=n_samples)
     amps, gammas, _ = _fit_window_counts(tau, counts)
     ok = np.isfinite(amps)
     failures = n_samples - int(ok.sum())
@@ -1109,7 +1109,7 @@ def fit_beta_saturation(data: SaturationData, od0: float) -> SaturationFit:
 
 
 def synth_saturation_data(beta: float, od0: float, s0, *, rel_noise: float = 0.0,
-                          seed: int | None = None) -> SaturationData:
+                          seed: int = 0) -> SaturationData:
     """Saturation measurement with multiplicative Gaussian transmission noise.
 
     Raises ParameterError "bad-noise" for a rel_noise that is not finite
@@ -1117,7 +1117,7 @@ def synth_saturation_data(beta: float, od0: float, s0, *, rel_noise: float = 0.0
     """
     if not (math.isfinite(rel_noise) and rel_noise >= 0):
         raise ParameterError("bad-noise", f"rel_noise must be finite and >= 0, got {rel_noise}")
-    rng = np.random.default_rng() if seed is None else _rng(seed)
+    rng = _rng(seed)
     s = np.asarray(s0, dtype=float)
     t = saturation_transmission(beta, od0, s)
     if rel_noise > 0:

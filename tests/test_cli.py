@@ -89,6 +89,38 @@ def test_simulate_parameter_errors(tmp_path):
     assert run(tmp_path, "simulate", "--od", 1.0, "--kind", "weird") == 2
 
 
+def test_simulate_averages_from_an_atom_number(tmp_path, capsys):
+    # an atom number is averaged over the campaign bin of its OD, N * od_per_atom
+    assert run(tmp_path, "simulate", "--n-atoms", 150, "--kind", "both",
+               "--output", tmp_path / "s.csv") == 0
+    assert "averaged curve, N=150, g2(0)=0.385724" in capsys.readouterr().out
+    _, rows = _read_csv(tmp_path / "s_n150_averaged.csv")
+    assert [float(r[2]) for r in rows if float(r[1]) == 0.0] == [pytest.approx(0.385724, abs=1e-6)]
+
+
+@pytest.mark.parametrize("args, code", [
+    (["simulate", "--kind", "averaged", "--od", 9], "od-outside-scheme"),
+    (["synth"], "no-configuration"),
+    (["simulate", "--config", "ARRAY"], "config-invalid"),
+    (["oracle", "--n-atoms", 0], "n-atoms-negative"),
+    (["sweep", "--averaged", 7, "--od-max", 1], "bad-averaged"),
+    (["synth", "--averaged", -3, "--od", 3], "bad-averaged"),
+    (["sweep", "--config", "AVERAGED", "--od-max", 1], "bad-averaged"),
+    (["synth", "--config", "AVERAGED", "--od", 3], "bad-averaged"),
+], ids=["od-outside-scheme", "no-configuration", "config-array", "oracle-no-emitter",
+        "sweep-averaged-7", "synth-averaged-minus-3", "sweep-config-averaged-2",
+        "synth-config-averaged-2"])
+def test_refusals_exit_2_before_writing(tmp_path, capsys, args, code):
+    array = _config(tmp_path, [1, 2])
+    averaged = tmp_path / "averaged.json"
+    averaged.write_text(json.dumps({"averaged": 2}))
+    args = [{"ARRAY": array, "AVERAGED": averaged}.get(a, a) for a in args]
+    capsys.readouterr()
+    assert run(tmp_path, *args, "--output", tmp_path / "out.csv") == 2
+    assert f"[{code}]" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([array, averaged])
+
+
 def test_synth_checks_kind_before_the_model(tmp_path, capsys):
     # at N = 5000 the chain is dark, so building the curve first would fail
     # with vanishing-transmission before the kind was read
@@ -563,7 +595,7 @@ def test_header_only_timetag_file(tmp_path, capsys):
     assert "[tail-underpopulated]" in capsys.readouterr().err
 
 
-def test_fit_beta_command(tmp_path):
+def test_fit_beta_command(tmp_path, capsys):
     from chiralchain import synth_saturation_data
     from chiralchain.cli import _write_csv
     sat = tmp_path / "sat.csv"
@@ -579,6 +611,11 @@ def test_fit_beta_command(tmp_path):
     few = tmp_path / "few.csv"
     few.write_text("s0,transmission\n1,0.5\n2,0.4\n3,0.3\n")
     assert run(tmp_path, "fit-beta", "--input", few, "--od0", 4.0) == 4
+    curve = tmp_path / "curve.csv"
+    assert run(tmp_path, "simulate", "--n-atoms", 1, "--output", curve) == 0
+    capsys.readouterr()
+    assert run(tmp_path, "fit-beta", "--input", curve, "--od0", 4.0) == 4
+    assert "[bad-saturation-file]" in capsys.readouterr().err
     short_row = tmp_path / "short_row.csv"
     short_row.write_text(sat.read_text() + "2000\n")
     assert run(tmp_path, "fit-beta", "--input", short_row, "--od0", 4.0) == 4

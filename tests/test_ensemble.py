@@ -40,7 +40,7 @@ def test_od_to_atoms_inverts_od_per_atom():
     for beta in (0.0081, 0.02, 0.1):
         for n in (1, 50, 200):
             assert od_to_atoms(n * od_per_atom(beta), beta) == pytest.approx(n, rel=1e-12)
-    for od in (-1.0, math.nan):
+    for od in (-1.0, math.nan, math.inf):
         with pytest.raises(ParameterError) as err:
             od_to_atoms(od, BETA)
         assert err.value.code == "bad-od"
@@ -113,6 +113,7 @@ def test_number_distribution_mean():
     ([3, 4], [1.0], ParameterError, "bad-weights"),
     ([3, 4], [1.5, -0.5], ParameterError, "bad-weights"),
     ([3, 4], [0.5, 0.4], ParameterError, "bad-weights"),
+    ([[3, 4]], [[0.5, 0.5]], ParameterError, "bad-support"),
 ])
 def test_number_distribution_validation(support, weights, error, code):
     with pytest.raises(error) as err:

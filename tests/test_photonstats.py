@@ -42,8 +42,8 @@ from chiralchain.photonstats import (
     TAIL_START_NS,
     _A_FAIL,
     _LOG_GAMMA_SCAN,
+    _fit_bins,
     _fit_window_counts,
-    _likelihood_mask,
     _pairs_within,
     _symmetric_centers,
 )
@@ -78,6 +78,14 @@ def test_histogram_validation():
         CoincidenceHistogram(np.linspace(-10, 10.5, 11), np.zeros(11, int))
     with pytest.raises(DataError):
         CoincidenceHistogram(good + 1.0, np.zeros(11, int))
+    # a count past int64 would cast to -2**63, and a total past it wrap to 1
+    past = (np.where(good == 0, 1e19, 0.0),
+            np.concatenate([np.full(4, 2**62, np.int64), np.ones(1, np.int64), np.zeros(6, int)]))
+    for counts in past:
+        with pytest.raises(DataError) as err:
+            CoincidenceHistogram(good, counts)
+        assert err.value.code == "counts-overflow"
+    assert CoincidenceHistogram(good, np.where(good == 0, 2**63 - 1, 0)).total_counts == 2**63 - 1
 
 
 def test_histogram_bin_width_is_the_center_step():
@@ -760,6 +768,25 @@ def test_fit_window_must_end_before_the_tail():
     assert err.value.code == "bad-window"
 
 
+def test_fit_region_needs_a_tail_and_a_window_of_5_bins():
+    # the +-320 ns histogram has no bin past a 400 ns tail; a fit of the
+    # window alone, without the tail's anchor, reads g2(0) 0.266 here
+    # against 0.340 with the 200 ns tail
+    h = synth_histogram(_chain_curve(5.13), 3e4, 3e4, 60.0, seed=2)
+    assert h.tau_ns[-1] == 320.0
+    fit = mle_fit_g2(h, window_ns=30.0)
+    with pytest.raises(DataError) as err:
+        mle_fit_g2(h, window_ns=30.0, tail_start_ns=400.0)
+    assert err.value.code == "no-tail"
+    with pytest.raises(DataError) as err:
+        bootstrap_error(replace(fit, tail_start_ns=400.0), h)
+    assert err.value.code == "no-tail"
+    # a hand-built 3 ns fit holds 3 bins, a window mle_fit_g2 refuses too
+    with pytest.raises(DataError) as err:
+        bootstrap_error(replace(fit, window_ns=3.0), h)
+    assert err.value.code == "window-too-narrow"
+
+
 def test_bootstrap_is_seeded_and_validates():
     curve = _exp_contrast_curve(0.4, 0.04)
     h = synth_histogram(curve, 3e4, 3e4, 60.0, seed=12)
@@ -899,8 +926,7 @@ def test_fitter_nll_never_above_nelder_mead():
     for k, h in enumerate(hists):
         fit = mle_fit_g2(h)
         assert fit.window_ns == (15.0 if k == 3 else 30.0)
-        mask = _likelihood_mask(h, fit.window_ns, TAIL_START_NS)
-        tau, cts = h.tau_ns[mask], h.counts[mask]
+        _, tau, cts = _fit_bins(h, fit.window_ns, TAIL_START_NS)
         model = 1.0 - fit.amplitude * np.exp(-fit.gamma_fit * np.abs(tau))
         rng = np.random.default_rng(10_000 + k)
         rows = np.vstack([cts, rng.multinomial(cts.sum(), model / model.sum(), size=10)])
@@ -1045,6 +1071,10 @@ def test_synth_saturation_noise_control():
     again = synth_saturation_data(0.01, 3.0, s0, rel_noise=0.05, seed=1)
     np.testing.assert_array_equal(noisy.transmission, again.transmission)
     assert np.any(noisy.transmission != clean.transmission)
+    # without a seed the draw is seed 0's, the same on every call
+    unseeded = synth_saturation_data(0.01, 3.0, s0, rel_noise=0.05)
+    np.testing.assert_array_equal(unseeded.transmission,
+                                  synth_saturation_data(0.01, 3.0, s0, rel_noise=0.05).transmission)
     # refused before the model is solved, whose beta here is out of range
     for rel_noise in (-0.1, math.nan, math.inf):
         with pytest.raises(ParameterError) as err:
