@@ -103,7 +103,7 @@ class CascadedGenerator:
     def __init__(self, params: PhysicalParams, drive_amplitude: float):
         n = params.n_atoms
         if n < 1:
-            raise ParameterError("n-atoms-negative", "oracle needs at least one emitter")
+            raise ParameterError("no-emitters", "oracle needs at least one emitter")
         self.alpha = float(drive_amplitude)
 
         sig = _lowering_ops(n)

@@ -102,7 +102,7 @@ def test_simulate_averages_from_an_atom_number(tmp_path, capsys):
     (["simulate", "--kind", "averaged", "--od", 9], "od-outside-scheme"),
     (["synth"], "no-configuration"),
     (["simulate", "--config", "ARRAY"], "config-invalid"),
-    (["oracle", "--n-atoms", 0], "n-atoms-negative"),
+    (["oracle", "--n-atoms", 0], "no-emitters"),
     (["sweep", "--averaged", 7, "--od-max", 1], "bad-averaged"),
     (["synth", "--averaged", -3, "--od", 3], "bad-averaged"),
     (["sweep", "--config", "AVERAGED", "--od-max", 1], "bad-averaged"),

@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -344,22 +346,99 @@ def test_occupancy_filter_keeps_every_tag_with_a_partner(as_float):
         assert shares[0] < kept.mean() < shares[1]
 
 
+def test_map_on_workers_runs_each_item_once_in_order(monkeypatch):
+    # more workers than CPUs and a short switch interval, so the threads
+    # interleave at every bytecode: a lost or repeated item, or a result in
+    # the wrong slot, breaks the list
+    monkeypatch.setattr(photonstats, "_worker_count", lambda: 8)
+    calls, threads = [], set()
+    # the first item waits until another item has started, which only
+    # another thread can start meanwhile
+    started = threading.Event()
+
+    def square(x):
+        calls.append(x)
+        threads.add(threading.get_ident())
+        if x:
+            started.set()
+        else:
+            started.wait(timeout=30)
+        return x * x
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert photonstats._map_on_workers(square, range(2000)) == [x * x for x in range(2000)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert started.is_set() and len(threads) > 1
+    assert sorted(calls) == list(range(2000))
+
+    def fail_at_7(x):
+        if x == 7:
+            raise ValueError(x)
+        return x
+
+    # an error on any thread reaches the caller
+    with pytest.raises(ValueError):
+        photonstats._map_on_workers(fail_at_7, range(50))
+    # one worker runs inline, on the calling thread
+    monkeypatch.setattr(photonstats, "_worker_count", lambda: 1)
+    assert photonstats._map_on_workers(lambda x: threading.get_ident(), [0, 1]) == [
+        threading.get_ident()] * 2
+
+
+def _sparse_tail_histogram(per_side):
+    """Three counts per bin within 15 ns and per_side single counts at each end."""
+    tau = _centers(160)
+    counts = np.where(np.abs(tau) <= 15, 3, 0)
+    counts[:per_side] = counts[-per_side:] = 1
+    return CoincidenceHistogram(tau, counts)
+
+
 def test_timetags_do_not_depend_on_worker_count(monkeypatch):
-    # 6e4 tags per detector: one block at the default size, so the reference
-    # runs inline; blocks of 2**10 cut the same stream into about 60
+    # every tag, histogram count and bootstrap field matches the one-worker
+    # result.  At 3e4/s for 2 s (6e4 tags per detector) the reference runs
+    # one block at the default size and blocks of 2**10 cut the same stream
+    # into about 60; at 1e6/s window candidates are a larger share of the
+    # detector-1 candidates, whose two sorted runs are merged
     curve = _chain_curve(5.13)
-    ref = synth_timetags(curve, 3e4, 3e4, 2.0, seed=7)
     periods = (None, 10_000.0)
-    ref_counts = [histogram_timetags(ref, pulse_period_ns=p).counts for p in periods]
-    assert ref.t0_ns.size < photonstats._PAIR_BLOCK
+    # weak contrast, where refits stop on a band edge, and a sparse tail,
+    # where refits fail; 7 and 2 samples split unevenly and into one-row
+    # parts over three workers.  The sparse tail's 7 refits at seed 3 give
+    # another a_err in another row order, so parts joined out of order fail
+    weak = synth_histogram(_exp_contrast_curve(0.05, 0.04), 3e4, 3e4, 60.0, seed=2)
+    sparse = _sparse_tail_histogram(2)
+    weak, sparse = [(mle_fit_g2(h), h) for h in (weak, sparse)]
+    boot_cases = [(weak, 50, 5), (weak, 7, 5), (weak, 2, 5), (sparse, 50, 5), (sparse, 7, 3)]
+
+    def outputs():
+        streams = [synth_timetags(curve, rate, rate, duration_s, seed=7)
+                   for rate, duration_s in ((3e4, 2.0), (1e6, 0.1))]
+        counts = [histogram_timetags(s, pulse_period_ns=p).counts for s in streams for p in periods]
+        boots = [bootstrap_error(fit, h, n_samples=n, seed=seed)
+                 for (fit, h), n, seed in boot_cases]
+        return streams, counts, boots
+
+    monkeypatch.setattr(photonstats, "_worker_count", lambda: 1)
+    ref_streams, ref_counts, ref_boots = outputs()
+    assert ref_streams[0].t0_ns.size < photonstats._PAIR_BLOCK
+    # the sums of the serially drawn tags, so a draw out of order fails too
+    assert [(int(s.t0_ns.sum()), int(s.t1_ns.sum())) for s in ref_streams] == [
+        (60180614251472, 60167646054948), (5010532542393, 5012124486238)]
+    assert ref_boots[0].n_at_edge > 0 and [b.n_failed for b in ref_boots[3:]] == [5, 1]
     monkeypatch.setattr(photonstats, "_PAIR_BLOCK", 2**10)
     for workers in (1, 2, 3):
         monkeypatch.setattr(photonstats, "_worker_count", lambda: workers)
-        stream = synth_timetags(curve, 3e4, 3e4, 2.0, seed=7)
-        assert np.array_equal(stream.t0_ns, ref.t0_ns)
-        assert np.array_equal(stream.t1_ns, ref.t1_ns)
-        for period, counts in zip(periods, ref_counts):
-            assert np.array_equal(histogram_timetags(stream, pulse_period_ns=period).counts, counts)
+        streams, counts, boots = outputs()
+        for stream, ref in zip(streams, ref_streams):
+            assert np.array_equal(stream.t0_ns, ref.t0_ns)
+            assert np.array_equal(stream.t1_ns, ref.t1_ns)
+        for got, want in zip(counts, ref_counts):
+            assert np.array_equal(got, want)
+        # FitResult compares every field
+        assert boots == ref_boots
 
 
 @pytest.mark.parametrize("rate, duration_s", [(3e4, 2.0), (2e6, 0.2), (3e4, 40.0)])
@@ -818,14 +897,17 @@ def test_bootstrap_refits_the_fit_region():
 def test_bootstrap_guard_covers_the_traced_peak(monkeypatch):
     # the refits hold about 41 B per sample, scan point and fit bin: at OD
     # 5.13, 60 s (151 bins) 500 samples trace at 127 MB, which a charge of
-    # one 8 B float per entry, 24.8 MB, let through
+    # one 8 B float per entry, 24.8 MB, let through.  On two workers the two
+    # halves of the rows are refit at once, and the guard covers both
     h = synth_histogram(_chain_curve(5.13), 3e4, 3e4, 60.0, seed=1)
     fit = mle_fit_g2(h)
-    peak = _traced_peak(bootstrap_error, fit, h, n_samples=500, seed=1)
-    monkeypatch.setattr(photonstats, "_physical_memory_bytes", lambda: float(peak))
-    with pytest.raises(ParameterError) as err:
-        bootstrap_error(fit, h, n_samples=500, seed=1)
-    assert err.value.code == "too-many-samples"
+    for workers in (1, 2):
+        monkeypatch.setattr(photonstats, "_worker_count", lambda: workers)
+        peak = _traced_peak(bootstrap_error, fit, h, n_samples=500, seed=1)
+        with mock.patch.object(photonstats, "_physical_memory_bytes", lambda: float(peak)), \
+                pytest.raises(ParameterError) as err:
+            bootstrap_error(fit, h, n_samples=500, seed=1)
+        assert err.value.code == "too-many-samples"
 
 
 def test_bootstrap_error_tracks_counting_noise():
@@ -847,9 +929,7 @@ def test_fit_failures_are_raised_and_counted():
     assert err.value.code == "fit-failed"
     # sparse tails: refits whose draw leaves the tail empty fail
     def sparse_tail(per_side):
-        counts = np.where(np.abs(tau) <= 15, 3, 0)
-        counts[:per_side] = counts[-per_side:] = 1
-        h = CoincidenceHistogram(tau, counts)
+        h = _sparse_tail_histogram(per_side)
         return mle_fit_g2(h), h
 
     # two tail counts per side: 5/50 refits fail, within MAX_FAILED_SHARE
