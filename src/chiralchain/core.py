@@ -132,6 +132,8 @@ class TauGrid:
     @classmethod
     def linear(cls, tau_max: float, n_points: int):
         """n_points delays from 0 to tau_max in units of 1/Gamma, checked before allocation."""
+        if not math.isfinite(tau_max):
+            raise ParameterError("grid-not-finite", f"tau_max must be finite, got {tau_max!r}")
         if n_points < 2:
             raise ParameterError("grid-too-small", "tau grid needs at least 2 points")
         if not 8.0 * n_points <= _physical_memory_bytes():

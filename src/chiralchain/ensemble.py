@@ -182,7 +182,8 @@ class NumberDistribution:
                                  "support must be strictly increasing nonnegative ints")
         if weights.shape != support.shape:
             raise ParameterError("bad-weights", "weights must align with support")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        # compared so that a nan weight fails
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
             raise ParameterError("bad-weights",
                                  "weights must be nonnegative and sum to 1")
         object.__setattr__(self, "support", support)

@@ -81,10 +81,6 @@ _PAIR_BLOCK = 2**16
 # cells of a block's table in the pair search's occupancy filter, at most
 # (one byte each)
 _FILTER_CELLS = 2**20
-# 1.5 * 2**52: adding it to a float below 2**51 in size rounds that to an
-# integer held in the low bits, for the filter's in-place cast to int64
-_ROUND = 1.5 * 2.0**52
-_ROUND_BITS = np.float64(_ROUND).view(np.int64)
 # tags per chunk of the in-place compaction and int64 cast in synth_timetags
 _TAG_CHUNK = 2**16
 _INT64 = np.iinfo(np.int64)
@@ -395,7 +391,8 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     drawn tag, the rate1 * T detector-0 tags plus the rate2 * T * (1 - R +
     rate1 * int 2 env dtau) expected candidates, and _PAIR_BYTES per
     expected pair of a candidate and a detector-0 tag within S (none when R >= 1),
-    and "bad-seed" before any draw for a negative seed.
+    "bad-seed" before any draw for a negative seed, and "duration-too-long"
+    before any draw when the span reaches 2**63 ns, past the int64 tags.
 
     Two full-length buffers hold the draws: the detector-0 times t0 and the
     candidates tc, baseline first, then the window candidates.  The
@@ -421,6 +418,9 @@ def synth_timetags(curve: G2Curve, rate1: float, rate2: float, duration_s: float
     """
     if not all(math.isfinite(x) and x > 0 for x in (rate1, rate2, duration_s)):
         raise ParameterError("rates-not-positive", "rates and duration must be finite and > 0")
+    if not duration_s * 1e9 < 2**63:
+        raise ParameterError("duration-too-long",
+                             f"duration {duration_s:.3g} s reaches 2**63 ns, past the int64 tags")
     scale = 1.0 if curve.grid.unit == "ns" else time_unit_ns(gamma_mhz)
     tau_ns = curve.grid.values * scale
     support_ns = float(tau_ns[-1])
@@ -584,55 +584,46 @@ def _map_on_workers(func, items) -> list:
 def _occupancy_filter(ab: np.ndarray, bb: np.ndarray, reach: float) -> np.ndarray:
     """A mask of the a-tags of a block that may have a b-tag within reach.
 
-    ab and bb are sorted, bb the b-tags the block can reach.  From the
-    block's first tag o, of either side, the values are cut into cells of
-    width w >= 2 reach, and a bool table marks the cells that hold a b-tag.
-    The partners of an a-tag then lie in the cell of floor((a - o) / w + 1/2)
-    or in the one below it, so the a-tags with neither cell marked are
-    dropped, and none with a partner is.  Float tags take the nearest
-    integers to (a - o) / w and (b - o) / w - 1/2 instead, which lands in
-    the same two cells, and w exceeds 2 reach by more than the rounding
-    can move a tag.
+    ab and bb are sorted, bb the b-tags the block can reach.  A tag x, int
+    or float, has the integer key trunc(x), less than 1 from x toward zero,
+    so the keys of tags d apart are less than d + 1 apart, across zero too.
+    Tags that pair are less than r = floor(reach) + 1 apart, so their keys
+    are at most r apart: ints by at most reach; float pairs have b - a rounded
+    to at most reach, which it cannot be from r up, r being a float above
+    reach, or b at least a - reach rounded, which is off by half an ulp of
+    a - reach, less than r - reach for tags below 2**52 ns unless reach lies
+    within that ulp of r.  From the block's first key o, of either side,
+    the keys are cut into cells of width w >= 2 r, and a bool table marks
+    the cells that hold a b-key.  The partners of an a-tag then lie in the
+    cell of floor((k_a - o) / w + 1/2) or in the one below it, so the
+    a-tags with neither cell marked are dropped, and none with a partner
+    is.
 
     The table has at most _FILTER_CELLS cells, and the b-tags mark it
     _TAG_CHUNK at a time, so besides the table the work arrays are a few
     as long as ab, however many b-tags the block reaches.  Every a-tag is
-    kept when one cell would cover the whole span, or when the span
-    reaches 2**62, past the exact int offsets.
+    kept when one cell would cover the whole span, when the span reaches
+    2**62, past the exact int offsets, or when a key leaves the int64
+    range, where the cast would wrap.
     """
-    exact = np.issubdtype(ab.dtype, np.integer)
-    if exact:
-        # Python ints, so no int64 scalar wraps near the int64 range
-        o = min(int(ab[0]), int(bb[0]))
-        span = max(int(ab[-1]), int(bb[-1])) - o
-        w = max(2 * reach, -(-span // _FILTER_CELLS))
-    else:
-        o = min(ab[0], bb[0])
-        span = float(max(ab[-1], bb[-1]) - o)
-        w = max(2 * reach, span / _FILTER_CELLS) + span * 2**-48
-    # below 2**62 the int offsets x - o plus w / 2 are exact int64 values
-    if not 0 < w <= span < 2**62:
+    # Python ints, so no int64 scalar wraps near the int64 range; int()
+    # truncates a float as the int64 cast in cells() does
+    o = min(int(ab[0]), int(bb[0]))
+    span = max(int(ab[-1]), int(bb[-1])) - o
+    w = max(2 * (math.floor(reach) + 1), -(-span // _FILTER_CELLS))
+    # below 2**62 the offsets k - o plus w // 2 are exact int64 values
+    if not (w <= span < 2**62 and -2**63 <= o and o + span < 2**63):
         return np.ones(ab.size, bool)
 
-    def cells(x, centred):  # cell of x, ints by floor, floats by rounding
-        c = x - o
-        if exact:  # floor((x - o) / w), + 1/2 inside if centred
-            if centred:
-                c += w // 2
-            c //= w
-            return c
-        # (x - o) / w rounded to an integer, less 1/2 first if not centred;
-        # the sum with _ROUND is that integer in its low bits: the int64 cast
-        # in place, without a second array
-        c *= 1.0 / w
-        if not centred:
-            c -= 0.5
-        c += _ROUND
-        c = c.view(np.int64)
-        c -= _ROUND_BITS
+    def cells(x, centred):  # floor((k - o) / w) of the keys k, + 1/2 inside if centred
+        c = x.astype(np.int64)
+        c -= o
+        if centred:
+            c += w // 2
+        c //= w
         return c
 
-    table = np.zeros(int(span // w if exact else span / w) + 3, bool)
+    table = np.zeros(span // w + 3, bool)
     for lo in range(0, bb.size, _TAG_CHUNK):
         table[1:][cells(bb[lo:lo + _TAG_CHUNK], False)] = True
     near = cells(ab, True)
@@ -722,8 +713,9 @@ def histogram_timetags(stream: TimeTagStream | Iterable[TimeTagStream], *,
     pulse_period_ns set, only tags in the window PULSE_GATE_NS within each
     pulse count, and the first DISCARD_PULSES pulses are dropped, mirroring
     pulsed probing where the early pulses see an uncooled ensemble; a period
-    shorter than the gate end raises "bad-gate".  The gate is applied to the
-    tags of each pair, so no array as long as the stream is made for it.
+    shorter than the gate end, or infinite, raises "bad-gate".  The gate is
+    applied to the tags of each pair, so no array as long as the stream is
+    made for it.
 
     stream is one TimeTagStream or an iterable of them, blocks in time
     order; the parameters are checked before the first block is read.  A
@@ -736,8 +728,9 @@ def histogram_timetags(stream: TimeTagStream | Iterable[TimeTagStream], *,
     """
     if pulse_period_ns is not None:
         g_lo, g_hi = PULSE_GATE_NS
-        if not g_hi <= pulse_period_ns:
-            raise ParameterError("bad-gate", f"pulse period must reach the gate end {g_hi:g} ns")
+        if not g_hi <= pulse_period_ns < math.inf:
+            raise ParameterError("bad-gate",
+                                 f"pulse period must be finite and reach the gate end {g_hi:g} ns")
         start = DISCARD_PULSES * pulse_period_ns
 
         def live(t):
@@ -816,7 +809,8 @@ def normalize_histogram(hist: CoincidenceHistogram, *, tail_start_ns: float = TA
     if not np.any(tail):
         raise DataError("no-tail", f"histogram must extend beyond {tail_start_ns:g} ns for normalization")
     tail_total = int(folded[tail].sum())
-    need = max(min_tail_counts, 1)
+    # a nan threshold compares false, so it too refuses an empty tail
+    need = min_tail_counts if min_tail_counts > 1 else 1
     if tail_total < need:
         raise DataError("tail-underpopulated",
                         f"only {tail_total} counts at |tau| > {tail_start_ns:g} ns, "

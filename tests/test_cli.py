@@ -107,9 +107,11 @@ def test_simulate_averages_from_an_atom_number(tmp_path, capsys):
     (["synth", "--averaged", -3, "--od", 3], "bad-averaged"),
     (["sweep", "--config", "AVERAGED", "--od-max", 1], "bad-averaged"),
     (["synth", "--config", "AVERAGED", "--od", 3], "bad-averaged"),
+    (["synth", "--kind", "timetags", "--od", 3, "--rate1", 1e-6, "--rate2", 1e-6,
+      "--duration", 1e10], "duration-too-long"),
 ], ids=["od-outside-scheme", "no-configuration", "config-array", "oracle-no-emitter",
         "sweep-averaged-7", "synth-averaged-minus-3", "sweep-config-averaged-2",
-        "synth-config-averaged-2"])
+        "synth-config-averaged-2", "synth-duration-past-int64"])
 def test_refusals_exit_2_before_writing(tmp_path, capsys, args, code):
     array = _config(tmp_path, [1, 2])
     averaged = tmp_path / "averaged.json"

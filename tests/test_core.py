@@ -71,6 +71,10 @@ def test_tau_grid_validation():
         with pytest.raises(ParameterError) as err:
             TauGrid(np.array([0.0, 1.0, bad]))
         assert err.value.code == "grid-not-finite"
+        # refused before linspace, whose first value would be nan, not 0
+        with pytest.raises(ParameterError) as err:
+            TauGrid.linear(bad, 5)
+        assert err.value.code == "grid-not-finite"
 
 
 def test_tau_grid_mirroring():

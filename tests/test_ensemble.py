@@ -114,6 +114,7 @@ def test_number_distribution_mean():
     ([3, 4], [1.5, -0.5], ParameterError, "bad-weights"),
     ([3, 4], [0.5, 0.4], ParameterError, "bad-weights"),
     ([[3, 4]], [[0.5, 0.5]], ParameterError, "bad-support"),
+    ([3, 4], [np.nan, 1.0], ParameterError, "bad-weights"),
 ])
 def test_number_distribution_validation(support, weights, error, code):
     with pytest.raises(error) as err:

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from unittest import mock
+import warnings
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -227,6 +228,17 @@ def _chain_curve(od):
     return chain_g2(PhysicalParams(0.0081, n, 0.0), TauGrid.linear(12.0, 481))
 
 
+def test_synth_timetags_refuses_a_span_past_int64():
+    # tags of 2**63 ns or more have no int64 value: 3e21 s gave every tag as
+    # -2**63 with only a cast warning.  Refused before any draw
+    curve = _exp_contrast_curve(0.5, 0.05)
+    with mock.patch.object(photonstats, "_rng", side_effect=AssertionError("drawn")):
+        for duration_s in (9.3e9, 3e21):
+            with pytest.raises(ParameterError) as err:
+                synth_timetags(curve, 1e-21, 1e-21, duration_s, seed=1)
+            assert err.value.code == "duration-too-long"
+
+
 def test_synth_timetags_exact_at_high_rate():
     # at 5e6/s each detector-0 tag has ~3.7 others within the 367 ns support,
     # whose excess raises the uncorrelated level by R = rate1 * int (g2 - 1)
@@ -279,9 +291,12 @@ def test_pairs_within_matches_all_pairs(block, a, b, reach, as_float):
 def _assert_all_pairs_pass_major(a, b, reach, i, j):
     """(i, j) holds every pair of a and b within reach once, in serial pass-major order."""
     got = list(zip(i.tolist(), j.tolist()))
-    # Python ints for int64 tags, so no difference wraps near the int64 range
-    want = {(p, q) for p in range(a.size) for q in range(b.size)
-            if abs(b[q] - a[p] if a.dtype.kind == "f" else int(b[q]) - int(a[p])) <= reach}
+    if a.dtype.kind == "f":  # the float rule, each side rounded: b >= a - reach, b - a <= reach
+        want = {(p, q) for p in range(a.size) for q in range(b.size)
+                if b[q] >= a[p] - reach and b[q] - a[p] <= reach}
+    else:  # Python ints, so no difference wraps near the int64 range
+        want = {(p, q) for p in range(a.size) for q in range(b.size)
+                if abs(int(b[q]) - int(a[p])) <= reach}
     assert len(got) == len(set(got)) and set(got) == want
     # serial pass-major order: every a-tag's first partner in a order, then
     # every second partner, and so on (an a-tag's partners are consecutive in b)
@@ -325,6 +340,44 @@ def test_pairs_within_sparse_tags_match_all_pairs(block, workers, tags, cells):
             mock.patch.object(photonstats, "_worker_count", lambda: workers):
         i, j = _pairs_within(a, b, reach)
     _assert_all_pairs_pass_major(a, b, reach, i, j)
+
+
+@st.composite
+def _fractional_tags(draw):
+    """Sorted float a and b tags with fractional values, some b-tags at a +- reach."""
+    reach = draw(st.sampled_from([0.3, 2.5, 12.75, 367.2]))
+    # near 0, negative, straddling 0, and past the int64 range of the keys
+    base = draw(st.sampled_from([0.0, -1e6, -20.0 * reach, 1e19, -1e19]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = (base + rng.uniform(0.0, 40.0 * reach, draw(st.integers(0, 25))) for _ in range(2))
+    # partners at a +- reach, rounded, where the float rule decides
+    near = a[:draw(st.integers(0, a.size))]
+    b = np.concatenate([b, near + reach * rng.choice([-1.0, 1.0], near.size)])
+    return np.sort(a), np.sort(b), reach
+
+
+@pytest.mark.parametrize("block", [1, photonstats._PAIR_BLOCK], ids=["block1", "default"])
+@settings(max_examples=200, deadline=None)
+@given(tags=_fractional_tags(), cells=st.sampled_from([64, photonstats._FILTER_CELLS]))
+# b - a = 320 + 2**-46 rounds to an integer reach, yet the keys 99 and 420 are
+# 321 apart: cells 2 * ceil(reach) wide drop the a-tag
+@example(tags=(np.array([-860.0, math.nextafter(100.0, 0.0)]), np.array([420.0]), 320.0),
+         cells=photonstats._FILTER_CELLS)
+def test_fractional_float_tags_pair_by_the_float_rule(block, tags, cells):
+    # quarter-ns floats differ exactly, so only fractional tags make the
+    # truncated keys and the rounded differences matter
+    a, b, reach = tags
+    with warnings.catch_warnings(), \
+            mock.patch.object(photonstats, "_PAIR_BLOCK", block), \
+            mock.patch.object(photonstats, "_FILTER_CELLS", cells):
+        warnings.simplefilter("error")  # a key cast past int64 would warn
+        kept = photonstats._occupancy_filter(a, b, reach) if a.size and b.size else None
+        i, j = _pairs_within(a, b, reach)
+    _assert_all_pairs_pass_major(a, b, reach, i, j)
+    if kept is not None:
+        assert kept[i].all()
+        if not -2**63 <= min(a[0], b[0]) <= max(a[-1], b[-1]) < 2**63:
+            assert kept.all()
 
 
 @pytest.mark.parametrize("as_float", [False, True], ids=["int64", "float"])
@@ -665,6 +718,7 @@ def test_histogram_timetags_checks_parameters_before_the_first_block():
         raise AssertionError("block read before the parameters were checked")
         yield
     for kwargs, code in (({"pulse_period_ns": 5_000.0}, "bad-gate"),
+                         ({"pulse_period_ns": math.inf}, "bad-gate"),
                          ({"tau_max_ns": 1.0}, "bad-tau-max"),
                          ({"bin_width_ns": 1e19, "tau_max_ns": 1e19}, "bad-tau-max")):
         with pytest.raises(ParameterError) as err:
@@ -742,9 +796,10 @@ def test_normalize_requires_tail():
         normalize_histogram(h)
     assert err.value.code == "no-tail"
     sparse = CoincidenceHistogram(_centers(160), np.zeros(321, int))
-    with pytest.raises(DataError) as err:
-        normalize_histogram(sparse)
-    assert err.value.code == "tail-underpopulated"
+    for min_tail_counts in (100, 0, math.nan):  # an empty tail whatever the threshold
+        with pytest.raises(DataError) as err:
+            normalize_histogram(sparse, min_tail_counts=min_tail_counts)
+        assert err.value.code == "tail-underpopulated"
 
 
 @settings(max_examples=100, deadline=None)
